@@ -47,10 +47,11 @@ fn main() {
     let mut controllers = Controllers::new(&cfg);
     let rl = optimal_branch(&mut controllers, &base, &env, bw, &cfg, &MemoPool::new())
         .expect("valid inputs");
-    let rnd = random_search(&base, &env, bw, episodes, seed, &MemoPool::new(), par)
+    let rnd = random_search(&base, &env, bw, episodes, seed, &MemoPool::new(), par, false)
         .expect("valid inputs");
-    let eg = epsilon_greedy_search(&base, &env, bw, episodes, 0.3, seed, &MemoPool::new(), par)
-        .expect("valid inputs");
+    let eg =
+        epsilon_greedy_search(&base, &env, bw, episodes, 0.3, seed, &MemoPool::new(), par, false)
+            .expect("valid inputs");
     for (name, out) in [("RL (ours)", &rl), ("random", &rnd), ("e-greedy", &eg)] {
         let curve = out.best_so_far();
         println!(

@@ -14,8 +14,10 @@
 //! 3. bound: `sites_per_search x disabled_ns_per_site / search_ns`.
 //!
 //! A disabled-vs-enabled end-to-end comparison is reported alongside so
-//! the price of turning tracing *on* is visible too.
+//! the price of turning tracing *on* is visible too. The process exits
+//! non-zero when the disabled bound reaches 2%, so CI gates on it.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use cadmc_core::branch::optimal_branch;
@@ -103,7 +105,7 @@ fn sites_per_search(episodes: usize) -> u64 {
     report.events.len() as u64 + hist_samples + counter_increments
 }
 
-fn main() {
+fn main() -> ExitCode {
     let episodes: usize = std::env::var("CADMC_EPISODES")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -164,5 +166,10 @@ fn main() {
     match std::fs::write(&out, json) {
         Ok(()) => eprintln!("wrote {out}"),
         Err(e) => eprintln!("cannot write {out}: {e}"),
+    }
+    if report.pass_under_2pct {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

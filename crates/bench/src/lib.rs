@@ -1,9 +1,10 @@
 //! # cadmc-bench
 //!
-//! The benchmark/reproduction harness: one binary per table and figure of
-//! the paper's evaluation (see `src/bin/`), plus Criterion
-//! microbenchmarks and ablations (see `benches/`). Shared formatting
-//! helpers live here.
+//! The paper reproduction harness: one binary per table and figure of
+//! the paper's evaluation (see `src/bin/`), plus `telemetry_overhead`,
+//! which gates the disabled-instrumentation bound. End-to-end and
+//! per-layer performance is measured by the separate `perfbench`
+//! package. Shared formatting helpers live here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

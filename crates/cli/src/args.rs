@@ -173,10 +173,10 @@ mod tests {
     fn feature_actions_is_valueless() {
         let a = parse(&["search", "--feature-actions", "--model", "vgg11"]).unwrap();
         assert_eq!(a.get("feature-actions"), Some("true"));
-        assert_eq!(a.get_or("feature-actions", false).unwrap(), true);
+        assert!(a.get_or("feature-actions", false).unwrap());
         assert_eq!(a.get("model"), Some("vgg11"));
         let a = parse(&["search", "--model", "vgg11"]).unwrap();
-        assert_eq!(a.get_or("feature-actions", false).unwrap(), false);
+        assert!(!a.get_or("feature-actions", false).unwrap());
     }
 
     #[test]

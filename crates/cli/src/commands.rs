@@ -80,10 +80,10 @@ COMMANDS:
                       [--quota N] [--episodes N] [--deadline-ms MS]
                       [--feature-actions]  (per-session searches explore
                       cut-tensor feature compression)
-                    Observability (both modes): [--metrics-enabled B]
-                      [--slo-p99-ms MS] [--slo-availability F]
-                      [--slo-window-ms MS] [--slo-burn-threshold X]
-                      [--slo-min-events N] [--slo-breaker-hook B]
+                    Observability (both modes): [--slo-p99-ms MS]
+                      [--slo-availability F] [--slo-window-ms MS]
+                      [--slo-burn-threshold X] [--slo-min-events N]
+                      [--slo-breaker-hook B]
                     Live mode: --listen <addr> serves the line-delimited
                     JSON protocol over TCP until a client sends \"Drain\";
                     \"Stats\" returns a live metrics snapshot, and
@@ -729,7 +729,6 @@ fn serve_cmd(args: &Args) -> Result<(), CliError> {
         max_retries: args.get_or("max-retries", d.max_retries)?,
         backoff_ms: d.backoff_ms,
         think_time_ms: d.think_time_ms,
-        metrics_enabled: args.get_or("metrics-enabled", d.metrics_enabled)?,
         slo_p99_ms: args.get_or("slo-p99-ms", d.slo_p99_ms)?,
         slo_availability: args.get_or("slo-availability", d.slo_availability)?,
         slo_window_ms: args.get_or("slo-window-ms", d.slo_window_ms)?,

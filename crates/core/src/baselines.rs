@@ -78,13 +78,22 @@ fn edge_len_of(base: &ModelSpec, p: Partition) -> usize {
     }
 }
 
+/// Samples a uniform (partition, plan) proposal. With `feature_actions`
+/// a transfer-bearing cut also draws a uniform feature action, so the
+/// plain path draws exactly the partition and plan samples.
 fn random_proposal(
     base: &ModelSpec,
     rng: &mut StdRng,
+    feature_actions: bool,
 ) -> (Partition, CompressionPlan, FeatureAction) {
     let partition = random_partition(base, rng);
     let plan = random_plan(base, edge_len_of(base, partition), rng);
-    (partition, plan, FeatureAction::IDENTITY)
+    let feature = if feature_actions && edge_len_of(base, partition) < base.len() {
+        random_feature(rng)
+    } else {
+        FeatureAction::IDENTITY
+    };
+    (partition, plan, feature)
 }
 
 /// Samples a uniformly random feature action for the cut tensor. Only
@@ -94,23 +103,9 @@ pub fn random_feature(rng: &mut StdRng) -> FeatureAction {
     FeatureAction::from_index(rng.random_range(0..FeatureAction::COUNT))
 }
 
-fn random_proposal_features(
-    base: &ModelSpec,
-    rng: &mut StdRng,
-) -> (Partition, CompressionPlan, FeatureAction) {
-    let partition = random_partition(base, rng);
-    let plan = random_plan(base, edge_len_of(base, partition), rng);
-    let feature = if edge_len_of(base, partition) < base.len() {
-        random_feature(rng)
-    } else {
-        FeatureAction::IDENTITY
-    };
-    (partition, plan, feature)
-}
-
 #[cfg(test)]
 fn random_candidate(base: &ModelSpec, rng: &mut StdRng) -> Candidate {
-    let (partition, plan, _) = random_proposal(base, rng);
+    let (partition, plan, _) = random_proposal(base, rng, false);
     Candidate::compose(base, partition, &plan).expect("random plans are applicable")
 }
 
@@ -196,11 +191,16 @@ fn run_search(
 }
 
 /// Pure random search: every episode samples a fresh uniform candidate.
+/// With `feature_actions` the search runs over the *enlarged* action
+/// space: each proposal also draws a uniform feature-compression action
+/// for transfer-bearing cuts, mirroring `SearchConfig::feature_actions`
+/// for the RL engine.
 ///
 /// # Errors
 ///
 /// Returns [`ValidateError`] for an empty model, non-finite bandwidth or
 /// a zero episode budget.
+#[allow(clippy::too_many_arguments)]
 pub fn random_search(
     base: &ModelSpec,
     env: &EvalEnv,
@@ -209,9 +209,10 @@ pub fn random_search(
     seed: u64,
     memo: &MemoPool,
     par: Parallelism,
+    feature_actions: bool,
 ) -> Result<SearchOutcome, ValidateError> {
     run_search(base, env, bandwidth, episodes, seed, memo, par, |rng, _| {
-        random_proposal(base, rng)
+        random_proposal(base, rng, feature_actions)
     })
 }
 
@@ -219,6 +220,9 @@ pub fn random_search(
 /// otherwise locally mutate the best candidate found so far (re-randomize
 /// one layer's compression action, or nudge the partition point). Within a
 /// rollout batch, mutations start from the best candidate at batch start.
+/// With `feature_actions`, explore steps also sample a uniform feature
+/// action (as in [`random_search`]) and mutations inherit the
+/// incumbent's feature.
 ///
 /// # Errors
 ///
@@ -234,6 +238,7 @@ pub fn epsilon_greedy_search(
     seed: u64,
     memo: &MemoPool,
     par: Parallelism,
+    feature_actions: bool,
 ) -> Result<SearchOutcome, ValidateError> {
     if !epsilon.is_finite() || !(0.0..=1.0).contains(&epsilon) {
         return Err(ValidateError::BadConfig {
@@ -251,67 +256,7 @@ pub fn epsilon_greedy_search(
         par,
         |rng, best| match best {
             Some(b) if rng.random_range(0.0..1.0) >= epsilon => mutate(base, b, rng),
-            _ => random_proposal(base, rng),
-        },
-    )
-}
-
-/// [`random_search`] over the *enlarged* action space: each proposal also
-/// draws a uniform feature-compression action for transfer-bearing cuts.
-/// Mirrors what `SearchConfig::feature_actions` does for the RL engine.
-///
-/// # Errors
-///
-/// Same as [`random_search`].
-pub fn random_search_features(
-    base: &ModelSpec,
-    env: &EvalEnv,
-    bandwidth: Mbps,
-    episodes: usize,
-    seed: u64,
-    memo: &MemoPool,
-    par: Parallelism,
-) -> Result<SearchOutcome, ValidateError> {
-    run_search(base, env, bandwidth, episodes, seed, memo, par, |rng, _| {
-        random_proposal_features(base, rng)
-    })
-}
-
-/// [`epsilon_greedy_search`] over the enlarged action space: explore steps
-/// sample a uniform feature action alongside the uniform candidate, and
-/// mutations inherit the incumbent's feature.
-///
-/// # Errors
-///
-/// Same as [`epsilon_greedy_search`].
-#[allow(clippy::too_many_arguments)]
-pub fn epsilon_greedy_search_features(
-    base: &ModelSpec,
-    env: &EvalEnv,
-    bandwidth: Mbps,
-    episodes: usize,
-    epsilon: f64,
-    seed: u64,
-    memo: &MemoPool,
-    par: Parallelism,
-) -> Result<SearchOutcome, ValidateError> {
-    if !epsilon.is_finite() || !(0.0..=1.0).contains(&epsilon) {
-        return Err(ValidateError::BadConfig {
-            field: "explore_epsilon",
-            detail: format!("probability {epsilon} must be in [0, 1]"),
-        });
-    }
-    run_search(
-        base,
-        env,
-        bandwidth,
-        episodes,
-        seed,
-        memo,
-        par,
-        |rng, best| match best {
-            Some(b) if rng.random_range(0.0..1.0) >= epsilon => mutate(base, b, rng),
-            _ => random_proposal_features(base, rng),
+            _ => random_proposal(base, rng, feature_actions),
         },
     )
 }
@@ -375,7 +320,8 @@ mod tests {
         let base = zoo::vgg11_cifar();
         let env = EvalEnv::phone();
         let memo = MemoPool::new();
-        let out = random_search(&base, &env, Mbps(10.0), 40, 1, &memo, Parallelism::serial())
+        let par = Parallelism::serial();
+        let out = random_search(&base, &env, Mbps(10.0), 40, 1, &memo, par, false)
             .expect("valid inputs");
         assert_eq!(out.episode_rewards.len(), 40);
         assert!(out.best_eval.reward > 0.0);
@@ -386,9 +332,18 @@ mod tests {
         let base = zoo::vgg11_cifar();
         let env = EvalEnv::phone();
         let memo = MemoPool::new();
-        let out =
-            epsilon_greedy_search(&base, &env, Mbps(10.0), 60, 0.3, 2, &memo, Parallelism::serial())
-                .expect("valid inputs");
+        let out = epsilon_greedy_search(
+            &base,
+            &env,
+            Mbps(10.0),
+            60,
+            0.3,
+            2,
+            &memo,
+            Parallelism::serial(),
+            false,
+        )
+        .expect("valid inputs");
         let curve = out.best_so_far();
         assert!(curve.last().unwrap() >= curve.first().unwrap());
     }
@@ -424,9 +379,10 @@ mod tests {
     fn deterministic_per_seed() {
         let base = zoo::tiny_cnn();
         let env = EvalEnv::phone();
-        let a = random_search(&base, &env, Mbps(5.0), 20, 7, &MemoPool::new(), Parallelism::serial())
+        let par = Parallelism::serial();
+        let a = random_search(&base, &env, Mbps(5.0), 20, 7, &MemoPool::new(), par, false)
             .expect("valid inputs");
-        let b = random_search(&base, &env, Mbps(5.0), 20, 7, &MemoPool::new(), Parallelism::serial())
+        let b = random_search(&base, &env, Mbps(5.0), 20, 7, &MemoPool::new(), par, false)
             .expect("valid inputs");
         assert_eq!(a.episode_rewards, b.episode_rewards);
     }
@@ -436,7 +392,7 @@ mod tests {
         let base = zoo::tiny_cnn();
         let env = EvalEnv::phone();
         let memo = MemoPool::new();
-        let out = random_search_features(
+        let out = random_search(
             &base,
             &env,
             Mbps(0.5),
@@ -444,6 +400,7 @@ mod tests {
             9,
             &memo,
             Parallelism::serial(),
+            true,
         )
         .expect("valid inputs");
         assert_eq!(out.episode_rewards.len(), 60);
@@ -470,6 +427,7 @@ mod tests {
             9,
             &MemoPool::new(),
             Parallelism::serial(),
+            false,
         )
         .expect("valid inputs");
         assert!(out.best.feature.is_identity());
@@ -480,7 +438,7 @@ mod tests {
     fn feature_search_is_deterministic_across_workers() {
         let base = zoo::tiny_cnn();
         let env = EvalEnv::phone();
-        let serial = epsilon_greedy_search_features(
+        let serial = epsilon_greedy_search(
             &base,
             &env,
             Mbps(0.5),
@@ -489,9 +447,10 @@ mod tests {
             13,
             &MemoPool::new(),
             Parallelism::serial(),
+            true,
         )
         .expect("valid inputs");
-        let parallel = epsilon_greedy_search_features(
+        let parallel = epsilon_greedy_search(
             &base,
             &env,
             Mbps(0.5),
@@ -500,6 +459,7 @@ mod tests {
             13,
             &MemoPool::new(),
             Parallelism::new(8),
+            true,
         )
         .expect("valid inputs");
         assert_eq!(serial.episode_rewards, parallel.episode_rewards);
@@ -519,6 +479,7 @@ mod tests {
             11,
             &MemoPool::new(),
             Parallelism::serial(),
+            false,
         )
         .expect("valid inputs");
         let parallel = epsilon_greedy_search(
@@ -530,6 +491,7 @@ mod tests {
             11,
             &MemoPool::new(),
             Parallelism::new(8),
+            false,
         )
         .expect("valid inputs");
         assert_eq!(serial.episode_rewards, parallel.episode_rewards);

@@ -81,6 +81,7 @@ impl FeatureController {
 
     /// Samples a feature action for a cut, recording its log-probability
     /// on the tape (one extra categorical decision per episode).
+    #[allow(clippy::too_many_arguments)]
     pub fn sample(
         &self,
         tape: &mut EpisodeTape,

@@ -684,9 +684,7 @@ pub fn model_tree(tree: &ModelTree) -> Result<(), ValidateError> {
         // The feature knob compresses the cut tensor, so only the node
         // that owns a transfer-bearing cut may carry a non-identity one.
         if !node.feature.is_identity()
-            && !node
-                .partition_abs
-                .is_some_and(|abs| abs < tree.base().len())
+            && node.partition_abs.is_none_or(|abs| abs >= tree.base().len())
         {
             return Err(ValidateError::FeatureOnUnpartitionedNode {
                 node: id,

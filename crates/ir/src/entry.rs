@@ -105,7 +105,16 @@ pub fn random_search(
     memo: &MemoPool,
     par: Parallelism,
 ) -> Result<SearchOutcome, ValidateError> {
-    baselines::random_search(model.spec(), env, bandwidth, episodes, seed, memo, par)
+    baselines::random_search(
+        model.spec(),
+        env,
+        bandwidth,
+        episodes,
+        seed,
+        memo,
+        par,
+        false,
+    )
 }
 
 /// ε-greedy baseline over a checked model.
@@ -133,6 +142,7 @@ pub fn epsilon_greedy_search(
         seed,
         memo,
         par,
+        false,
     )
 }
 

@@ -103,6 +103,7 @@ fn ir_path_search_output_matches_direct_path_across_parallelism() {
                 42,
                 &MemoPool::new(),
                 par,
+                false,
             )
             .expect("direct random search");
             let via_ir = entry::random_search(

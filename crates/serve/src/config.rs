@@ -40,10 +40,6 @@ pub struct ServerConfig {
     pub backoff_ms: f64,
     /// Idle gap between a session's consecutive requests (trace ms).
     pub think_time_ms: f64,
-    /// Whether the observability layer (windowed aggregation, SLO
-    /// tracking, per-tenant counters) records at all. Off leaves one
-    /// predictable branch per admission/completion.
-    pub metrics_enabled: bool,
     /// Per-tenant SLO: p99 latency target (ms). A session whose mean
     /// request latency misses this consumes error budget even when it
     /// succeeded.
@@ -85,7 +81,6 @@ impl Default for ServerConfig {
             max_retries: 2,
             backoff_ms: 80.0,
             think_time_ms: 400.0,
-            metrics_enabled: true,
             slo_p99_ms: 2_500.0,
             slo_availability: 0.9,
             slo_window_ms: 60_000.0,

@@ -43,7 +43,6 @@ pub struct TenantCounters {
 /// Mutable observability state for one server (or one schedule replay).
 #[derive(Debug, Clone)]
 pub struct ObsState {
-    enabled: bool,
     window: WindowAggregator,
     slo: SloTracker,
     tenants: BTreeMap<String, TenantCounters>,
@@ -54,7 +53,6 @@ impl ObsState {
     /// Fresh state shaped by the server's SLO/window knobs.
     pub fn new(cfg: &ServerConfig) -> Self {
         ObsState {
-            enabled: cfg.metrics_enabled,
             window: WindowAggregator::new(WindowConfig {
                 window_ms: cfg.slo_window_ms,
                 slice_ms: (cfg.slo_window_ms / 60.0).max(1.0),
@@ -74,18 +72,12 @@ impl ObsState {
 
     /// Records an admission at `t_ms`.
     pub fn on_admit(&mut self, t_ms: f64, tenant: &str) {
-        if !self.enabled {
-            return;
-        }
         self.tenants.entry(tenant.to_string()).or_default().admitted += 1;
         self.window.observe_count(t_ms, tenant, "admitted", 1);
     }
 
     /// Records a shed/rejected arrival at `t_ms` under its typed label.
     pub fn on_shed(&mut self, t_ms: f64, tenant: &str, reason_label: &str) {
-        if !self.enabled {
-            return;
-        }
         self.tenants.entry(tenant.to_string()).or_default().shed += 1;
         self.window.observe_count(t_ms, tenant, reason_label, 1);
     }
@@ -102,9 +94,6 @@ impl ObsState {
         label: &str,
         report: Option<&ExecReport>,
     ) -> Option<SloBreach> {
-        if !self.enabled {
-            return None;
-        }
         let c = self.tenants.entry(tenant.to_string()).or_default();
         match label {
             "failed" => c.failed += 1,
@@ -359,19 +348,6 @@ mod tests {
         let cell = snap.window.cell("t0", "ok").expect("latency cell");
         assert_eq!(cell.latency.count, 2);
         assert_eq!(snap.slo.len(), 1);
-    }
-
-    #[test]
-    fn disabled_state_records_nothing() {
-        let mut dis = cfg();
-        dis.metrics_enabled = false;
-        let mut obs = ObsState::new(&dis);
-        obs.on_admit(0.0, "t0");
-        obs.on_shed(0.0, "t0", "shed:rate");
-        assert!(obs.on_completion(1.0, "t0", "failed", None).is_none());
-        let snap = obs.snapshot();
-        assert!(snap.tenants.is_empty());
-        assert_eq!(snap.window.total(), 0);
     }
 
     #[test]

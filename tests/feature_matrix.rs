@@ -21,7 +21,7 @@
 //!    end-to-end latency.
 
 use cadmc::compress::{BottleneckKnob, CompressionPlan, FeatureAction, QuantKnob};
-use cadmc::core::baselines::{random_search, random_search_features};
+use cadmc::core::baselines::random_search;
 use cadmc::core::executor::{execute, ExecConfig, Mode, Policy};
 use cadmc::core::experiments::{train_scene, Workload};
 use cadmc::core::memo::MemoPool;
@@ -263,9 +263,10 @@ fn sub_floor_bandwidth_flips_edge_only_to_partitioned() {
         9,
         &MemoPool::new(),
         Parallelism::serial(),
+        false,
     )
     .expect("valid inputs");
-    let feat = random_search_features(
+    let feat = random_search(
         &base,
         &env,
         bw,
@@ -273,6 +274,7 @@ fn sub_floor_bandwidth_flips_edge_only_to_partitioned() {
         9,
         &MemoPool::new(),
         Parallelism::serial(),
+        true,
     )
     .expect("valid inputs");
     assert_eq!(
