@@ -7,8 +7,10 @@
 //! with a stable `IRnnn` code, and arbitrary input never panics (pinned
 //! by a fuzz proptest).
 //!
-//! The payoff is the [`CheckedModel`] type: the only way IR text reaches
-//! a search entry point ([`entry`]). Analysis proves shape legality,
+//! The payoff is the [`CheckedModel`] type: IR text becomes a searchable
+//! `ModelSpec` only through analysis (its [`spec`](CheckedModel::spec)
+//! feeds any `cadmc-core` search; [`entry`] adds a tree search that
+//! reads the model's annotations). Analysis proves shape legality,
 //! chain/partition legality (reusing `core::validate`) and — via a
 //! 128-bit checked mirror of the nn crate's cost kernels — that no
 //! accepted model can overflow the native MACC / transfer-byte

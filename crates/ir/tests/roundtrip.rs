@@ -94,7 +94,7 @@ fn ir_path_search_output_matches_direct_path_across_parallelism() {
         for workers in [1usize, 2, 8] {
             let par = Parallelism::new(workers);
 
-            // Random-search baseline: direct vs IR-checked entry point.
+            // Random-search baseline: builder spec vs the checked IR spec.
             let direct = baselines::random_search(
                 spec,
                 &env,
@@ -106,14 +106,15 @@ fn ir_path_search_output_matches_direct_path_across_parallelism() {
                 false,
             )
             .expect("direct random search");
-            let via_ir = entry::random_search(
-                &checked,
+            let via_ir = baselines::random_search(
+                checked.spec(),
                 &env,
                 Mbps(8.0),
                 6,
                 42,
                 &MemoPool::new(),
                 par,
+                false,
             )
             .expect("IR-path random search");
             assert_eq!(
@@ -142,9 +143,9 @@ fn ir_path_search_output_matches_direct_path_across_parallelism() {
             )
             .expect("direct optimal branch");
             let mut ir_ctl = Controllers::new(&cfg);
-            let via_ir = entry::optimal_branch(
+            let via_ir = branch::optimal_branch(
                 &mut ir_ctl,
-                &checked,
+                checked.spec(),
                 &env,
                 Mbps(8.0),
                 &cfg,

@@ -120,6 +120,11 @@ impl ObsState {
         breach
     }
 
+    /// SLO breach transitions so far.
+    pub fn breach_count(&self) -> usize {
+        self.breaches.len()
+    }
+
     /// Immutable snapshot of everything (window, SLO status, counters,
     /// breach log).
     pub fn snapshot(&self) -> ObsSnapshot {

@@ -27,6 +27,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
+use cadmc_core::executor::ExecReport;
 use cadmc_core::memo::MemoPool;
 use cadmc_core::parallel::par_map_indexed;
 use cadmc_core::tree_cache::TreeCache;
@@ -162,7 +163,7 @@ impl ScheduleReport {
     }
 }
 
-/// Live-path counters (wall-clock TCP front-end).
+/// Live-path counters and gauges (wall-clock TCP front-end).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LiveStats {
     /// Sessions admitted.
@@ -177,6 +178,12 @@ pub struct LiveStats {
     pub drained: usize,
     /// Deepest the wait set ever got (bounded by `queue_capacity`).
     pub waiting_watermark: usize,
+    /// Sessions waiting for a slot right now.
+    pub waiting: usize,
+    /// Sessions holding a slot right now.
+    pub active: usize,
+    /// SLO breach transitions so far.
+    pub slo_breaches: usize,
 }
 
 /// A live session's completion (wall-clock path).
@@ -188,17 +195,150 @@ pub struct LiveCompletion {
     pub outcome: SessionOutcome,
 }
 
-/// Wall-clock admission state behind one mutex; the condvar parks
-/// arrivals waiting for a slot (a bounded wait set, not a channel).
+/// The serving policy's state on one clock: the token bucket, the
+/// per-tenant breakers and in-flight counts, the drain flag, the totals
+/// and the observability state. The replay keeps a private ledger on
+/// its virtual clock; the live path keeps one behind the server's mutex
+/// on the wall clock. Slots and waiting are the caller's: the replay
+/// runs a bounded queue, the live path parks on a condvar.
 #[derive(Debug)]
-struct LiveState {
+struct Ledger {
     bucket: TokenBucket,
     breakers: BTreeMap<String, CircuitBreaker>,
     inflight: BTreeMap<String, usize>,
-    active: usize,
-    waiting: usize,
     draining: bool,
-    stats: LiveStats,
+    totals: LiveStats,
+    obs: ObsState,
+}
+
+impl Ledger {
+    fn new(cfg: &ServerConfig) -> Self {
+        Ledger {
+            bucket: TokenBucket::new(cfg.rate_per_sec, cfg.burst),
+            breakers: BTreeMap::new(),
+            inflight: BTreeMap::new(),
+            draining: false,
+            totals: LiveStats::default(),
+            obs: ObsState::new(cfg),
+        }
+    }
+
+    /// The refusal ladder up to the slot: draining, then the caller's
+    /// own check `pre`, then the tenant quota, the tenant breaker and
+    /// one rate token. A refusal is recorded before it is returned. A
+    /// pass reserves one of the tenant's quota places until
+    /// [`complete`](Self::complete) or [`release`](Self::release).
+    fn gate(
+        &mut self,
+        cfg: &ServerConfig,
+        t: f64,
+        tenant: &str,
+        pre: Result<(), RejectReason>,
+    ) -> Result<(), RejectReason> {
+        let verdict = if self.draining {
+            Err(RejectReason::Draining)
+        } else if let Err(reason) = pre {
+            Err(reason)
+        } else if self.inflight.get(tenant).copied().unwrap_or(0) >= cfg.tenant_quota {
+            Err(RejectReason::Quota)
+        } else if self.breakers.get(tenant).is_some_and(|b| b.is_open(t)) {
+            Err(RejectReason::Breaker)
+        } else if !self.bucket.try_admit(t) {
+            Err(RejectReason::Rate)
+        } else {
+            Ok(())
+        };
+        match verdict {
+            Ok(()) => {
+                *self.inflight.entry(tenant.to_string()).or_insert(0) += 1;
+                Ok(())
+            }
+            Err(reason) => Err(self.refuse(t, tenant, reason)),
+        }
+    }
+
+    /// Records a refusal at `t` and hands the reason back.
+    fn refuse(&mut self, t: f64, tenant: &str, reason: RejectReason) -> RejectReason {
+        self.totals.shed += 1;
+        self.obs.on_shed(t, tenant, reason.label());
+        reason
+    }
+
+    /// Records a refusal at `t` of a session that passed
+    /// [`gate`](Self::gate), giving back its quota place.
+    fn release(&mut self, t: f64, tenant: &str, reason: RejectReason) -> RejectReason {
+        self.free_quota(tenant);
+        self.refuse(t, tenant, reason)
+    }
+
+    fn free_quota(&mut self, tenant: &str) {
+        if let Some(c) = self.inflight.get_mut(tenant) {
+            *c = c.saturating_sub(1);
+        }
+    }
+
+    /// Records an admission at `t`.
+    fn admit(&mut self, t: f64, tenant: &str) {
+        self.totals.admitted += 1;
+        self.obs.on_admit(t, tenant);
+    }
+
+    /// Records an admitted session's terminal outcome at `t`: totals,
+    /// quota place, the observation and the tenant's breaker.
+    fn complete(
+        &mut self,
+        cfg: &ServerConfig,
+        t: f64,
+        tenant: &str,
+        label: &str,
+        report: Option<&ExecReport>,
+    ) {
+        match label {
+            "failed" => self.totals.failed += 1,
+            "degraded" => self.totals.degraded += 1,
+            _ => {}
+        }
+        if self.draining {
+            self.totals.drained += 1;
+        }
+        self.free_quota(tenant);
+        let breach = self.obs.on_completion(t, tenant, label, report);
+        if let Some(b) = &breach {
+            telemetry::event!(
+                "slo.breach",
+                tenant = tenant,
+                burn = b.burn_rate,
+                bad = b.bad,
+                total = b.total,
+            );
+        }
+        if label == "failed" {
+            self.breaker(cfg, tenant).record_failure(t);
+        } else if let Some(b) = self.breakers.get_mut(tenant) {
+            b.record_success();
+        }
+        // Sustained burn feeds the tenant's breaker: one breach
+        // transition counts as one failure signal.
+        if breach.is_some() && cfg.slo_breaker_hook {
+            self.breaker(cfg, tenant).record_failure(t);
+        }
+    }
+
+    /// The tenant's breaker, created closed on its first failure.
+    fn breaker(&mut self, cfg: &ServerConfig, tenant: &str) -> &mut CircuitBreaker {
+        self.breakers
+            .entry(tenant.to_string())
+            .or_insert_with(|| CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms))
+    }
+
+    /// Live counters and gauges; breaches are counted by the
+    /// observability state.
+    fn stats(&self) -> LiveStats {
+        LiveStats {
+            slo_breaches: self.obs.breach_count(),
+            ..self.totals
+        }
+    }
 }
 
 /// The multi-tenant serving core. See the module docs for the
@@ -209,33 +349,21 @@ pub struct Server {
     memo: Arc<MemoPool>,
     cache: Arc<TreeCache>,
     sessions: AtomicU64,
-    live: Mutex<LiveState>,
+    /// The live path's ledger; the condvar parks arrivals waiting for a
+    /// slot (a bounded wait set, not a channel).
+    live: Mutex<Ledger>,
     slot_freed: Condvar,
-    /// Shared observability state: fed by the live path on the wall
-    /// clock and replaced wholesale by each finished `run_schedule`
-    /// (whose replay keeps a private copy for determinism).
-    obs: Mutex<ObsState>,
 }
 
 impl Server {
     /// A server with fresh shared state (memo pool + tree cache).
     pub fn new(cfg: ServerConfig) -> Self {
-        let live = LiveState {
-            bucket: TokenBucket::new(cfg.rate_per_sec, cfg.burst),
-            breakers: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-            active: 0,
-            waiting: 0,
-            draining: false,
-            stats: LiveStats::default(),
-        };
         Server {
             memo: Arc::new(MemoPool::new()),
             cache: Arc::new(TreeCache::new(cfg.tree_cache_capacity)),
             sessions: AtomicU64::new(0),
-            live: Mutex::new(live),
+            live: Mutex::new(Ledger::new(&cfg)),
             slot_freed: Condvar::new(),
-            obs: Mutex::new(ObsState::new(&cfg)),
             cfg,
         }
     }
@@ -255,34 +383,29 @@ impl Server {
         &self.cache
     }
 
-    fn lock_live(&self) -> MutexGuard<'_, LiveState> {
+    fn lock_live(&self) -> MutexGuard<'_, Ledger> {
         self.live.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_obs(&self) -> MutexGuard<'_, ObsState> {
-        self.obs.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Snapshot of the shared observability state (live path, or the
-    /// last finished schedule).
+    /// Snapshot of the live path's observability state. A schedule's
+    /// snapshot is in its [`ScheduleReport::obs`].
     pub fn obs_snapshot(&self) -> ObsSnapshot {
-        self.lock_obs().snapshot()
+        self.lock_live().obs.snapshot()
     }
 
     /// The Prometheus-style text exposition served on
     /// `--metrics-listen`: per-tenant counters, queue/slot gauges,
     /// cache hit rates, latency quantiles and SLO burn rates.
     pub fn exposition(&self) -> String {
-        let obs = self.obs_snapshot();
-        let (queue_depth, slots_busy, draining) = {
+        let (obs, gauges) = {
             let st = self.lock_live();
-            (st.waiting, st.active, st.draining)
-        };
-        let gauges = GaugeSet {
-            queue_depth,
-            slots_busy,
-            slots: self.cfg.slots.max(1),
-            draining,
+            let gauges = GaugeSet {
+                queue_depth: st.totals.waiting,
+                slots_busy: st.totals.active,
+                slots: self.cfg.slots.max(1),
+                draining: st.draining,
+            };
+            (st.obs.snapshot(), gauges)
         };
         let memo_hits = self.memo.hits();
         let memo_misses = self.memo.misses();
@@ -377,21 +500,16 @@ impl Server {
                 .then(a.cmp(&b))
         });
 
-        let mut bucket = TokenBucket::new(cfg.rate_per_sec, cfg.burst);
-        // Private observability state: replay is serial, so feeding it
-        // here (virtual clock only) keeps snapshots byte-identical for
-        // any worker count.
-        let mut obs = ObsState::new(cfg);
+        // Private ledger: replay is serial, so feeding it here (virtual
+        // clock only) keeps the log and snapshots byte-identical for any
+        // worker count.
+        let mut ledger = Ledger::new(cfg);
         let mut queue: BoundedQueue<usize> = BoundedQueue::new(cfg.queue_capacity);
-        let mut breakers: BTreeMap<&str, CircuitBreaker> = BTreeMap::new();
-        let mut inflight: BTreeMap<&str, usize> = BTreeMap::new();
         let mut running: Vec<(f64, usize)> = Vec::with_capacity(slots);
         let mut decisions: Vec<Option<Decision>> = vec![None; n];
         let mut admit_ms: Vec<f64> = vec![0.0; n];
-        let mut draining = false;
         let mut drain_pending = drain_at_ms;
         let mut pos = 0usize;
-        let (mut admitted, mut shed, mut degraded, mut failed, mut drained) = (0, 0, 0, 0, 0);
 
         loop {
             // Earliest (time, priority): completions release capacity
@@ -425,70 +543,16 @@ impl Server {
                     }
                     let tenant = arrivals[idx].spec.tenant.as_str();
                     let outcome = outcomes[idx].as_ref();
-                    let (label, mean_latency, mean_accuracy) = match outcome {
-                        Some(o) => (o.label, o.report.mean_latency_ms(), o.report.mean_accuracy()),
-                        None => ("failed", 0.0, 0.0),
-                    };
-                    match label {
-                        "failed" => {
-                            failed += 1;
-                            breakers
-                                .entry(tenant)
-                                .or_insert_with(|| {
-                                    CircuitBreaker::new(
-                                        cfg.breaker_threshold,
-                                        cfg.breaker_cooldown_ms,
-                                    )
-                                })
-                                .record_failure(end_ms);
-                        }
-                        other => {
-                            if other == "degraded" {
-                                degraded += 1;
-                            }
-                            if let Some(b) = breakers.get_mut(tenant) {
-                                b.record_success();
-                            }
-                        }
-                    }
-                    if let Some(c) = inflight.get_mut(tenant) {
-                        *c = c.saturating_sub(1);
-                    }
-                    if draining {
-                        drained += 1;
-                    }
-                    if let Some(breach) =
-                        obs.on_completion(end_ms, tenant, label, outcome.map(|o| &o.report))
-                    {
-                        telemetry::event!(
-                            "slo.breach",
-                            tenant = tenant,
-                            burn = breach.burn_rate,
-                            bad = breach.bad,
-                            total = breach.total,
-                        );
-                        // Sustained burn feeds the tenant's breaker: one
-                        // breach transition counts as one failure signal.
-                        if cfg.slo_breaker_hook {
-                            breakers
-                                .entry(tenant)
-                                .or_insert_with(|| {
-                                    CircuitBreaker::new(
-                                        cfg.breaker_threshold,
-                                        cfg.breaker_cooldown_ms,
-                                    )
-                                })
-                                .record_failure(end_ms);
-                        }
-                    }
+                    let label = outcome.map_or("failed", |o| o.label);
+                    ledger.complete(cfg, end_ms, tenant, label, outcome.map(|o| &o.report));
                     let start_ms = admit_ms[idx];
                     decisions[idx] = Some(Decision::Admitted {
                         outcome: label.to_string(),
                         start_ms,
                         end_ms,
                         queued_ms: start_ms - arrivals[idx].at_ms,
-                        mean_latency_ms: mean_latency,
-                        mean_accuracy,
+                        mean_latency_ms: outcome.map_or(0.0, |o| o.report.mean_latency_ms()),
+                        mean_accuracy: outcome.map_or(0.0, |o| o.report.mean_accuracy()),
                     });
                     let span = telemetry::span!(
                         "serve.session",
@@ -511,7 +575,7 @@ impl Server {
                 1 => {
                     // Drain signal: stop admitting; in-flight work keeps
                     // going until it finishes or degrades.
-                    draining = true;
+                    ledger.draining = true;
                     drain_pending = None;
                     telemetry::event!("serve.drain", at_ms = t);
                 }
@@ -520,35 +584,22 @@ impl Server {
                     let idx = order[pos];
                     pos += 1;
                     let tenant = arrivals[idx].spec.tenant.as_str();
-                    let verdict = if draining {
-                        Err(RejectReason::Draining)
-                    } else if let Err(reason) = &prepared[idx] {
-                        Err(reason.clone())
-                    } else if inflight.get(tenant).copied().unwrap_or(0) >= cfg.tenant_quota {
-                        Err(RejectReason::Quota)
-                    } else if breakers.get(tenant).is_some_and(|b| b.is_open(t)) {
-                        Err(RejectReason::Breaker)
-                    } else if !bucket.try_admit(t) {
-                        Err(RejectReason::Rate)
-                    } else if running.len() < slots {
-                        admit_ms[idx] = t;
-                        let dur = outcomes[idx].as_ref().map_or(1.0, |o| o.virtual_ms);
-                        running.push((t + dur, idx));
-                        Ok(())
-                    } else if queue.push_back(idx).is_ok() {
-                        Ok(())
-                    } else {
-                        Err(RejectReason::QueueFull)
-                    };
-                    match verdict {
-                        Ok(()) => {
-                            admitted += 1;
-                            *inflight.entry(tenant).or_insert(0) += 1;
-                            obs.on_admit(t, tenant);
+                    let pre = prepared[idx].as_ref().map(|_| ()).map_err(Clone::clone);
+                    let verdict = ledger.gate(cfg, t, tenant, pre).and_then(|()| {
+                        if running.len() < slots {
+                            admit_ms[idx] = t;
+                            let dur = outcomes[idx].as_ref().map_or(1.0, |o| o.virtual_ms);
+                            running.push((t + dur, idx));
+                            Ok(())
+                        } else if queue.push_back(idx).is_ok() {
+                            Ok(())
+                        } else {
+                            Err(ledger.release(t, tenant, RejectReason::QueueFull))
                         }
+                    });
+                    match verdict {
+                        Ok(()) => ledger.admit(t, tenant),
                         Err(reason) => {
-                            shed += 1;
-                            obs.on_shed(t, tenant, reason.label());
                             telemetry::event!(
                                 "serve.shed",
                                 session = idx as u64,
@@ -562,47 +613,49 @@ impl Server {
             }
         }
 
-        let obs_snapshot = obs.snapshot();
+        let LiveStats {
+            admitted,
+            shed,
+            degraded,
+            failed,
+            drained,
+            slo_breaches,
+            ..
+        } = ledger.stats();
+        let obs = ledger.obs.snapshot();
         telemetry::counter!("serve.admitted", admitted as u64);
         telemetry::counter!("serve.shed", shed as u64);
         telemetry::counter!("serve.degraded", degraded as u64);
         telemetry::counter!("serve.failed", failed as u64);
         telemetry::counter!("serve.drained", drained as u64);
-        telemetry::counter!("serve.slo_breaches", obs_snapshot.breaches.len() as u64);
+        telemetry::counter!("serve.slo_breaches", slo_breaches as u64);
         telemetry::gauge!("serve.queue_watermark", queue.watermark() as f64);
         self.cache.publish_telemetry();
         self.memo.publish_telemetry();
-        // Expose the finished schedule's state to live scrapers.
-        *self.lock_obs() = obs;
 
-        let records: Vec<ArrivalRecord> = decisions
+        // Every arrival terminates: admitted ones complete (the loop only
+        // ends with `running` empty), rejected ones carry their reason.
+        let decisions: Vec<Decision> = decisions
             .into_iter()
-            .enumerate()
-            .map(|(i, d)| ArrivalRecord {
-                session: i,
-                tenant: arrivals[i].spec.tenant.clone(),
-                at_ms: arrivals[i].at_ms,
-                // Every arrival terminates: admitted ones complete (the
-                // loop only ends with `running` empty), rejected ones
-                // carry their reason.
-                decision: d.unwrap_or(Decision::Rejected {
+            .map(|d| {
+                d.unwrap_or(Decision::Rejected {
                     reason: RejectReason::Draining,
-                }),
+                })
             })
             .collect();
         let outcomes = outcomes
             .into_iter()
+            .zip(&decisions)
+            .map(|(o, d)| o.filter(|_| matches!(d, Decision::Admitted { .. })))
+            .collect();
+        let records = decisions
+            .into_iter()
             .enumerate()
-            .map(|(i, o)| {
-                let keep = matches!(
-                    records_decision(&records, i),
-                    Some(Decision::Admitted { .. })
-                );
-                if keep {
-                    o
-                } else {
-                    None
-                }
+            .map(|(i, decision)| ArrivalRecord {
+                session: i,
+                tenant: arrivals[i].spec.tenant.clone(),
+                at_ms: arrivals[i].at_ms,
+                decision,
             })
             .collect();
         ScheduleReport {
@@ -615,7 +668,7 @@ impl Server {
             drained,
             queue_watermark: queue.watermark(),
             queue_capacity: cfg.queue_capacity,
-            obs: obs_snapshot,
+            obs,
         }
     }
 
@@ -633,170 +686,97 @@ impl Server {
     /// Returns the typed [`RejectReason`] when the session is shed or
     /// rejected.
     pub fn submit(&self, spec: SessionSpec, t_ms: f64) -> Result<LiveCompletion, RejectReason> {
-        let shed = |server: &Server, reason: RejectReason| {
-            let mut st = server.lock_live();
-            st.stats.shed += 1;
-            drop(st);
-            server.lock_obs().on_shed(t_ms, &spec.tenant, reason.label());
-            Err(reason)
-        };
+        let span = telemetry::span!("serve.session", tenant = spec.tenant.as_str());
+        let result = self.run_live(&spec, t_ms, &span);
+        span.record(
+            "outcome",
+            match &result {
+                Ok(done) => done.outcome.label,
+                Err(reason) => reason.label(),
+            },
+        );
+        result
+    }
+
+    /// [`submit`](Self::submit) inside its `serve.session` span.
+    fn run_live(
+        &self,
+        spec: &SessionSpec,
+        t_ms: f64,
+        span: &telemetry::Span,
+    ) -> Result<LiveCompletion, RejectReason> {
+        let tenant = spec.tenant.as_str();
         // Cheap static validation before consuming any admission budget.
-        let resolved = match resolve(&spec, &self.cfg) {
+        let resolved = match resolve(spec, &self.cfg) {
             Ok(r) => r,
-            Err(reason) => return shed(self, reason),
+            Err(reason) => return Err(self.lock_live().refuse(t_ms, tenant, reason)),
         };
         let session = self.sessions.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut st = self.lock_live();
+        span.record("session", session);
+        let slots = self.cfg.slots.max(1);
+        let mut st = self.lock_live();
+        st.gate(&self.cfg, t_ms, tenant, Ok(()))?;
+        if st.totals.active >= slots {
+            if st.totals.waiting >= self.cfg.queue_capacity {
+                return Err(st.release(t_ms, tenant, RejectReason::QueueFull));
+            }
+            st.totals.waiting += 1;
+            st.totals.waiting_watermark = st.totals.waiting_watermark.max(st.totals.waiting);
+            while !st.draining && st.totals.active >= slots {
+                st = self
+                    .slot_freed
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            st.totals.waiting -= 1;
             if st.draining {
-                st.stats.shed += 1;
+                let reason = st.release(t_ms, tenant, RejectReason::Draining);
                 drop(st);
-                return shed_obs(self, t_ms, &spec.tenant, RejectReason::Draining);
+                self.slot_freed.notify_all();
+                return Err(reason);
             }
-            if st.inflight.get(&spec.tenant).copied().unwrap_or(0) >= self.cfg.tenant_quota {
-                st.stats.shed += 1;
-                drop(st);
-                return shed_obs(self, t_ms, &spec.tenant, RejectReason::Quota);
-            }
-            if st
-                .breakers
-                .get(&spec.tenant)
-                .is_some_and(|b| b.is_open(t_ms))
-            {
-                st.stats.shed += 1;
-                drop(st);
-                return shed_obs(self, t_ms, &spec.tenant, RejectReason::Breaker);
-            }
-            if !st.bucket.try_admit(t_ms) {
-                st.stats.shed += 1;
-                drop(st);
-                return shed_obs(self, t_ms, &spec.tenant, RejectReason::Rate);
-            }
-            if st.active < self.cfg.slots.max(1) {
-                st.active += 1;
-            } else if st.waiting >= self.cfg.queue_capacity {
-                st.stats.shed += 1;
-                drop(st);
-                return shed_obs(self, t_ms, &spec.tenant, RejectReason::QueueFull);
-            } else {
-                st.waiting += 1;
-                st.stats.waiting_watermark = st.stats.waiting_watermark.max(st.waiting);
-                loop {
-                    if st.draining {
-                        st.waiting -= 1;
-                        st.stats.shed += 1;
-                        drop(st);
-                        self.slot_freed.notify_all();
-                        return shed_obs(self, t_ms, &spec.tenant, RejectReason::Draining);
-                    }
-                    if st.active < self.cfg.slots.max(1) {
-                        break;
-                    }
-                    st = self
-                        .slot_freed
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                st.waiting -= 1;
-                st.active += 1;
-            }
-            st.stats.admitted += 1;
-            *st.inflight.entry(spec.tenant.clone()).or_insert(0) += 1;
         }
+        st.totals.active += 1;
+        drop(st);
 
         // Slot held; heavy work happens outside the lock.
         let tree = self.cache.get_or_insert_with(resolved.key.pair(), || {
             search_tree(&resolved, spec.device, &self.cfg, &self.memo)
         });
         let best_accuracy = best_branch_accuracy(&tree, spec.device);
+        let mut st = self.lock_live();
         if best_accuracy < spec.min_accuracy {
-            let mut st = self.lock_live();
-            st.active -= 1;
-            st.stats.admitted -= 1;
-            st.stats.shed += 1;
-            if let Some(c) = st.inflight.get_mut(&spec.tenant) {
-                *c = c.saturating_sub(1);
-            }
-            drop(st);
-            self.slot_freed.notify_all();
-            return shed_obs(
-                self,
+            st.totals.active -= 1;
+            let reason = st.release(
                 t_ms,
-                &spec.tenant,
+                tenant,
                 RejectReason::Constraint {
                     best_accuracy,
                     min_accuracy: spec.min_accuracy,
                 },
             );
+            drop(st);
+            self.slot_freed.notify_all();
+            return Err(reason);
         }
-        self.lock_obs().on_admit(t_ms, &spec.tenant);
-        let outcome = run_session(session, &spec, &tree, &resolved.exec_trace, &self.cfg);
+        st.admit(t_ms, tenant);
+        drop(st);
+        let outcome = run_session(session, spec, &tree, &resolved.exec_trace, &self.cfg);
 
-        let span = telemetry::span!(
-            "serve.session",
-            session = session,
-            tenant = spec.tenant.as_str(),
-        );
-        span.record("outcome", outcome.label);
-        drop(span);
-
-        {
-            let mut st = self.lock_live();
-            st.active -= 1;
-            if let Some(c) = st.inflight.get_mut(&spec.tenant) {
-                *c = c.saturating_sub(1);
-            }
-            match outcome.label {
-                "failed" => {
-                    st.stats.failed += 1;
-                    let threshold = self.cfg.breaker_threshold;
-                    let cooldown = self.cfg.breaker_cooldown_ms;
-                    st.breakers
-                        .entry(spec.tenant.clone())
-                        .or_insert_with(|| CircuitBreaker::new(threshold, cooldown))
-                        .record_failure(t_ms);
-                }
-                label => {
-                    if label == "degraded" {
-                        st.stats.degraded += 1;
-                    }
-                    if let Some(b) = st.breakers.get_mut(&spec.tenant) {
-                        b.record_success();
-                    }
-                }
-            }
-            if st.draining {
-                st.stats.drained += 1;
-            }
-        }
-        self.slot_freed.notify_all();
-        // Observability rides on the submission timestamp (the live
-        // path has no virtual completion instant); latency samples come
-        // from the session's simulated per-request latencies.
-        let breach = self.lock_obs().on_completion(
+        // Observability rides on the submission timestamp (the live path
+        // has no virtual completion instant); latency samples come from
+        // the session's simulated per-request latencies.
+        let mut st = self.lock_live();
+        st.totals.active -= 1;
+        st.complete(
+            &self.cfg,
             t_ms,
-            &spec.tenant,
+            tenant,
             outcome.label,
             Some(&outcome.report),
         );
-        if let Some(b) = breach {
-            telemetry::event!(
-                "slo.breach",
-                tenant = spec.tenant.as_str(),
-                burn = b.burn_rate,
-                bad = b.bad,
-                total = b.total,
-            );
-            if self.cfg.slo_breaker_hook {
-                let threshold = self.cfg.breaker_threshold;
-                let cooldown = self.cfg.breaker_cooldown_ms;
-                let mut st = self.lock_live();
-                st.breakers
-                    .entry(spec.tenant.clone())
-                    .or_insert_with(|| CircuitBreaker::new(threshold, cooldown))
-                    .record_failure(t_ms);
-            }
-        }
+        drop(st);
+        self.slot_freed.notify_all();
         Ok(LiveCompletion { session, outcome })
     }
 
@@ -819,7 +799,7 @@ impl Server {
     /// [`Server::begin_drain`].
     pub fn await_idle(&self) {
         let mut st = self.lock_live();
-        while st.active > 0 || st.waiting > 0 {
+        while st.totals.active > 0 || st.totals.waiting > 0 {
             st = self
                 .slot_freed
                 .wait(st)
@@ -827,15 +807,9 @@ impl Server {
         }
     }
 
-    /// Live-path counters.
+    /// Live-path counters and gauges, read under one lock.
     pub fn live_stats(&self) -> LiveStats {
-        self.lock_live().stats
-    }
-
-    /// Current live gauges: `(waiting, active)` session counts.
-    pub fn live_gauges(&self) -> (usize, usize) {
-        let st = self.lock_live();
-        (st.waiting, st.active)
+        self.lock_live().stats()
     }
 }
 
@@ -849,21 +823,4 @@ impl std::fmt::Debug for Prepared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Prepared").finish_non_exhaustive()
     }
-}
-
-fn records_decision(records: &[ArrivalRecord], i: usize) -> Option<&Decision> {
-    records.get(i).map(|r| &r.decision)
-}
-
-/// Records a live-path shed in the observability state and returns the
-/// typed error. Must be called *without* the live lock held (it takes
-/// the obs lock).
-fn shed_obs<T>(
-    server: &Server,
-    t_ms: f64,
-    tenant: &str,
-    reason: RejectReason,
-) -> Result<T, RejectReason> {
-    server.lock_obs().on_shed(t_ms, tenant, reason.label());
-    Err(reason)
 }

@@ -66,16 +66,14 @@ fn handle_connection(server: &Server, stream: TcpStream, started: Instant, stop:
             Ok(Request::Ping) => Response::Pong,
             Ok(Request::Stats) => {
                 let stats = server.live_stats();
-                let (waiting, active) = server.live_gauges();
-                let obs = server.obs_snapshot();
                 Response::Stats {
                     admitted: stats.admitted as u64,
                     shed: stats.shed as u64,
                     degraded: stats.degraded as u64,
                     failed: stats.failed as u64,
-                    queue_depth: waiting as u64,
-                    slots_busy: active as u64,
-                    slo_breaches: obs.breaches.len() as u64,
+                    queue_depth: stats.waiting as u64,
+                    slots_busy: stats.active as u64,
+                    slo_breaches: stats.slo_breaches as u64,
                     exposition: server.exposition(),
                 }
             }
