@@ -8,6 +8,10 @@
 //! server runs it*:
 //!
 //! 1. **Resolve** (serial): every arrival's model is checked and keyed.
+//!    The server resolves each scenario's bandwidth context and each zoo
+//!    model's checked form once, on first use, in a table it shares with
+//!    the live path; inline IR, the context descriptor and the cache key
+//!    are still worked out per arrival.
 //! 2. **Warm** (serial, arrival order): one tree search per distinct
 //!    (IR hash, context hash) key fills the shared LRU cache, so cache
 //!    content never depends on worker interleaving.
@@ -31,7 +35,6 @@ use cadmc_core::executor::ExecReport;
 use cadmc_core::memo::MemoPool;
 use cadmc_core::parallel::par_map_indexed;
 use cadmc_core::tree_cache::TreeCache;
-use cadmc_netsim::BandwidthTrace;
 use cadmc_telemetry as telemetry;
 
 use crate::admission::{BoundedQueue, TokenBucket};
@@ -39,8 +42,8 @@ use crate::breaker::CircuitBreaker;
 use crate::config::ServerConfig;
 use crate::metrics::{render_exposition, CacheRates, GaugeSet, ObsSnapshot, ObsState};
 use crate::session::{
-    best_branch_accuracy, resolve, run_session, search_tree, RejectReason, SessionOutcome,
-    SessionSpec,
+    best_branch_accuracy, run_session, search_tree, RejectReason, ResolveTable, ServedContext,
+    SessionOutcome, SessionSpec,
 };
 
 /// One scheduled request: a session spec arriving at a virtual instant.
@@ -348,6 +351,8 @@ pub struct Server {
     cfg: ServerConfig,
     memo: Arc<MemoPool>,
     cache: Arc<TreeCache>,
+    /// Contexts and zoo models, resolved once for both paths.
+    table: ResolveTable,
     sessions: AtomicU64,
     /// The live path's ledger; the condvar parks arrivals waiting for a
     /// slot (a bounded wait set, not a channel).
@@ -361,6 +366,7 @@ impl Server {
         Server {
             memo: Arc::new(MemoPool::new()),
             cache: Arc::new(TreeCache::new(cfg.tree_cache_capacity)),
+            table: ResolveTable::new(cfg.seed),
             sessions: AtomicU64::new(0),
             live: Mutex::new(Ledger::new(&cfg)),
             slot_freed: Condvar::new(),
@@ -449,7 +455,8 @@ impl Server {
                     i as u64,
                     &arrivals[i].spec,
                     &p.tree,
-                    &p.exec_trace,
+                    p.best_accuracy,
+                    &p.context.exec_trace,
                     &self.cfg,
                 )
             })
@@ -463,7 +470,7 @@ impl Server {
     /// constraint. Serial-phase only: cache mutation order must not
     /// depend on workers.
     fn prepare(&self, spec: &SessionSpec) -> Result<Prepared, RejectReason> {
-        let resolved = resolve(spec, &self.cfg)?;
+        let resolved = self.table.resolve(spec, &self.cfg)?;
         let tree = self.cache.get_or_insert_with(resolved.key.pair(), || {
             search_tree(&resolved, spec.device, &self.cfg, &self.memo)
         });
@@ -476,7 +483,8 @@ impl Server {
         }
         Ok(Prepared {
             tree,
-            exec_trace: resolved.exec_trace,
+            best_accuracy,
+            context: resolved.context,
         })
     }
 
@@ -707,7 +715,7 @@ impl Server {
     ) -> Result<LiveCompletion, RejectReason> {
         let tenant = spec.tenant.as_str();
         // Cheap static validation before consuming any admission budget.
-        let resolved = match resolve(spec, &self.cfg) {
+        let resolved = match self.table.resolve(spec, &self.cfg) {
             Ok(r) => r,
             Err(reason) => return Err(self.lock_live().refuse(t_ms, tenant, reason)),
         };
@@ -761,7 +769,14 @@ impl Server {
         }
         st.admit(t_ms, tenant);
         drop(st);
-        let outcome = run_session(session, spec, &tree, &resolved.exec_trace, &self.cfg);
+        let outcome = run_session(
+            session,
+            spec,
+            &tree,
+            best_accuracy,
+            &resolved.context.exec_trace,
+            &self.cfg,
+        );
 
         // Observability rides on the submission timestamp (the live path
         // has no virtual completion instant); latency samples come from
@@ -816,7 +831,8 @@ impl Server {
 /// Per-arrival state the scheduler carries between phases.
 struct Prepared {
     tree: Arc<cadmc_core::tree::ModelTree>,
-    exec_trace: BandwidthTrace,
+    best_accuracy: f64,
+    context: Arc<ServedContext>,
 }
 
 impl std::fmt::Debug for Prepared {

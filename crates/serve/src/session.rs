@@ -9,6 +9,8 @@
 //! discrete-event scheduler worker-count invariant: outcomes can be
 //! precomputed in parallel in index order and replayed serially.
 
+use std::sync::{Arc, OnceLock};
+
 use cadmc_core::executor::{self, ExecConfig, ExecReport, Mode, Policy};
 use cadmc_core::memo::MemoPool;
 use cadmc_core::search::{Controllers, SearchConfig};
@@ -17,7 +19,7 @@ use cadmc_core::NetworkContext;
 use cadmc_ir::{check_source, CheckedModel, ModelContextKey};
 use cadmc_latency::Platform;
 use cadmc_netsim::{BandwidthTrace, FaultSchedule, Scenario};
-use cadmc_nn::zoo;
+use cadmc_nn::{zoo, ModelSpec};
 
 use crate::config::ServerConfig;
 
@@ -148,91 +150,159 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// A resolved session: the checked model plus the context it will be
-/// searched and executed under.
+/// A scenario's served bandwidth context: the selection half a tree is
+/// searched under and the held-out half sessions stream over.
 #[derive(Debug)]
-pub(crate) struct ResolvedSession {
-    pub model: CheckedModel,
-    pub key: ModelContextKey,
+pub(crate) struct ServedContext {
     /// Context for tree search (selection half of the trace).
     pub search_ctx: NetworkContext,
     /// Held-out half the session actually streams over.
     pub exec_trace: BandwidthTrace,
 }
 
-/// Resolves a zoo name to its spec.
-fn zoo_by_name(name: &str) -> Option<cadmc_nn::ModelSpec> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "vgg11" => zoo::vgg11_cifar(),
-        "vgg16" => zoo::vgg16_cifar(),
-        "alexnet" => zoo::alexnet_cifar(),
-        "mobilenet" => zoo::mobilenet_cifar(),
-        "squeezenet" => zoo::squeezenet_cifar(),
-        "tiny" => zoo::tiny_cnn(),
-        _ => return None,
-    })
+/// A resolved session: the checked model plus the context it will be
+/// searched and executed under.
+#[derive(Debug)]
+pub(crate) struct ResolvedSession {
+    pub model: Arc<CheckedModel>,
+    pub key: ModelContextKey,
+    pub context: Arc<ServedContext>,
 }
 
-/// Checks the spec's model and derives its cache key and context.
-///
-/// The context descriptor canonicalizes everything the searched tree
-/// depends on besides the model itself: device profile, scenario, level
-/// count, server seed and episode budget. Two sessions with equal
-/// descriptors and equal IR hashes share one cached tree.
-pub(crate) fn resolve(spec: &SessionSpec, cfg: &ServerConfig) -> Result<ResolvedSession, RejectReason> {
-    let model = match &spec.model {
-        ModelSource::Zoo(name) => match zoo_by_name(name) {
-            Some(m) => CheckedModel::from_spec(m),
-            None => {
-                return Err(RejectReason::InvalidModel {
-                    detail: format!("unknown zoo model {name:?}"),
-                })
-            }
-        },
-        ModelSource::Ir(src) => {
-            let out = check_source(src);
-            let clean = out.is_clean();
-            match (out.model, clean) {
-                (Some(m), true) => m,
-                _ => {
-                    let errors = out
-                        .diagnostics
-                        .iter()
-                        .filter(|d| d.severity == cadmc_ir::Severity::Error)
-                        .count();
-                    let first = out
-                        .diagnostics
-                        .first()
-                        .map(|d| d.message.clone())
-                        .unwrap_or_else(|| "unparseable IR".to_string());
+/// A zoo model's builder.
+type ZooBuild = fn() -> ModelSpec;
+
+/// The zoo models a session may name (case-insensitively), in
+/// [`ResolveTable`] slot order.
+const ZOO: [(&str, ZooBuild); 6] = [
+    ("vgg11", zoo::vgg11_cifar),
+    ("vgg16", zoo::vgg16_cifar),
+    ("alexnet", zoo::alexnet_cifar),
+    ("mobilenet", zoo::mobilenet_cifar),
+    ("squeezenet", zoo::squeezenet_cifar),
+    ("tiny", zoo::tiny_cnn),
+];
+
+/// What a server resolves once instead of on every arrival: each
+/// scenario's [`ServedContext`] and each zoo model's [`CheckedModel`].
+/// A slot is filled on first use and never evicted. Both domains are
+/// closed (seven scenarios, six zoo names) and the context seed is fixed
+/// per server, so the slot index is the whole key. Inline IR is checked
+/// per arrival and never enters the table.
+pub(crate) struct ResolveTable {
+    seed: u64,
+    contexts: [OnceLock<Arc<ServedContext>>; Scenario::ALL.len()],
+    zoo: [OnceLock<Arc<CheckedModel>>; ZOO.len()],
+}
+
+impl ResolveTable {
+    /// An empty table for contexts synthesized with `seed`.
+    pub fn new(seed: u64) -> Self {
+        ResolveTable {
+            seed,
+            contexts: Default::default(),
+            zoo: Default::default(),
+        }
+    }
+
+    /// `scenario`'s served context, characterized on first use.
+    pub fn context(&self, scenario: Scenario) -> Arc<ServedContext> {
+        let slot = &self.contexts[scenario.index()];
+        Arc::clone(slot.get_or_init(|| {
+            let ctx = NetworkContext::from_scenario(scenario, CONTEXT_LEVELS, self.seed);
+            let (search_ctx, exec_trace) = ctx.train_test_split();
+            Arc::new(ServedContext {
+                search_ctx,
+                exec_trace,
+            })
+        }))
+    }
+
+    /// The checked form of zoo model `name`, built on first use; `None`
+    /// for a name the zoo does not have.
+    pub fn zoo_model(&self, name: &str) -> Option<Arc<CheckedModel>> {
+        let i = ZOO.iter().position(|(z, _)| z.eq_ignore_ascii_case(name))?;
+        let build = ZOO[i].1;
+        Some(Arc::clone(
+            self.zoo[i].get_or_init(|| Arc::new(CheckedModel::from_spec(build()))),
+        ))
+    }
+
+    /// Checks the spec's model and derives its cache key and context.
+    ///
+    /// The context descriptor canonicalizes everything the searched tree
+    /// depends on besides the model itself: device profile, scenario,
+    /// level count, server seed and episode budget. Two sessions with
+    /// equal descriptors and equal IR hashes share one cached tree.
+    ///
+    /// The scenario's context and a zoo model's checked form come from
+    /// the table; inline IR, the descriptor and the key are worked out
+    /// on every call.
+    pub fn resolve(
+        &self,
+        spec: &SessionSpec,
+        cfg: &ServerConfig,
+    ) -> Result<ResolvedSession, RejectReason> {
+        debug_assert_eq!(cfg.seed, self.seed, "one table per server seed");
+        let model = match &spec.model {
+            ModelSource::Zoo(name) => match self.zoo_model(name) {
+                Some(m) => m,
+                None => {
                     return Err(RejectReason::InvalidModel {
-                        detail: format!("{errors} IR error(s); first: {first}"),
-                    });
+                        detail: format!("unknown zoo model {name:?}"),
+                    })
+                }
+            },
+            ModelSource::Ir(src) => {
+                let out = check_source(src);
+                let clean = out.is_clean();
+                match (out.model, clean) {
+                    (Some(m), true) => Arc::new(m),
+                    _ => {
+                        let errors = out
+                            .diagnostics
+                            .iter()
+                            .filter(|d| d.severity == cadmc_ir::Severity::Error)
+                            .count();
+                        let first = out
+                            .diagnostics
+                            .first()
+                            .map(|d| d.message.clone())
+                            .unwrap_or_else(|| "unparseable IR".to_string());
+                        return Err(RejectReason::InvalidModel {
+                            detail: format!("{errors} IR error(s); first: {first}"),
+                        });
+                    }
                 }
             }
-        }
-    };
-    let device = match spec.device {
-        Platform::Phone => "phone",
-        Platform::Tx2 => "tx2",
-        Platform::CloudServer => "cloud",
-    };
-    let descriptor = format!(
-        "device={device}|scenario={}|k={CONTEXT_LEVELS}|seed={}|episodes={}|features={}",
-        spec.scenario.name(),
-        cfg.seed,
-        cfg.episodes,
-        cfg.feature_actions,
-    );
-    let key = ModelContextKey::new(&model, &descriptor);
-    let ctx = NetworkContext::from_scenario(spec.scenario, CONTEXT_LEVELS, cfg.seed);
-    let (search_ctx, exec_trace) = ctx.train_test_split();
-    Ok(ResolvedSession {
-        model,
-        key,
-        search_ctx,
-        exec_trace,
-    })
+        };
+        let device = match spec.device {
+            Platform::Phone => "phone",
+            Platform::Tx2 => "tx2",
+            Platform::CloudServer => "cloud",
+        };
+        let descriptor = format!(
+            "device={device}|scenario={}|k={CONTEXT_LEVELS}|seed={}|episodes={}|features={}",
+            spec.scenario.name(),
+            cfg.seed,
+            cfg.episodes,
+            cfg.feature_actions,
+        );
+        let key = ModelContextKey::new(&model, &descriptor);
+        Ok(ResolvedSession {
+            model,
+            key,
+            context: self.context(spec.scenario),
+        })
+    }
+}
+
+impl std::fmt::Debug for ResolveTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ResolveTable")
+            .field("seed", &self.seed)
+            .finish_non_exhaustive()
+    }
 }
 
 /// One tree search for a resolved session's cache key — the expensive
@@ -254,7 +324,8 @@ pub(crate) fn search_tree(
     let mut controllers = Controllers::new(&scfg);
     let env = cadmc_core::EvalEnv::for_edge(device);
     let n_blocks = resolved.model.blocks().unwrap_or(2);
-    let levels = resolved.search_ctx.levels().to_vec();
+    let search_ctx = &resolved.context.search_ctx;
+    let levels = search_ctx.levels().to_vec();
     match cadmc_ir::entry::tree_search(
         &mut controllers,
         &resolved.model,
@@ -264,7 +335,7 @@ pub(crate) fn search_tree(
         &scfg,
         memo,
         false,
-        Some(resolved.search_ctx.trace()),
+        Some(search_ctx.trace()),
     ) {
         Ok(result) => result.tree,
         Err(_) => ModelTree::new(resolved.model.spec().clone(), n_blocks, levels),
@@ -308,10 +379,13 @@ pub(crate) fn best_branch_accuracy(tree: &ModelTree, device: Platform) -> f64 {
 /// Runs one admitted session to its terminal outcome. Pure: the result
 /// depends only on the arguments, never on wall time, worker count or
 /// other sessions (the shared memo pool is value-deterministic).
+/// `best_accuracy` is the caller's [`best_branch_accuracy`] of `tree`,
+/// already worked out for the constraint check.
 pub(crate) fn run_session(
     session: u64,
     spec: &SessionSpec,
     tree: &ModelTree,
+    best_accuracy: f64,
     exec_trace: &BandwidthTrace,
     cfg: &ServerConfig,
 ) -> SessionOutcome {
@@ -338,7 +412,7 @@ pub(crate) fn run_session(
         label,
         virtual_ms: virtual_ms.max(1.0),
         has_edge_only_branch: has_edge_only_branch(tree),
-        best_accuracy: best_branch_accuracy(tree, spec.device),
+        best_accuracy,
         report,
     }
 }
@@ -360,6 +434,10 @@ mod tests {
         }
     }
 
+    fn resolve(spec: &SessionSpec, cfg: &ServerConfig) -> Result<ResolvedSession, RejectReason> {
+        ResolveTable::new(cfg.seed).resolve(spec, cfg)
+    }
+
     #[test]
     fn zoo_session_resolves_and_runs() {
         let cfg = ServerConfig {
@@ -370,7 +448,8 @@ mod tests {
         let resolved = resolve(&spec, &cfg).expect("resolves");
         let memo = MemoPool::new();
         let tree = search_tree(&resolved, spec.device, &cfg, &memo);
-        let out = run_session(0, &spec, &tree, &resolved.exec_trace, &cfg);
+        let best = best_branch_accuracy(&tree, spec.device);
+        let out = run_session(0, &spec, &tree, best, &resolved.context.exec_trace, &cfg);
         assert_eq!(out.report.latencies_ms.len(), 3);
         assert_eq!(out.label, "ok");
         assert!(out.virtual_ms > 0.0);
@@ -379,14 +458,17 @@ mod tests {
     #[test]
     fn unknown_zoo_and_bad_ir_are_invalid_model() {
         let cfg = ServerConfig::default();
+        let table = ResolveTable::new(cfg.seed);
         let mut s = spec();
         s.model = ModelSource::Zoo("nope".to_string());
-        assert!(matches!(
-            resolve(&s, &cfg),
-            Err(RejectReason::InvalidModel { .. })
-        ));
+        let err = table
+            .resolve(&s, &cfg)
+            .expect_err("unknown zoo name rejected");
+        assert_eq!(err.label(), "rejected:invalid-model");
+        // A miss leaves no slot behind: the name is still unknown.
+        assert!(table.zoo_model("nope").is_none());
         s.model = ModelSource::Ir("model broken {".to_string());
-        let err = resolve(&s, &cfg).expect_err("bad IR rejected");
+        let err = table.resolve(&s, &cfg).expect_err("bad IR rejected");
         assert_eq!(err.label(), "rejected:invalid-model");
         assert!(!err.is_shed());
     }
@@ -405,6 +487,66 @@ mod tests {
     }
 
     #[test]
+    fn table_contexts_equal_a_fresh_characterization() {
+        let seed = ServerConfig::default().seed;
+        let table = ResolveTable::new(seed);
+        for scenario in Scenario::ALL {
+            let cached = table.context(scenario);
+            let fresh = NetworkContext::from_scenario(scenario, CONTEXT_LEVELS, seed);
+            let (search_ctx, exec_trace) = fresh.train_test_split();
+            let bits = |levels: &[f64]| levels.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(cached.search_ctx.levels()),
+                bits(search_ctx.levels()),
+                "{}",
+                scenario.name()
+            );
+            assert_eq!(
+                cached.search_ctx.trace().samples(),
+                search_ctx.trace().samples()
+            );
+            assert_eq!(cached.exec_trace.samples(), exec_trace.samples());
+            assert!(Arc::ptr_eq(&cached, &table.context(scenario)));
+        }
+    }
+
+    #[test]
+    fn table_zoo_models_equal_a_fresh_check() {
+        let table = ResolveTable::new(ServerConfig::default().seed);
+        for (name, build) in ZOO {
+            let cached = table.zoo_model(name).expect("zoo name");
+            let fresh = CheckedModel::from_spec(build());
+            assert_eq!(cached.spec(), fresh.spec(), "{name}");
+            assert_eq!(cached.ir_hash(), fresh.ir_hash(), "{name}");
+            assert!(Arc::ptr_eq(
+                &cached,
+                &table.zoo_model(name).expect("zoo name")
+            ));
+            // Names match case-insensitively, onto the same slot.
+            let upper = table
+                .zoo_model(&name.to_ascii_uppercase())
+                .expect("zoo name");
+            assert!(Arc::ptr_eq(&cached, &upper));
+        }
+    }
+
+    #[test]
+    fn inline_ir_is_checked_per_call_and_shares_the_context() {
+        let cfg = ServerConfig::default();
+        let table = ResolveTable::new(cfg.seed);
+        let ir = cadmc_ir::emit_model(&zoo::tiny_cnn());
+        let s = SessionSpec {
+            model: ModelSource::Ir(ir),
+            ..spec()
+        };
+        let a = table.resolve(&s, &cfg).expect("clean IR");
+        let b = table.resolve(&s, &cfg).expect("clean IR");
+        assert!(!Arc::ptr_eq(&a.model, &b.model));
+        assert_eq!(a.key, b.key);
+        assert!(Arc::ptr_eq(&a.context, &b.context));
+    }
+
+    #[test]
     fn run_session_is_a_pure_function_of_its_inputs() {
         let cfg = ServerConfig {
             episodes: 2,
@@ -415,8 +557,10 @@ mod tests {
         let resolved = resolve(&s, &cfg).expect("resolves");
         let memo = MemoPool::new();
         let tree = search_tree(&resolved, s.device, &cfg, &memo);
-        let a = run_session(5, &s, &tree, &resolved.exec_trace, &cfg);
-        let b = run_session(5, &s, &tree, &resolved.exec_trace, &cfg);
+        let best = best_branch_accuracy(&tree, s.device);
+        let trace = &resolved.context.exec_trace;
+        let a = run_session(5, &s, &tree, best, trace, &cfg);
+        let b = run_session(5, &s, &tree, best, trace, &cfg);
         assert_eq!(a, b);
     }
 }

@@ -3,9 +3,11 @@
 //! canned outage preset, the server sheds with typed rejections only, the
 //! bounded queue never grows past capacity (watermark counter), admitted
 //! sessions end in a terminal outcome, and the per-session outcome log is
-//! **byte-identical** across 1, 2 and 8 workers.
+//! **byte-identical** across 1, 2 and 8 workers. A server reused for a
+//! second schedule replays it exactly as a fresh server would.
 
-use cadmc_serve::{chaos_arrivals, ChaosConfig, Decision, Server, ServerConfig};
+use cadmc_netsim::{FaultSchedule, Scenario};
+use cadmc_serve::{chaos_arrivals, ChaosConfig, Decision, ModelSource, Server, ServerConfig};
 
 fn run_log(workers: usize) -> (String, cadmc_serve::ScheduleReport) {
     let cfg = ServerConfig::default();
@@ -94,6 +96,49 @@ fn no_failed_outcome_while_an_edge_only_branch_exists() {
                 !out.has_edge_only_branch,
                 "session failed although its tree has an edge-only fallback branch"
             );
+        }
+    }
+}
+
+/// What a server keeps between schedules (resolved contexts and zoo
+/// models, the tree cache, the memo pool) carries no replay state: two
+/// schedules run back to back on one server log exactly what they log
+/// on two fresh servers.
+#[test]
+fn a_reused_server_replays_like_fresh_servers() {
+    let cfg = ServerConfig::default();
+    let chaos = ChaosConfig {
+        sessions: 12,
+        ..ChaosConfig::default()
+    };
+    let first = chaos_arrivals(&chaos, &cfg);
+    // The second schedule spreads over every scenario and two zoo
+    // models, without faults, and is drained mid-burst.
+    let mut second = chaos_arrivals(
+        &ChaosConfig {
+            sessions: 14,
+            faults: FaultSchedule::none(),
+            seed: 99,
+            ..chaos
+        },
+        &cfg,
+    );
+    for (i, a) in second.iter_mut().enumerate() {
+        a.spec.scenario = Scenario::ALL[i % Scenario::ALL.len()];
+        if i % 2 == 1 {
+            a.spec.model = ModelSource::Zoo("alexnet".to_string());
+        }
+    }
+    let schedules = [(&first, None), (&second, Some(second[9].at_ms))];
+    for workers in [1, 8] {
+        let reused = Server::new(cfg.clone());
+        for (i, &(arrivals, drain_at_ms)) in schedules.iter().enumerate() {
+            let on_reused = reused.run_schedule(arrivals, workers, drain_at_ms).log();
+            let on_fresh = Server::new(cfg.clone())
+                .run_schedule(arrivals, workers, drain_at_ms)
+                .log();
+            assert!(on_reused.contains("decision=admitted"));
+            assert_eq!(on_reused, on_fresh, "schedule {i}, {workers} workers");
         }
     }
 }

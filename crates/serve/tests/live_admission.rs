@@ -4,7 +4,8 @@
 //! resolution before the drain check, the accuracy constraint after the
 //! rate token), and that the `live_stats()` totals agree with the
 //! per-tenant counters of `obs_snapshot()`. A traced submit shows the
-//! `serve.session` span covering the session's work.
+//! `serve.session` span covering the session's work. Concurrent first
+//! submits on a cold server resolve exactly as serial ones do.
 
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -227,6 +228,62 @@ fn draining_beats_every_later_rung() {
     assert_eq!(refused(&server, spec("a"), 0.0), "shed:draining");
     assert!(server.is_draining());
     assert_totals_reconcile(&server);
+}
+
+/// The server resolves each scenario's context and each zoo model once,
+/// on first use. Sixteen threads racing to fill every slot of a fresh
+/// server get the outcomes that serial submits on another fresh server
+/// get, field for field apart from the session id.
+#[test]
+fn concurrent_first_submits_resolve_like_serial_ones() {
+    let _serial = serial();
+    let roomy = ServerConfig {
+        slots: 16,
+        queue_capacity: 16,
+        rate_per_sec: 1e6,
+        burst: 64,
+        tenant_quota: 64,
+        tree_cache_capacity: 16,
+        ..cfg()
+    };
+    let specs: Vec<SessionSpec> = (0..16)
+        .map(|i| SessionSpec {
+            model: ModelSource::Zoo(if i % 2 == 0 { "tiny" } else { "alexnet" }.to_string()),
+            scenario: Scenario::ALL[i % Scenario::ALL.len()],
+            requests: 2,
+            seed: i as u64,
+            ..spec(&format!("t{i}"))
+        })
+        .collect();
+
+    let racing = Server::new(roomy.clone());
+    let start = Barrier::new(specs.len());
+    let raced: Vec<_> = thread::scope(|s| {
+        let runs: Vec<_> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let (racing, start, spec) = (&racing, &start, spec.clone());
+                s.spawn(move || {
+                    start.wait();
+                    racing.submit(spec, i as f64)
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|h| h.join().expect("submit thread"))
+            .collect()
+    });
+
+    let serial_server = Server::new(roomy);
+    for (i, (spec, raced)) in specs.iter().zip(raced).enumerate() {
+        let raced = raced.unwrap_or_else(|r| panic!("raced submit {i} refused: {r}"));
+        let alone = serial_server
+            .submit(spec.clone(), i as f64)
+            .unwrap_or_else(|r| panic!("serial submit {i} refused: {r}"));
+        assert_eq!(raced.outcome, alone.outcome, "session {i}");
+    }
+    assert_eq!(racing.live_stats().admitted, specs.len());
 }
 
 #[test]
