@@ -24,6 +24,8 @@ pub enum ArgsError {
     MissingCommand,
     /// A `--flag` had no value.
     MissingValue(String),
+    /// A `--flag` was given more than once.
+    Repeated(String),
     /// A token that is neither the command nor a `--flag`.
     Unexpected(String),
     /// A required flag was absent.
@@ -42,6 +44,7 @@ impl std::fmt::Display for ArgsError {
         match self {
             ArgsError::MissingCommand => write!(f, "no command given (try `cadmc help`)"),
             ArgsError::MissingValue(k) => write!(f, "flag --{k} needs a value"),
+            ArgsError::Repeated(k) => write!(f, "flag --{k} given more than once"),
             ArgsError::Unexpected(t) => write!(f, "unexpected argument {t:?}"),
             ArgsError::Required(k) => write!(f, "missing required flag --{k}"),
             ArgsError::Invalid { flag, value } => {
@@ -72,13 +75,15 @@ impl Args {
                 positionals.push(token);
                 continue;
             };
-            if VALUELESS.contains(&key) {
-                flags.insert(key.to_string(), "true".to_string());
-                continue;
+            if flags.contains_key(key) {
+                return Err(ArgsError::Repeated(key.to_string()));
             }
-            let value = iter
-                .next()
-                .ok_or_else(|| ArgsError::MissingValue(key.to_string()))?;
+            let value = if VALUELESS.contains(&key) {
+                "true".to_string()
+            } else {
+                iter.next()
+                    .ok_or_else(|| ArgsError::MissingValue(key.to_string()))?
+            };
             flags.insert(key.to_string(), value);
         }
         Ok(Args {
@@ -150,6 +155,22 @@ mod tests {
         assert_eq!(
             parse(&["train", "--model"]),
             Err(ArgsError::MissingValue("model".into()))
+        );
+    }
+
+    #[test]
+    fn repeated_flag_is_rejected_not_overwritten() {
+        assert_eq!(
+            parse(&["train", "--seed", "1", "--model", "vgg11", "--seed", "2"]),
+            Err(ArgsError::Repeated("seed".into()))
+        );
+        assert_eq!(
+            parse(&["check", "--json", "model.ir", "--json"]),
+            Err(ArgsError::Repeated("json".into()))
+        );
+        assert_eq!(
+            ArgsError::Repeated("seed".into()).to_string(),
+            "flag --seed given more than once"
         );
     }
 

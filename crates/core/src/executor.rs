@@ -28,6 +28,29 @@
 //! resolution is recorded as a [`RequestOutcome`]. With the default empty
 //! schedule and no explicit deadline, the degradation machinery is fully
 //! bypassed and the executor is bit-identical to the fault-free one.
+//!
+//! ## Planned once, decided per request
+//!
+//! Like the paper's device, which stores every transformed block of the
+//! tree, a walk runs against a [`TreePlan`] that keeps what no request
+//! changes: each node's estimated edge latency, and each branch's
+//! transfer bytes, cloud latency, accuracy, edge-only flag and fallback
+//! legality. A slot is filled the first time a walk reaches it. Per
+//! request a walk does only the bandwidth estimate, the fork match, the
+//! transfer at the traced bandwidth and the noise — in the same order,
+//! on the same values, as composing the branch afresh would, so reports
+//! are bit-identical. A static policy likewise works out its candidate's
+//! figures once per [`execute`] call.
+//!
+//! A plan is bound to one [`EvalEnv`]: device profiles and oracle are
+//! baked into its slots. [`execute`] builds a plan private to the call.
+//! A caller that runs one tree many times under one environment builds
+//! it once ([`TreePlan::new`]) and shares it — the serving layer keeps
+//! one per tree-cache entry, so it lives and dies with the entry and the
+//! sessions still holding it.
+
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -309,6 +332,11 @@ const MIN_DEADLINE_MS: f64 = 10.0;
 /// Streams `cfg.requests` inferences of `policy` against `trace` and
 /// reports per-request latency and accuracy.
 ///
+/// A tree policy runs against a [`TreePlan`] private to this call; a
+/// caller that executes one tree many times under one environment can
+/// build the plan once and call [`TreePlan::execute`] instead, with
+/// bit-identical reports.
+///
 /// # Panics
 ///
 /// Panics if `cfg.requests == 0`.
@@ -319,6 +347,85 @@ pub fn execute(
     trace: &BandwidthTrace,
     cfg: &ExecConfig,
 ) -> ExecReport {
+    match policy {
+        Policy::Static(candidate) => {
+            let plan = StaticPlan::new(env, base, candidate);
+            stream(trace, cfg, |run| {
+                if run.degrade {
+                    plan.run_degraded(env, run)
+                } else {
+                    let (latency, accuracy) = plan.run(env, run);
+                    (latency, accuracy, RequestOutcome::Ok)
+                }
+            })
+        }
+        Policy::Tree(tree) => TreePlan::borrowed(env, base, tree).execute(trace, cfg),
+    }
+}
+
+/// One run's clock and random state over a replayed trace: the virtual
+/// time, the noise stream and the decision-side bandwidth estimator.
+struct Run<'a> {
+    trace: &'a BandwidthTrace,
+    duration: f64,
+    cfg: &'a ExecConfig,
+    /// Whether the degradation policy is armed: only when something can
+    /// actually fail (or the caller pinned a deadline). Disarmed, a run
+    /// takes the fault-free walks: the arithmetic and RNG draws of a run
+    /// with no degradation policy at all.
+    degrade: bool,
+    now: f64,
+    noise: NoiseModel,
+    estimator: BandwidthEstimator,
+}
+
+impl<'a> Run<'a> {
+    fn new(trace: &'a BandwidthTrace, cfg: &'a ExecConfig) -> Self {
+        Run {
+            trace,
+            duration: trace.duration_ms(),
+            cfg,
+            degrade: !cfg.faults.is_empty() || cfg.deadline_ms.is_some(),
+            now: 0.0,
+            noise: NoiseModel::new(cfg.mode, cfg.seed),
+            estimator: match cfg.mode {
+                Mode::Emulation => BandwidthEstimator::ideal(),
+                Mode::Field => BandwidthEstimator::field(),
+            },
+        }
+    }
+
+    /// True bandwidth at trace time `t` (the trace loops).
+    fn bw_at(&self, t: f64) -> f64 {
+        self.trace.at_ms(t % self.duration)
+    }
+
+    /// Pays an estimated compute time through the noise model, advancing
+    /// the clock; returns the time paid.
+    fn compute(&mut self, estimated_ms: f64) -> f64 {
+        let t = self.noise.compute(estimated_ms);
+        self.now += t;
+        t
+    }
+
+    /// Ships `bytes` at the true bandwidth now, advancing the clock;
+    /// returns the time paid (the fault-free transfer).
+    fn transfer(&mut self, env: &EvalEnv, bytes: u64) -> f64 {
+        let bw = Mbps(self.bw_at(self.now));
+        let t = self.noise.transfer(env.transfer.latency_ms(bytes, bw));
+        self.now += t;
+        t
+    }
+}
+
+/// The request loop every policy shares: one `exec.run` span, one noise
+/// stream and estimator, `request` per inference with the think time in
+/// between.
+fn stream(
+    trace: &BandwidthTrace,
+    cfg: &ExecConfig,
+    mut request: impl FnMut(&mut Run<'_>) -> (f64, f64, RequestOutcome),
+) -> ExecReport {
     assert!(cfg.requests > 0, "need at least one request");
     let _run_span = telemetry::span!(
         "exec.run",
@@ -328,69 +435,472 @@ pub fn execute(
             Mode::Field => "field",
         },
     );
-    let mut noise = NoiseModel::new(cfg.mode, cfg.seed);
-    let mut estimator = match cfg.mode {
-        Mode::Emulation => BandwidthEstimator::ideal(),
-        Mode::Field => BandwidthEstimator::field(),
-    };
-    let duration = trace.duration_ms();
-    let bw_at = |t: f64| trace.at_ms(t % duration);
-
-    let mut now = 0.0f64;
+    let mut run = Run::new(trace, cfg);
     let mut latencies_ms = Vec::with_capacity(cfg.requests);
     let mut accuracies = Vec::with_capacity(cfg.requests);
     let mut outcomes = Vec::with_capacity(cfg.requests);
-
-    // The degradation policy only arms when something can actually fail
-    // (or the caller pinned a deadline). The disarmed branch is the
-    // original fault-free code path, byte-for-byte: same arithmetic, same
-    // RNG draw sequence.
-    let degrade = !cfg.faults.is_empty() || cfg.deadline_ms.is_some();
-
     for _ in 0..cfg.requests {
-        let (latency, accuracy, outcome) = if degrade {
-            match policy {
-                Policy::Static(candidate) => run_static_degraded(
-                    env, base, candidate, &mut now, &bw_at, &mut noise, cfg,
-                ),
-                Policy::Tree(tree) => run_tree_degraded(
-                    env,
-                    base,
-                    tree,
-                    &mut now,
-                    &bw_at,
-                    &mut noise,
-                    &mut estimator,
-                    cfg,
-                ),
-            }
-        } else {
-            let (l, a) = match policy {
-                Policy::Static(candidate) => {
-                    run_static(env, base, candidate, &mut now, &bw_at, &mut noise)
-                }
-                Policy::Tree(tree) => run_tree(
-                    env,
-                    base,
-                    tree,
-                    &mut now,
-                    &bw_at,
-                    &mut noise,
-                    &mut estimator,
-                ),
-            };
-            (l, a, RequestOutcome::Ok)
-        };
+        let (latency, accuracy, outcome) = request(&mut run);
         telemetry::hist!("exec.latency_ms", LATENCY_BOUNDS, latency);
         latencies_ms.push(latency);
         accuracies.push(accuracy);
         outcomes.push(outcome);
-        now += cfg.think_time_ms;
+        run.now += cfg.think_time_ms;
     }
     ExecReport {
         latencies_ms,
         accuracies,
         outcomes,
+    }
+}
+
+/// The request-independent figures of one composed deployment: all an
+/// Alg. 2 walk needs once it has picked a branch, short of the transfer
+/// latency at the traced bandwidth and the noise.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BranchPlan {
+    /// Leading layers of the composed model that run on the edge.
+    edge_layers: usize,
+    /// Layers of the composed model.
+    layers: usize,
+    /// Bytes of the (feature-compressed) tensor crossing the cut.
+    transfer_bytes: u64,
+    /// Estimated cloud latency of the layers past the cut (ms).
+    cloud_ms: f64,
+    /// Oracle accuracy of the composed model on its base.
+    accuracy: f64,
+}
+
+impl BranchPlan {
+    /// The figures of `candidate`, composed from `base`, under `env`.
+    fn of(env: &EvalEnv, base: &ModelSpec, candidate: &Candidate) -> Self {
+        let m = &candidate.model;
+        let cut = candidate.edge_layers;
+        BranchPlan {
+            edge_layers: cut,
+            layers: m.len(),
+            transfer_bytes: candidate.transfer_bytes(),
+            cloud_ms: env.cloud.range_latency_ms(m, cut, m.len()),
+            accuracy: env.oracle.evaluate(base, &candidate.actions),
+        }
+    }
+
+    /// Whether the whole composed model runs on the edge (no transfer,
+    /// no cloud part).
+    fn edge_only(&self) -> bool {
+        self.edge_layers >= self.layers
+    }
+}
+
+/// A static candidate's figures, worked out once per [`execute`] call.
+struct StaticPlan {
+    branch: BranchPlan,
+    /// Estimated edge latency of the layers before the cut (ms).
+    edge_ms: f64,
+    /// Estimated edge latency of the layers past the cut: the local tail
+    /// a degraded request runs instead of the cloud part (ms).
+    tail_ms: f64,
+}
+
+impl StaticPlan {
+    fn new(env: &EvalEnv, base: &ModelSpec, candidate: &Candidate) -> Self {
+        let m = &candidate.model;
+        let cut = candidate.edge_layers;
+        StaticPlan {
+            branch: BranchPlan::of(env, base, candidate),
+            edge_ms: env.edge.range_latency_ms(m, 0, cut),
+            tail_ms: env.edge.range_latency_ms(m, cut, m.len()),
+        }
+    }
+
+    fn run(&self, env: &EvalEnv, run: &mut Run<'_>) -> (f64, f64) {
+        let b = &self.branch;
+        let mut total = 0.0;
+        total += run.compute(self.edge_ms);
+        if !b.edge_only() {
+            total += run.transfer(env, b.transfer_bytes);
+            total += run.compute(b.cloud_ms);
+        }
+        (total, b.accuracy)
+    }
+
+    /// Under the degradation policy: on transfer exhaustion the remaining
+    /// layers run locally — same model, same accuracy, edge-speed tail
+    /// latency.
+    fn run_degraded(&self, env: &EvalEnv, run: &mut Run<'_>) -> (f64, f64, RequestOutcome) {
+        let b = &self.branch;
+        let cfg = run.cfg;
+        let mut total = 0.0;
+        total += run.compute(self.edge_ms);
+        if b.edge_only() {
+            return (total, b.accuracy, RequestOutcome::Ok);
+        }
+        // The deadline reflects what the static deployment plan believed:
+        // the healthy trace bandwidth at transfer time.
+        let deadline = transfer_deadline_ms(env, b.transfer_bytes, run.bw_at(run.now), cfg);
+        match transfer_with_retries(env, b.transfer_bytes, deadline, cfg.max_retries, run) {
+            TransferPhase::Done {
+                elapsed_ms,
+                retries,
+            } => {
+                total += elapsed_ms;
+                total += run.compute(b.cloud_ms);
+                (total, b.accuracy, RequestOutcome::after(retries))
+            }
+            TransferPhase::Exhausted { elapsed_ms } => {
+                total += elapsed_ms;
+                total += run.compute(self.tail_ms);
+                telemetry::event!(
+                    "exec.fallback",
+                    policy = "static",
+                    edge_only = true,
+                    edge_layers = b.layers,
+                );
+                telemetry::counter!("exec.fallbacks", 1);
+                (total, b.accuracy, RequestOutcome::Degraded)
+            }
+        }
+    }
+}
+
+impl RequestOutcome {
+    /// A transfer that went through after `retries` timed-out attempts.
+    fn after(retries: u32) -> Self {
+        if retries == 0 {
+            RequestOutcome::Ok
+        } else {
+            RequestOutcome::Retried(retries)
+        }
+    }
+}
+
+/// Everything of an Alg. 2 walk over one tree under one environment
+/// that does not depend on the request, worked out on first use and
+/// kept.
+///
+/// Per node it holds the estimated edge latency of the node's block.
+/// Per terminal node — a partitioned node or a leaf, which fixes its
+/// root→node path — it holds the composed branch's [`BranchPlan`] and
+/// whether the branch may serve as a degradation fallback
+/// ([`validate::candidate`]). Each slot is a [`OnceLock`] filled the
+/// first time a walk reaches it, so concurrent walks over one shared
+/// plan compose each branch once and then only read. A walk still does
+/// the per-request work itself: the bandwidth estimate, the fork match,
+/// the transfer at the traced bandwidth and the noise, in the same order
+/// on the same values as composing afresh, so reports are bit-identical.
+///
+/// A plan is bound to the environment it was built with: the edge and
+/// cloud profiles and the oracle are baked into every slot.
+#[derive(Debug)]
+pub struct TreePlan<'a> {
+    env: Cow<'a, EvalEnv>,
+    tree: Cow<'a, ModelTree>,
+    /// The model accuracy and fallback legality are judged against,
+    /// when it is not the tree's own base.
+    base: Option<&'a ModelSpec>,
+    edge_ms: Box<[OnceLock<Option<f64>>]>,
+    branches: Box<[OnceLock<BranchPlan>]>,
+    fallback_ok: Box<[OnceLock<bool>]>,
+    best_accuracy: OnceLock<f64>,
+    has_edge_only: OnceLock<bool>,
+}
+
+impl TreePlan<'static> {
+    /// A plan owning `tree` and `env`, judging accuracy against the
+    /// tree's own base model. Nothing is composed until a walk needs it.
+    pub fn new(env: EvalEnv, tree: ModelTree) -> Self {
+        Self::with(Cow::Owned(env), None, Cow::Owned(tree))
+    }
+}
+
+impl<'a> TreePlan<'a> {
+    /// A plan over borrowed inputs, judging accuracy against `base`: what
+    /// [`execute`] builds for one call.
+    fn borrowed(env: &'a EvalEnv, base: &'a ModelSpec, tree: &'a ModelTree) -> Self {
+        Self::with(Cow::Borrowed(env), Some(base), Cow::Borrowed(tree))
+    }
+
+    fn with(env: Cow<'a, EvalEnv>, base: Option<&'a ModelSpec>, tree: Cow<'a, ModelTree>) -> Self {
+        let n = tree.nodes().len();
+        TreePlan {
+            env,
+            base,
+            edge_ms: (0..n).map(|_| OnceLock::new()).collect(),
+            branches: (0..n).map(|_| OnceLock::new()).collect(),
+            fallback_ok: (0..n).map(|_| OnceLock::new()).collect(),
+            tree,
+            best_accuracy: OnceLock::new(),
+            has_edge_only: OnceLock::new(),
+        }
+    }
+
+    /// The planned tree.
+    pub fn tree(&self) -> &ModelTree {
+        &self.tree
+    }
+
+    fn base(&self) -> &ModelSpec {
+        self.base.unwrap_or_else(|| self.tree.base())
+    }
+
+    /// Estimated edge latency of node `id`'s block, `None` when none of
+    /// the block runs on the edge (the node partitions at its first
+    /// layer).
+    fn edge_ms(&self, id: usize) -> Option<f64> {
+        *self.edge_ms[id].get_or_init(|| {
+            self.tree
+                .node_edge_spec(id)
+                .map(|spec| self.env.edge.model_latency_ms(&spec))
+        })
+    }
+
+    /// The composed branch of a root→terminal `path`, keyed by its last
+    /// node.
+    fn branch(&self, path: &[usize]) -> BranchPlan {
+        let last = *path.last().expect("branch paths are non-empty");
+        *self.branches[last]
+            .get_or_init(|| BranchPlan::of(&self.env, self.base(), &self.tree.compose_path(path)))
+    }
+
+    /// Whether the composed branch of a root→terminal `path` passes
+    /// [`validate::candidate`] — the gate every degradation fallback
+    /// must pass before it may run.
+    fn fallback_valid(&self, path: &[usize]) -> bool {
+        let last = *path.last().expect("branch paths are non-empty");
+        *self.fallback_ok[last]
+            .get_or_init(|| validate::candidate(self.base(), &self.tree.compose_path(path)).is_ok())
+    }
+
+    /// Oracle accuracy of the branch with the highest leaf reward (the
+    /// base model's own accuracy for an empty tree).
+    pub fn best_branch_accuracy(&self) -> f64 {
+        *self
+            .best_accuracy
+            .get_or_init(|| match self.tree.best_branch_path() {
+                Some(path) => self.branch(&path).accuracy,
+                None => self.env.oracle.evaluate(self.base(), &[]),
+            })
+    }
+
+    /// Whether the tree offers at least one all-edge (cloud-free) branch
+    /// — the precondition under which an outage must degrade, never
+    /// fail.
+    pub fn has_edge_only_branch(&self) -> bool {
+        *self.has_edge_only.get_or_init(|| {
+            self.tree
+                .branches()
+                .iter()
+                .any(|path| self.branch(path).edge_only())
+        })
+    }
+
+    /// Streams `cfg.requests` inferences of the tree against `trace`, as
+    /// [`execute`] with [`Policy::Tree`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.requests == 0` or the tree is empty.
+    pub fn execute(&self, trace: &BandwidthTrace, cfg: &ExecConfig) -> ExecReport {
+        let mut path = Vec::with_capacity(self.tree.n_blocks() + 1);
+        stream(trace, cfg, |run| {
+            if run.degrade {
+                self.walk_degraded(run, &mut path)
+            } else {
+                let (latency, accuracy) = self.walk(run, &mut path);
+                (latency, accuracy, RequestOutcome::Ok)
+            }
+        })
+    }
+
+    /// Alg. 2's descent: times each visited block and, at each fork,
+    /// measures the bandwidth and takes the matching child. Leaves the
+    /// visited root→terminal path in `path` and returns the edge time
+    /// paid.
+    ///
+    /// Per-node edge latencies are estimated on each block in isolation
+    /// (inputs taken from the base model's shapes). When an earlier
+    /// block's rewrite changes its output channel count (W1 pruning at a
+    /// block boundary), the next block's true cost in the composed model
+    /// is very slightly lower than this estimate — a conservative,
+    /// consistent approximation shared by all compared policies.
+    ///
+    /// Under the degradation policy a probe sees the *faulted* network,
+    /// and when the uplink is down or the estimator is frozen the probe
+    /// is *held*: the fork trusts the last (now stale) estimate, which
+    /// is exactly how a chosen branch's uplink can disappear between the
+    /// fork decision and the tensor transfer.
+    fn descend(&self, run: &mut Run<'_>, path: &mut Vec<usize>) -> f64 {
+        let tree = &*self.tree;
+        let faults = &run.cfg.faults;
+        let mut total = 0.0;
+        let mut id = tree.root().expect("cannot execute an empty tree");
+        path.clear();
+        path.push(id);
+        loop {
+            if let Some(te) = self.edge_ms(id) {
+                total += run.compute(te);
+            }
+            let node = &tree.nodes()[id];
+            if node.partition_abs.is_some() || node.children.is_empty() {
+                break;
+            }
+            // Alg. 2 line 5: measure current bandwidth, match to a fork.
+            let t = run.now;
+            let est = if !run.degrade {
+                run.estimator.observe(t, run.bw_at(t))
+            } else {
+                let eff = faults.effective_bandwidth(t, run.bw_at(t));
+                if faults.link_down(t) || faults.estimator_frozen(t) {
+                    run.estimator.observe_held(t, eff)
+                } else {
+                    run.estimator.observe(t, eff)
+                }
+            };
+            let k = tree.match_level(est);
+            telemetry::event!(
+                "compose.fork",
+                level = node.level,
+                bandwidth = est,
+                child = k,
+            );
+            id = node.children[k];
+            path.push(id);
+        }
+        total
+    }
+
+    /// One fault-free request: the descent, then the chosen branch's
+    /// transfer and cloud part; returns its latency and accuracy.
+    fn walk(&self, run: &mut Run<'_>, path: &mut Vec<usize>) -> (f64, f64) {
+        let mut total = self.descend(run, path);
+        let b = self.branch(path);
+        if !b.edge_only() {
+            total += run.transfer(&self.env, b.transfer_bytes);
+            total += run.compute(b.cloud_ms);
+        }
+        (total, b.accuracy)
+    }
+
+    /// One request under the degradation policy. On transfer exhaustion
+    /// the walk re-forks to the lowest-bandwidth child
+    /// ([`ModelTree::fallback_paths`]), preferring an edge-only
+    /// composition, and every fallback is checked by
+    /// [`validate::candidate`] before it may run.
+    fn walk_degraded(
+        &self,
+        run: &mut Run<'_>,
+        path: &mut Vec<usize>,
+    ) -> (f64, f64, RequestOutcome) {
+        let cfg = run.cfg;
+        let mut total = self.descend(run, path);
+        let b = self.branch(path);
+        if b.edge_only() {
+            return (total, b.accuracy, RequestOutcome::Ok);
+        }
+        // Deadline from the bandwidth the walk believed it had (the
+        // possibly stale estimate that chose this branch). A fork-free
+        // walk never probed, so it believes the healthy trace bandwidth —
+        // not the faulted one, which would be 0 in an outage and blow up
+        // the budget.
+        let believed_bw = run
+            .estimator
+            .current()
+            .unwrap_or_else(|| run.bw_at(run.now));
+        let deadline = transfer_deadline_ms(&self.env, b.transfer_bytes, believed_bw, cfg);
+        match transfer_with_retries(&self.env, b.transfer_bytes, deadline, cfg.max_retries, run) {
+            TransferPhase::Done {
+                elapsed_ms,
+                retries,
+            } => {
+                total += elapsed_ms;
+                total += run.compute(b.cloud_ms);
+                (total, b.accuracy, RequestOutcome::after(retries))
+            }
+            TransferPhase::Exhausted { elapsed_ms } => {
+                total += elapsed_ms;
+                self.fallback(path, total, run)
+            }
+        }
+    }
+
+    /// The fallback walk after transfer exhaustion: re-fork to the
+    /// lowest-bandwidth child, deepest fork first, preferring an
+    /// edge-only composition and otherwise the edge-heaviest one.
+    /// Illegal compositions (per [`validate::candidate`]) are skipped. A
+    /// fallback that still partitions gets one last transfer attempt; if
+    /// that fails too, the request is `Failed`.
+    fn fallback(
+        &self,
+        path: &[usize],
+        mut total: f64,
+        run: &mut Run<'_>,
+    ) -> (f64, f64, RequestOutcome) {
+        let cfg = run.cfg;
+        let mut chosen: Option<(Vec<usize>, BranchPlan)> = None;
+        for p in self.tree.fallback_paths(path) {
+            // A fallback must never assemble an illegal model.
+            if !self.fallback_valid(&p) {
+                continue;
+            }
+            let b = self.branch(&p);
+            if b.edge_only() {
+                chosen = Some((p, b));
+                break;
+            }
+            let better = match &chosen {
+                Some((_, best)) => b.edge_layers > best.edge_layers,
+                None => true,
+            };
+            if better {
+                chosen = Some((p, b));
+            }
+        }
+        let Some((fb_path, fb)) = chosen else {
+            telemetry::counter!("exec.failed", 1);
+            telemetry::event!("exec.fallback", policy = "tree", resolved = false);
+            return (total, 0.0, RequestOutcome::Failed);
+        };
+        // Blocks up to the re-fork point were already computed; pay only
+        // the new suffix of the fallback branch.
+        let shared = path
+            .iter()
+            .zip(&fb_path)
+            .take_while(|(a, b)| a == b)
+            .count();
+        for &nid in &fb_path[shared..] {
+            if let Some(te) = self.edge_ms(nid) {
+                total += run.compute(te);
+            }
+        }
+        let edge_only = fb.edge_only();
+        telemetry::event!(
+            "exec.fallback",
+            policy = "tree",
+            resolved = true,
+            edge_only = edge_only,
+            edge_layers = fb.edge_layers,
+            refork_depth = shared,
+        );
+        telemetry::counter!("exec.fallbacks", 1);
+        if edge_only {
+            return (total, fb.accuracy, RequestOutcome::Degraded);
+        }
+        // Last-ditch single transfer attempt for a fallback that still
+        // partitions (the tree may have no edge-only branch at all).
+        let believed_bw = cfg.faults.effective_bandwidth(run.now, run.bw_at(run.now));
+        let deadline = transfer_deadline_ms(&self.env, fb.transfer_bytes, believed_bw, cfg);
+        match transfer_with_retries(&self.env, fb.transfer_bytes, deadline, 0, run) {
+            TransferPhase::Done { elapsed_ms, .. } => {
+                total += elapsed_ms;
+                total += run.compute(fb.cloud_ms);
+                (total, fb.accuracy, RequestOutcome::Degraded)
+            }
+            TransferPhase::Exhausted { elapsed_ms } => {
+                total += elapsed_ms;
+                telemetry::counter!("exec.failed", 1);
+                (total, 0.0, RequestOutcome::Failed)
+            }
+        }
     }
 }
 
@@ -403,51 +913,42 @@ enum TransferPhase {
     Exhausted { elapsed_ms: f64 },
 }
 
-/// Per-attempt transfer deadline for a candidate, derived from the
-/// expected transfer latency at the bandwidth the policy *believes* it
+/// Per-attempt transfer deadline for a `bytes`-sized transfer, derived
+/// from its expected latency at the bandwidth the policy *believes* it
 /// has (`cfg.deadline_ms` overrides).
-fn transfer_deadline_ms(
-    env: &EvalEnv,
-    candidate: &Candidate,
-    expected_bw: f64,
-    cfg: &ExecConfig,
-) -> f64 {
+fn transfer_deadline_ms(env: &EvalEnv, bytes: u64, expected_bw: f64, cfg: &ExecConfig) -> f64 {
     if let Some(d) = cfg.deadline_ms {
         return d;
     }
-    let expected =
-        env.transfer
-            .latency_ms(candidate.transfer_bytes(), Mbps(expected_bw.max(1e-6)));
+    let expected = env.transfer.latency_ms(bytes, Mbps(expected_bw.max(1e-6)));
     (DEADLINE_FACTOR * expected).max(MIN_DEADLINE_MS)
 }
 
-/// Attempts `candidate`'s tensor transfer up to `1 + retries` times
+/// Attempts a `bytes`-sized tensor transfer up to `1 + retries` times
 /// under the fault schedule. A timed-out attempt costs the full deadline
 /// plus a deterministic exponential backoff (`backoff_ms × 2ⁿ`), so no
 /// attempt ever overruns its deadline by more than one backoff quantum.
-/// Advances `now` by the elapsed wall time.
-#[allow(clippy::too_many_arguments)]
+/// Advances the run's clock by the elapsed wall time.
 fn transfer_with_retries(
     env: &EvalEnv,
-    candidate: &Candidate,
+    bytes: u64,
     deadline_ms: f64,
     retries: u32,
-    now: &mut f64,
-    bw_at: &impl Fn(f64) -> f64,
-    noise: &mut NoiseModel,
-    cfg: &ExecConfig,
+    run: &mut Run<'_>,
 ) -> TransferPhase {
+    let cfg = run.cfg;
     let mut elapsed = 0.0;
     for attempt in 0..=retries {
-        let t = *now;
+        let t = run.now;
         let link_down = cfg.faults.link_down(t);
         if !link_down {
-            let eff = cfg.faults.effective_bandwidth(t, bw_at(t));
-            let actual = noise
-                .transfer(env.transfer.latency_ms(candidate.transfer_bytes(), Mbps(eff)))
+            let eff = cfg.faults.effective_bandwidth(t, run.bw_at(t));
+            let actual = run
+                .noise
+                .transfer(env.transfer.latency_ms(bytes, Mbps(eff)))
                 + cfg.faults.extra_rtt_ms(t);
             if actual <= deadline_ms {
-                *now += actual;
+                run.now += actual;
                 elapsed += actual;
                 return TransferPhase::Done {
                     elapsed_ms: elapsed,
@@ -475,343 +976,12 @@ fn transfer_with_retries(
         if attempt < retries {
             telemetry::counter!("exec.retries", 1);
         }
-        *now += deadline_ms + backoff;
+        run.now += deadline_ms + backoff;
         elapsed += deadline_ms + backoff;
     }
     TransferPhase::Exhausted {
         elapsed_ms: elapsed,
     }
-}
-
-/// Static policy under the degradation policy: on transfer exhaustion
-/// the remaining layers run locally — same model, same accuracy, edge-
-/// speed tail latency.
-fn run_static_degraded(
-    env: &EvalEnv,
-    base: &ModelSpec,
-    candidate: &Candidate,
-    now: &mut f64,
-    bw_at: &impl Fn(f64) -> f64,
-    noise: &mut NoiseModel,
-    cfg: &ExecConfig,
-) -> (f64, f64, RequestOutcome) {
-    let m = &candidate.model;
-    let cut = candidate.edge_layers;
-    let mut total = 0.0;
-    let te = noise.compute(env.edge.range_latency_ms(m, 0, cut));
-    total += te;
-    *now += te;
-    let accuracy = env.oracle.evaluate(base, &candidate.actions);
-    if cut >= m.len() {
-        return (total, accuracy, RequestOutcome::Ok);
-    }
-    // The deadline reflects what the static deployment plan believed: the
-    // healthy trace bandwidth at transfer time.
-    let deadline = transfer_deadline_ms(env, candidate, bw_at(*now), cfg);
-    match transfer_with_retries(
-        env, candidate, deadline, cfg.max_retries, now, bw_at, noise, cfg,
-    ) {
-        TransferPhase::Done {
-            elapsed_ms,
-            retries,
-        } => {
-            total += elapsed_ms;
-            let tc = noise.compute(env.cloud.range_latency_ms(m, cut, m.len()));
-            total += tc;
-            *now += tc;
-            let outcome = if retries == 0 {
-                RequestOutcome::Ok
-            } else {
-                RequestOutcome::Retried(retries)
-            };
-            (total, accuracy, outcome)
-        }
-        TransferPhase::Exhausted { elapsed_ms } => {
-            total += elapsed_ms;
-            let tail = noise.compute(env.edge.range_latency_ms(m, cut, m.len()));
-            total += tail;
-            *now += tail;
-            telemetry::event!(
-                "exec.fallback",
-                policy = "static",
-                edge_only = true,
-                edge_layers = m.len(),
-            );
-            telemetry::counter!("exec.fallbacks", 1);
-            (total, accuracy, RequestOutcome::Degraded)
-        }
-    }
-}
-
-/// Tree policy (Alg. 2) under the degradation policy.
-///
-/// The walk itself differs from the fault-free one in a single way: when
-/// the uplink is down or the estimator is frozen, probe refreshes are
-/// *held* — the fork decision trusts the last (now stale) estimate, which
-/// is exactly how a chosen branch's uplink can disappear between the fork
-/// decision and the tensor transfer. On transfer exhaustion the walk
-/// re-forks to the lowest-bandwidth child ([`ModelTree::fallback_paths`]),
-/// preferring an edge-only composition, and every fallback is checked by
-/// [`validate::candidate`] before it may run.
-#[allow(clippy::too_many_arguments)]
-fn run_tree_degraded(
-    env: &EvalEnv,
-    base: &ModelSpec,
-    tree: &ModelTree,
-    now: &mut f64,
-    bw_at: &impl Fn(f64) -> f64,
-    noise: &mut NoiseModel,
-    estimator: &mut BandwidthEstimator,
-    cfg: &ExecConfig,
-) -> (f64, f64, RequestOutcome) {
-    let mut total = 0.0;
-    let mut id = tree.root().expect("cannot execute an empty tree");
-    let mut path = vec![id];
-    loop {
-        if let Some(spec) = tree.node_edge_spec(id) {
-            let te = noise.compute(env.edge.model_latency_ms(&spec));
-            total += te;
-            *now += te;
-        }
-        let node = &tree.nodes()[id];
-        if node.partition_abs.is_some() || node.children.is_empty() {
-            break;
-        }
-        // Alg. 2 line 5: measure current bandwidth, match to a fork. A
-        // probe sees the *faulted* network — except that during an outage
-        // or freeze window no probe completes, so the estimate is held.
-        let t = *now;
-        let eff = cfg.faults.effective_bandwidth(t, bw_at(t));
-        let held = cfg.faults.link_down(t) || cfg.faults.estimator_frozen(t);
-        let est = if held {
-            estimator.observe_held(t, eff)
-        } else {
-            estimator.observe(t, eff)
-        };
-        let k = tree.match_level(est);
-        telemetry::event!(
-            "compose.fork",
-            level = node.level,
-            bandwidth = est,
-            child = k,
-        );
-        id = node.children[k];
-        path.push(id);
-    }
-    let candidate = tree.compose_path(&path);
-    let cut = candidate.edge_layers;
-    let m = &candidate.model;
-    if cut >= m.len() {
-        let accuracy = env.oracle.evaluate(base, &candidate.actions);
-        return (total, accuracy, RequestOutcome::Ok);
-    }
-    // Deadline from the bandwidth the walk believed it had (the possibly
-    // stale estimate that chose this branch). A fork-free walk never
-    // probed, so it believes the healthy trace bandwidth — not the
-    // faulted one, which would be 0 in an outage and blow up the budget.
-    let believed_bw = estimator.current().unwrap_or_else(|| bw_at(*now));
-    let deadline = transfer_deadline_ms(env, &candidate, believed_bw, cfg);
-    match transfer_with_retries(
-        env, &candidate, deadline, cfg.max_retries, now, bw_at, noise, cfg,
-    ) {
-        TransferPhase::Done {
-            elapsed_ms,
-            retries,
-        } => {
-            total += elapsed_ms;
-            let tc = noise.compute(env.cloud.range_latency_ms(m, cut, m.len()));
-            total += tc;
-            *now += tc;
-            let accuracy = env.oracle.evaluate(base, &candidate.actions);
-            let outcome = if retries == 0 {
-                RequestOutcome::Ok
-            } else {
-                RequestOutcome::Retried(retries)
-            };
-            (total, accuracy, outcome)
-        }
-        TransferPhase::Exhausted { elapsed_ms } => {
-            total += elapsed_ms;
-            fallback_tree_request(env, base, tree, &path, total, now, bw_at, noise, cfg)
-        }
-    }
-}
-
-/// The fallback walk after transfer exhaustion: re-fork to the
-/// lowest-bandwidth child, deepest fork first, preferring an edge-only
-/// composition and otherwise the edge-heaviest one. Illegal compositions
-/// (per [`validate::candidate`]) are skipped. A fallback that still
-/// partitions gets one last transfer attempt; if that fails too, the
-/// request is `Failed`.
-#[allow(clippy::too_many_arguments)]
-fn fallback_tree_request(
-    env: &EvalEnv,
-    base: &ModelSpec,
-    tree: &ModelTree,
-    path: &[usize],
-    mut total: f64,
-    now: &mut f64,
-    bw_at: &impl Fn(f64) -> f64,
-    noise: &mut NoiseModel,
-    cfg: &ExecConfig,
-) -> (f64, f64, RequestOutcome) {
-    let mut chosen: Option<(Vec<usize>, Candidate)> = None;
-    for p in tree.fallback_paths(path) {
-        let c = tree.compose_path(&p);
-        // A fallback must never assemble an illegal model.
-        if validate::candidate(base, &c).is_err() {
-            continue;
-        }
-        let edge_only = c.edge_layers == c.model.len();
-        if edge_only {
-            chosen = Some((p, c));
-            break;
-        }
-        let better = match &chosen {
-            Some((_, best)) => c.edge_layers > best.edge_layers,
-            None => true,
-        };
-        if better {
-            chosen = Some((p, c));
-        }
-    }
-    let Some((fb_path, fb)) = chosen else {
-        telemetry::counter!("exec.failed", 1);
-        telemetry::event!("exec.fallback", policy = "tree", resolved = false);
-        return (total, 0.0, RequestOutcome::Failed);
-    };
-    // Blocks up to the re-fork point were already computed; pay only the
-    // new suffix of the fallback branch.
-    let shared = path
-        .iter()
-        .zip(&fb_path)
-        .take_while(|(a, b)| a == b)
-        .count();
-    for &nid in &fb_path[shared..] {
-        if let Some(spec) = tree.node_edge_spec(nid) {
-            let te = noise.compute(env.edge.model_latency_ms(&spec));
-            total += te;
-            *now += te;
-        }
-    }
-    let edge_only = fb.edge_layers == fb.model.len();
-    telemetry::event!(
-        "exec.fallback",
-        policy = "tree",
-        resolved = true,
-        edge_only = edge_only,
-        edge_layers = fb.edge_layers,
-        refork_depth = shared,
-    );
-    telemetry::counter!("exec.fallbacks", 1);
-    let accuracy = env.oracle.evaluate(base, &fb.actions);
-    if edge_only {
-        return (total, accuracy, RequestOutcome::Degraded);
-    }
-    // Last-ditch single transfer attempt for a fallback that still
-    // partitions (the tree may have no edge-only branch at all).
-    let believed_bw = cfg.faults.effective_bandwidth(*now, bw_at(*now));
-    let deadline = transfer_deadline_ms(env, &fb, believed_bw, cfg);
-    match transfer_with_retries(env, &fb, deadline, 0, now, bw_at, noise, cfg) {
-        TransferPhase::Done { elapsed_ms, .. } => {
-            total += elapsed_ms;
-            let m = &fb.model;
-            let tc = noise.compute(env.cloud.range_latency_ms(m, fb.edge_layers, m.len()));
-            total += tc;
-            *now += tc;
-            (total, accuracy, RequestOutcome::Degraded)
-        }
-        TransferPhase::Exhausted { elapsed_ms } => {
-            total += elapsed_ms;
-            telemetry::counter!("exec.failed", 1);
-            (total, 0.0, RequestOutcome::Failed)
-        }
-    }
-}
-
-fn run_static(
-    env: &EvalEnv,
-    base: &ModelSpec,
-    candidate: &Candidate,
-    now: &mut f64,
-    bw_at: &impl Fn(f64) -> f64,
-    noise: &mut NoiseModel,
-) -> (f64, f64) {
-    let m = &candidate.model;
-    let cut = candidate.edge_layers;
-    let mut total = 0.0;
-    let te = noise.compute(env.edge.range_latency_ms(m, 0, cut));
-    total += te;
-    *now += te;
-    if cut < m.len() {
-        let bw = Mbps(bw_at(*now));
-        let tt = noise.transfer(env.transfer.latency_ms(candidate.transfer_bytes(), bw));
-        total += tt;
-        *now += tt;
-        let tc = noise.compute(env.cloud.range_latency_ms(m, cut, m.len()));
-        total += tc;
-        *now += tc;
-    }
-    let accuracy = env.oracle.evaluate(base, &candidate.actions);
-    (total, accuracy)
-}
-
-/// Walks the tree per Alg. 2, timing each visited block.
-///
-/// Per-node edge latencies are estimated on each block in isolation
-/// (inputs taken from the base model's shapes). When an earlier block's
-/// rewrite changes its output channel count (W1 pruning at a block
-/// boundary), the next block's true cost in the composed model is very
-/// slightly lower than this estimate — a conservative, consistent
-/// approximation shared by all compared policies.
-fn run_tree(
-    env: &EvalEnv,
-    base: &ModelSpec,
-    tree: &ModelTree,
-    now: &mut f64,
-    bw_at: &impl Fn(f64) -> f64,
-    noise: &mut NoiseModel,
-    estimator: &mut BandwidthEstimator,
-) -> (f64, f64) {
-    let mut total = 0.0;
-    let mut id = tree.root().expect("cannot execute an empty tree");
-    let mut path = vec![id];
-    loop {
-        if let Some(spec) = tree.node_edge_spec(id) {
-            let te = noise.compute(env.edge.model_latency_ms(&spec));
-            total += te;
-            *now += te;
-        }
-        let node = &tree.nodes()[id];
-        if node.partition_abs.is_some() || node.children.is_empty() {
-            break;
-        }
-        // Alg. 2 line 5: measure current bandwidth, match to a fork.
-        let est = estimator.observe(*now, bw_at(*now));
-        let k = tree.match_level(est);
-        telemetry::event!(
-            "compose.fork",
-            level = node.level,
-            bandwidth = est,
-            child = k,
-        );
-        id = node.children[k];
-        path.push(id);
-    }
-    let candidate = tree.compose_path(&path);
-    let cut = candidate.edge_layers;
-    let m = &candidate.model;
-    if cut < m.len() {
-        let bw = Mbps(bw_at(*now));
-        let tt = noise.transfer(env.transfer.latency_ms(candidate.transfer_bytes(), bw));
-        total += tt;
-        *now += tt;
-        let tc = noise.compute(env.cloud.range_latency_ms(m, cut, m.len()));
-        total += tc;
-        *now += tc;
-    }
-    let accuracy = env.oracle.evaluate(base, &candidate.actions);
-    (total, accuracy)
 }
 
 #[cfg(test)]
@@ -1147,5 +1317,127 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    /// A tree as the search emits it: 12 episodes of the default search
+    /// under `scenario`, re-ranked on the scenario's trace or not.
+    fn searched_tree(
+        base: &ModelSpec,
+        n_blocks: usize,
+        scenario: Scenario,
+        feature_actions: bool,
+        rerank: bool,
+    ) -> ModelTree {
+        use crate::search::{Controllers, SearchConfig};
+        let cfg = SearchConfig {
+            episodes: 12,
+            seed: 7,
+            feature_actions,
+            ..SearchConfig::default()
+        };
+        let mut controllers = Controllers::new(&cfg);
+        let ctx = crate::NetworkContext::from_scenario(scenario, 2, 7);
+        crate::tree_search::tree_search(
+            &mut controllers,
+            base,
+            &EvalEnv::phone(),
+            ctx.levels(),
+            n_blocks,
+            &cfg,
+            &crate::memo::MemoPool::new(),
+            true,
+            rerank.then(|| ctx.trace()),
+        )
+        .expect("valid search inputs")
+        .tree
+    }
+
+    /// A tree's branch count and how many of its branches partition.
+    fn tree_branches_partitioned(tree: &ModelTree) -> (usize, usize) {
+        let branches = tree.branches();
+        let partitioned = branches
+            .iter()
+            .map(|p| tree.compose_path(p))
+            .filter(|c| c.edge_layers < c.model.len())
+            .count();
+        (branches.len(), partitioned)
+    }
+
+    #[test]
+    fn plan_equals_a_fresh_composition_on_every_branch() {
+        let env = EvalEnv::phone();
+        let (weak_wifi, weak_4g) = (Scenario::WifiWeakIndoor, Scenario::FourGWeakIndoor);
+        let trees = [
+            searched_tree(&zoo::tiny_cnn(), 2, weak_wifi, false, false),
+            searched_tree(&zoo::vgg11_cifar(), 3, weak_wifi, false, true),
+            searched_tree(&zoo::alexnet_cifar(), 3, weak_4g, false, false),
+            searched_tree(&zoo::vgg11_cifar(), 3, weak_4g, true, true),
+        ];
+        // The shapes the plan must get right: forks below the root, a
+        // partitioned branch beside an edge-only one, and a cut tensor
+        // under feature compression.
+        let partitioned = tree_branches_partitioned(&trees[2]);
+        assert_eq!(partitioned, (4, 2), "(branches, partitioned) of alexnet");
+        assert!(
+            trees[3].nodes().iter().any(|n| !n.feature.is_identity()),
+            "the feature-action tree compresses its cut tensor"
+        );
+        for tree in trees {
+            let base = tree.base();
+            let plan = TreePlan::new(env.clone(), tree.clone());
+            let mut edge_only_seen = false;
+            for path in tree.branches() {
+                let c = tree.compose_path(&path);
+                let m = &c.model;
+                let b = plan.branch(&path);
+                assert_eq!(b.edge_layers, c.edge_layers);
+                assert_eq!(b.layers, m.len());
+                assert_eq!(b.edge_only(), c.edge_layers == m.len());
+                assert_eq!(b.transfer_bytes, c.transfer_bytes());
+                let cloud = env.cloud.range_latency_ms(m, c.edge_layers, m.len());
+                assert_eq!(b.cloud_ms.to_bits(), cloud.to_bits());
+                let accuracy = env.oracle.evaluate(base, &c.actions);
+                assert_eq!(b.accuracy.to_bits(), accuracy.to_bits());
+                assert_eq!(
+                    plan.fallback_valid(&path),
+                    validate::candidate(base, &c).is_ok()
+                );
+                for &id in &path {
+                    let fresh = tree
+                        .node_edge_spec(id)
+                        .map(|spec| env.edge.model_latency_ms(&spec).to_bits());
+                    assert_eq!(plan.edge_ms(id).map(f64::to_bits), fresh, "node {id}");
+                }
+                edge_only_seen |= c.edge_layers == m.len();
+            }
+            assert_eq!(plan.has_edge_only_branch(), edge_only_seen);
+            let (_, best) = tree.best_branch().expect("searched trees have branches");
+            let best_accuracy = env.oracle.evaluate(base, &best.actions);
+            assert_eq!(
+                plan.best_branch_accuracy().to_bits(),
+                best_accuracy.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_reused_plan_reports_like_fresh_execute_calls() {
+        // The second walk over each slot reads it instead of composing;
+        // both must agree with `execute`, which builds its own plan.
+        let base = zoo::vgg11_cifar();
+        let env = EvalEnv::phone();
+        let tree = two_fork_tree(&base);
+        let plan = TreePlan::new(env.clone(), tree.clone());
+        let trace = Scenario::FourGWeakIndoor.trace(2);
+        for cfg in [
+            ExecConfig::emulation(40, 5),
+            ExecConfig::field(40, 6),
+            ExecConfig::emulation(150, 3).with_faults(FaultSchedule::canned_outage()),
+        ] {
+            let fresh = execute(&env, &base, &Policy::Tree(&tree), &trace, &cfg);
+            for _ in 0..2 {
+                assert_eq!(plan.execute(&trace, &cfg), fresh);
+            }
+        }
     }
 }

@@ -357,17 +357,20 @@ impl ModelTree {
 
     /// The branch with the highest leaf reward, with its candidate.
     pub fn best_branch(&self) -> Option<(Vec<usize>, Candidate)> {
-        self.branches()
-            .into_iter()
-            .max_by(|a, b| {
-                let ra = self.nodes[*a.last().expect("non-empty")].reward;
-                let rb = self.nodes[*b.last().expect("non-empty")].reward;
-                ra.total_cmp(&rb)
-            })
-            .map(|path| {
-                let c = self.compose_path(&path);
-                (path, c)
-            })
+        self.best_branch_path().map(|path| {
+            let c = self.compose_path(&path);
+            (path, c)
+        })
+    }
+
+    /// The branch with the highest leaf reward (the last one on a tie),
+    /// without composing it.
+    pub fn best_branch_path(&self) -> Option<Vec<usize>> {
+        self.branches().into_iter().max_by(|a, b| {
+            let ra = self.nodes[*a.last().expect("non-empty")].reward;
+            let rb = self.nodes[*b.last().expect("non-empty")].reward;
+            ra.total_cmp(&rb)
+        })
     }
 
     /// Mean reward over all branch leaves — the tree's expected quality

@@ -2,32 +2,42 @@
 //! `(IR hash, context-distribution hash)`.
 //!
 //! The serving layer runs one tree search per *distinct* (model, context
-//! distribution) pair and then reuses the resulting [`ModelTree`] across
-//! every session that presents the same pair. Entries hold
-//! `Arc<ModelTree>` so sessions can keep walking a tree even after the
-//! cache evicts it; eviction is least-recently-used over a logical tick
-//! counter (no wall clock — the cache must behave identically across
-//! runs and worker counts).
+//! distribution) pair and then reuses the result across every session
+//! that presents the same pair. An entry holds the tree inside its
+//! [`TreePlan`]: the context descriptor in the key names the device, so
+//! an entry has one evaluation environment, and every session on the key
+//! walks the same plan, composing each branch once between them. Entries
+//! are `Arc`s, so sessions can keep walking a plan even after the cache
+//! evicts it; the plan is freed with the last of them. Eviction is
+//! least-recently-used over a logical tick counter (no wall clock — the
+//! cache must behave identically across runs and worker counts).
+//!
+//! A key being searched has an in-flight slot: a second caller on it
+//! waits for the first caller's plan instead of searching again, and
+//! counts as a hit.
 //!
 //! Like [`MemoPool`](crate::memo::MemoPool), the only reporting surface
 //! is the telemetry metrics registry ([`TreeCache::publish_telemetry`]);
 //! the cache itself never prints.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use cadmc_telemetry as telemetry;
 
-use crate::tree::ModelTree;
+use crate::executor::TreePlan;
 
 /// Default number of distinct (model, context) trees kept resident.
 pub const DEFAULT_TREE_CAPACITY: usize = 8;
 
-/// One cached tree plus its LRU bookkeeping.
+/// A cached tree with its plan.
+pub type CachedPlan = Arc<TreePlan<'static>>;
+
+/// One cached plan plus its LRU bookkeeping.
 #[derive(Debug)]
 struct Entry {
     key: (u64, u64),
-    tree: Arc<ModelTree>,
+    plan: CachedPlan,
     last_used: u64,
 }
 
@@ -36,13 +46,16 @@ struct Entry {
 #[derive(Debug)]
 struct Inner {
     entries: Vec<Entry>,
+    /// Keys whose first caller is searching right now.
+    searching: Vec<(u64, u64)>,
     tick: u64,
 }
 
 /// Counter snapshot (see [`TreeCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TreeCacheStats {
-    /// Lookups served from the cache.
+    /// Lookups served from the cache, waiting out another caller's
+    /// search included.
     pub hits: usize,
     /// Lookups that had to search.
     pub misses: usize,
@@ -52,15 +65,31 @@ pub struct TreeCacheStats {
     pub entries: usize,
 }
 
-/// Thread-safe LRU cache of `Arc<ModelTree>` keyed by
+/// Thread-safe LRU cache of [`CachedPlan`]s keyed by
 /// `(ir_hash, ctx_hash)`.
 #[derive(Debug)]
 pub struct TreeCache {
     inner: Mutex<Inner>,
+    /// Signalled whenever a search ends, in success or panic.
+    searched: Condvar,
     capacity: usize,
     hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
+}
+
+/// Clears a key's in-flight slot when its search ends — by return or by
+/// unwinding — and wakes the callers waiting on it.
+struct SearchSlot<'c> {
+    cache: &'c TreeCache,
+    key: (u64, u64),
+}
+
+impl Drop for SearchSlot<'_> {
+    fn drop(&mut self) {
+        self.cache.lock().searching.retain(|k| *k != self.key);
+        self.cache.searched.notify_all();
+    }
 }
 
 impl TreeCache {
@@ -69,8 +98,10 @@ impl TreeCache {
         TreeCache {
             inner: Mutex::new(Inner {
                 entries: Vec::new(),
+                searching: Vec::new(),
                 tick: 0,
             }),
+            searched: Condvar::new(),
             capacity: capacity.max(1),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -89,48 +120,71 @@ impl TreeCache {
         self.capacity
     }
 
-    /// Looks up a tree, refreshing its recency on hit.
-    pub fn get(&self, key: (u64, u64)) -> Option<Arc<ModelTree>> {
+    /// Looks up a plan, refreshing its recency on hit.
+    pub fn get(&self, key: (u64, u64)) -> Option<CachedPlan> {
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(e) = inner.entries.iter_mut().find(|e| e.key == key) {
-            e.last_used = tick;
-            let tree = Arc::clone(&e.tree);
-            drop(inner);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(tree);
-        }
+        let found = Self::touch(&mut inner, key);
         drop(inner);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        self.count(found.is_some());
+        found
     }
 
-    /// Returns the cached tree or computes, stores and returns it. The
-    /// lock is *not* held while `search` runs; two threads racing on the
-    /// same fresh key may both search, and the first insert wins (both
-    /// computed the same tree from the same key, so lookups stay
-    /// consistent).
-    pub fn get_or_insert_with<F>(&self, key: (u64, u64), search: F) -> Arc<ModelTree>
+    /// Advances the tick and returns `key`'s plan, refreshing its
+    /// recency, if it is resident.
+    fn touch(inner: &mut Inner, key: (u64, u64)) -> Option<CachedPlan> {
+        inner.tick += 1;
+        let tick = inner.tick;
+        let e = inner.entries.iter_mut().find(|e| e.key == key)?;
+        e.last_used = tick;
+        Some(Arc::clone(&e.plan))
+    }
+
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Returns the cached plan or searches, stores and returns it. The
+    /// lock is *not* held while `search` runs. A caller that finds `key`
+    /// being searched by another waits for that search and takes its
+    /// plan as a hit; if the search panics, one waiter searches in its
+    /// place.
+    pub fn get_or_insert_with<F>(&self, key: (u64, u64), search: F) -> CachedPlan
     where
-        F: FnOnce() -> ModelTree,
+        F: FnOnce() -> TreePlan<'static>,
     {
-        if let Some(tree) = self.get(key) {
-            return tree;
+        let mut inner = self.lock();
+        loop {
+            if let Some(plan) = Self::touch(&mut inner, key) {
+                drop(inner);
+                self.count(true);
+                return plan;
+            }
+            if !inner.searching.contains(&key) {
+                break;
+            }
+            inner = self
+                .searched
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        inner.searching.push(key);
+        drop(inner);
+        self.count(false);
+        let _slot = SearchSlot { cache: self, key };
         self.insert(key, Arc::new(search()))
     }
 
-    /// Inserts a tree, evicting the least-recently-used entry when full.
-    /// Returns the resident tree for `key` (the existing one if another
+    /// Inserts a plan, evicting the least-recently-used entry when full.
+    /// Returns the resident plan for `key` (the existing one if another
     /// thread inserted first).
-    pub fn insert(&self, key: (u64, u64), tree: Arc<ModelTree>) -> Arc<ModelTree> {
+    pub fn insert(&self, key: (u64, u64), plan: CachedPlan) -> CachedPlan {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(e) = inner.entries.iter_mut().find(|e| e.key == key) {
             e.last_used = tick;
-            return Arc::clone(&e.tree);
+            return Arc::clone(&e.plan);
         }
         let mut evicted = 0usize;
         while inner.entries.len() >= self.capacity {
@@ -150,7 +204,7 @@ impl TreeCache {
         }
         inner.entries.push(Entry {
             key,
-            tree: Arc::clone(&tree),
+            plan: Arc::clone(&plan),
             last_used: tick,
         });
         let resident = inner.entries.len();
@@ -165,7 +219,7 @@ impl TreeCache {
                 ctx_hash = key.1,
             );
         }
-        tree
+        plan
     }
 
     /// Number of resident trees.
@@ -238,17 +292,21 @@ impl Default for TreeCache {
 mod tests {
     use super::*;
     use crate::tree::ModelTree;
+    use crate::EvalEnv;
     use cadmc_nn::zoo;
+    use std::sync::Barrier;
+    use std::thread;
+    use std::time::Duration;
 
-    fn tree(k: usize) -> ModelTree {
+    fn plan(k: usize) -> TreePlan<'static> {
         let levels: Vec<f64> = (0..k).map(|i| 2.0 + 10.0 * i as f64).collect();
-        ModelTree::new(zoo::tiny_cnn(), 2, levels)
+        TreePlan::new(EvalEnv::phone(), ModelTree::new(zoo::tiny_cnn(), 2, levels))
     }
 
     #[test]
     fn hit_returns_same_tree() {
         let cache = TreeCache::new(2);
-        let a = cache.get_or_insert_with((1, 1), || tree(2));
+        let a = cache.get_or_insert_with((1, 1), || plan(2));
         let b = cache.get_or_insert_with((1, 1), || unreachable!("must hit"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.hits(), 1);
@@ -258,11 +316,11 @@ mod tests {
     #[test]
     fn capacity_evicts_least_recently_used() {
         let cache = TreeCache::new(2);
-        cache.get_or_insert_with((1, 0), || tree(2));
-        cache.get_or_insert_with((2, 0), || tree(2));
+        cache.get_or_insert_with((1, 0), || plan(2));
+        cache.get_or_insert_with((2, 0), || plan(2));
         // Touch (1, 0) so (2, 0) is the LRU victim.
         assert!(cache.get((1, 0)).is_some());
-        cache.get_or_insert_with((3, 0), || tree(2));
+        cache.get_or_insert_with((3, 0), || plan(2));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
         assert!(cache.get((2, 0)).is_none());
@@ -273,25 +331,25 @@ mod tests {
     #[test]
     fn evicted_tree_stays_usable_through_arc() {
         let cache = TreeCache::new(1);
-        let held = cache.get_or_insert_with((1, 0), || tree(2));
-        cache.get_or_insert_with((2, 0), || tree(3));
+        let held = cache.get_or_insert_with((1, 0), || plan(2));
+        cache.get_or_insert_with((2, 0), || plan(3));
         assert!(cache.get((1, 0)).is_none());
         // The session that held the Arc keeps a fully usable tree.
-        assert_eq!(held.k(), 2);
+        assert_eq!(held.tree().k(), 2);
     }
 
     #[test]
     fn capacity_floors_at_one() {
         let cache = TreeCache::new(0);
         assert_eq!(cache.capacity(), 1);
-        cache.get_or_insert_with((1, 0), || tree(2));
+        cache.get_or_insert_with((1, 0), || plan(2));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn publish_telemetry_reports_to_registry() {
         let cache = TreeCache::new(2);
-        cache.get_or_insert_with((9, 9), || tree(2));
+        cache.get_or_insert_with((9, 9), || plan(2));
         cache.get_or_insert_with((9, 9), || unreachable!("must hit"));
         cache.publish_telemetry(); // telemetry off: no-op
         let ((), report) = cadmc_telemetry::testing::with_collector(|| {
@@ -308,8 +366,8 @@ mod tests {
     fn eviction_emits_event_when_traced() {
         let cache = TreeCache::new(1);
         let ((), report) = cadmc_telemetry::testing::with_collector(|| {
-            cache.get_or_insert_with((1, 0), || tree(2));
-            cache.get_or_insert_with((2, 0), || tree(3));
+            cache.get_or_insert_with((1, 0), || plan(2));
+            cache.get_or_insert_with((2, 0), || plan(3));
             cache.publish_telemetry();
         });
         let evict = report
@@ -321,5 +379,59 @@ mod tests {
         assert_eq!(evict.field_f64("ir_hash"), Some(2.0));
         assert_eq!(report.metrics.counter("tree_cache.evictions"), Some(1));
         assert_eq!(report.metrics.gauge("tree_cache.evictions"), Some(1.0));
+    }
+
+    #[test]
+    fn racing_misses_on_one_key_search_once() {
+        let cache = TreeCache::new(2);
+        let searches = AtomicUsize::new(0);
+        let start = Barrier::new(8);
+        let plans: Vec<CachedPlan> = thread::scope(|s| {
+            let runs: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        cache.get_or_insert_with((7, 7), || {
+                            searches.fetch_add(1, Ordering::SeqCst);
+                            // Long enough for every other thread to find
+                            // the key in flight.
+                            thread::sleep(Duration::from_millis(50));
+                            plan(2)
+                        })
+                    })
+                })
+                .collect();
+            runs.into_iter()
+                .map(|h| h.join().expect("lookup thread"))
+                .collect()
+        });
+        assert_eq!(searches.load(Ordering::SeqCst), 1);
+        assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().hits, 7, "a waiter ran no search");
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_panicking_search_frees_its_key_for_a_waiter() {
+        let cache = TreeCache::new(2);
+        let (searching_tx, searching_rx) = std::sync::mpsc::sync_channel(1);
+        thread::scope(|s| {
+            let doomed = s.spawn(|| {
+                cache.get_or_insert_with((3, 3), || {
+                    searching_tx.send(()).expect("waiter listens");
+                    thread::sleep(Duration::from_millis(50));
+                    panic!("search failed");
+                })
+            });
+            // The doomed search holds the key's slot before this lookup.
+            searching_rx.recv().expect("search started");
+            let resident = cache.get_or_insert_with((3, 3), || plan(3));
+            assert_eq!(resident.tree().k(), 3, "the waiter searched in its place");
+            assert!(doomed.join().is_err());
+        });
+        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(cache.stats().hits, 0);
+        assert!(cache.get((3, 3)).is_some());
     }
 }

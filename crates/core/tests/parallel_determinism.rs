@@ -3,16 +3,21 @@
 //! bit-identical search results at `workers = 1` and `workers = 8` —
 //! per-episode RNG streams (`seed ^ episode`) plus sequential policy
 //! updates in episode order make this hold by construction, and these
-//! tests keep it true.
+//! tests keep it true. The same holds for a tree plan shared by threads:
+//! whichever thread fills a slot, every walk reads the same value.
+
+use std::sync::Barrier;
+use std::thread;
 
 use cadmc_core::branch::optimal_branch;
+use cadmc_core::executor::{execute, ExecConfig, ExecReport, Mode, Policy, TreePlan};
 use cadmc_core::memo::MemoPool;
 use cadmc_core::parallel::Parallelism;
 use cadmc_core::search::{Controllers, SearchConfig};
 use cadmc_core::tree_search::tree_search;
 use cadmc_core::{EvalEnv, NetworkContext};
 use cadmc_latency::Mbps;
-use cadmc_netsim::Scenario;
+use cadmc_netsim::{FaultKind, FaultSchedule, Scenario};
 use cadmc_nn::zoo;
 
 fn cfg_with(workers: usize, seed: u64) -> SearchConfig {
@@ -151,4 +156,87 @@ fn worker_count_beyond_batch_size_is_harmless() {
             .episode_rewards
     };
     assert_eq!(run(1), run(64));
+}
+
+/// Latencies and accuracies as bit patterns, outcomes as they are.
+fn report_bits(r: &ExecReport) -> (Vec<u64>, Vec<u64>, Vec<String>) {
+    (
+        r.latencies_ms.iter().map(|l| l.to_bits()).collect(),
+        r.accuracies.iter().map(|a| a.to_bits()).collect(),
+        r.outcomes.iter().map(|o| o.label()).collect(),
+    )
+}
+
+#[test]
+fn a_shared_tree_plan_reports_like_per_call_execute() {
+    // Eight threads walk one cold plan at once, each with its own seed,
+    // fidelity and fault schedule, so they race to fill the same slots
+    // (fallback slots included). Each report must equal the report of
+    // a per-call `execute`, bit for bit.
+    let base = zoo::vgg11_cifar();
+    let env = EvalEnv::phone();
+    let ctx = NetworkContext::from_scenario(Scenario::WifiWeakIndoor, 2, 5);
+    let cfg = cfg_with(2, 5);
+    let mut controllers = Controllers::new(&cfg);
+    let tree = tree_search(
+        &mut controllers,
+        &base,
+        &env,
+        ctx.levels(),
+        3,
+        &cfg,
+        &MemoPool::new(),
+        true,
+        Some(ctx.trace()),
+    )
+    .expect("valid inputs")
+    .tree;
+    let schedules = [
+        FaultSchedule::none(),
+        FaultSchedule::canned_outage(),
+        FaultSchedule::canned(FaultKind::Collapse),
+        FaultSchedule::canned(FaultKind::RttSpike),
+        FaultSchedule::canned(FaultKind::EstimatorFreeze),
+    ];
+    let exec_cfg = |i: usize| {
+        let mode = if i.is_multiple_of(2) {
+            Mode::Emulation
+        } else {
+            Mode::Field
+        };
+        ExecConfig::new(60, mode, 100 + i as u64)
+            .with_faults(schedules[i % schedules.len()].clone())
+    };
+    let plan = TreePlan::new(env.clone(), tree.clone());
+    let start = Barrier::new(8);
+    let shared: Vec<ExecReport> = thread::scope(|s| {
+        let runs: Vec<_> = (0..8)
+            .map(|i| {
+                let (plan, start, trace, cfg) = (&plan, &start, ctx.trace(), exec_cfg(i));
+                s.spawn(move || {
+                    start.wait();
+                    plan.execute(trace, &cfg)
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|h| h.join().expect("executor thread"))
+            .collect()
+    });
+    assert!(
+        shared
+            .iter()
+            .any(|r| r.degraded_count() + r.failed_count() > 0),
+        "some fault schedule drives a walk onto its fallback"
+    );
+    for (i, report) in shared.iter().enumerate() {
+        let alone = execute(
+            &env,
+            tree.base(),
+            &Policy::Tree(&tree),
+            ctx.trace(),
+            &exec_cfg(i),
+        );
+        assert_eq!(report_bits(report), report_bits(&alone), "thread {i}");
+    }
 }

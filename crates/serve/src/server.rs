@@ -13,12 +13,15 @@
 //!    the live path; inline IR, the context descriptor and the cache key
 //!    are still worked out per arrival.
 //! 2. **Warm** (serial, arrival order): one tree search per distinct
-//!    (IR hash, context hash) key fills the shared LRU cache, so cache
-//!    content never depends on worker interleaving.
+//!    (IR hash, context hash) key fills the shared LRU cache with the
+//!    tree's plan, so cache content never depends on worker
+//!    interleaving.
 //! 3. **Precompute** (parallel): session outcomes are pure functions of
 //!    their spec (faults live on the session's own timeline), so they
 //!    are computed speculatively for every resolvable arrival with
 //!    [`par_map_indexed`] — index-ordered and worker-count invariant.
+//!    Sessions on one key walk its cached plan together; whichever
+//!    worker fills a slot, every walk reads the same value.
 //! 4. **Replay** (serial): a discrete-event loop over *virtual* time
 //!    makes every admission, shed, breaker and drain decision. Worker
 //!    threads never touch this phase.
@@ -34,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use cadmc_core::executor::ExecReport;
 use cadmc_core::memo::MemoPool;
 use cadmc_core::parallel::par_map_indexed;
-use cadmc_core::tree_cache::TreeCache;
+use cadmc_core::tree_cache::{CachedPlan, TreeCache};
 use cadmc_telemetry as telemetry;
 
 use crate::admission::{BoundedQueue, TokenBucket};
@@ -42,8 +45,8 @@ use crate::breaker::CircuitBreaker;
 use crate::config::ServerConfig;
 use crate::metrics::{render_exposition, CacheRates, GaugeSet, ObsSnapshot, ObsState};
 use crate::session::{
-    best_branch_accuracy, run_session, search_tree, RejectReason, ResolveTable, ServedContext,
-    SessionOutcome, SessionSpec,
+    run_session, search_plan, RejectReason, ResolveTable, ServedContext, SessionOutcome,
+    SessionSpec,
 };
 
 /// One scheduled request: a session spec arriving at a virtual instant.
@@ -454,8 +457,7 @@ impl Server {
                 run_session(
                     i as u64,
                     &arrivals[i].spec,
-                    &p.tree,
-                    p.best_accuracy,
+                    &p.plan,
                     &p.context.exec_trace,
                     &self.cfg,
                 )
@@ -471,10 +473,10 @@ impl Server {
     /// depend on workers.
     fn prepare(&self, spec: &SessionSpec) -> Result<Prepared, RejectReason> {
         let resolved = self.table.resolve(spec, &self.cfg)?;
-        let tree = self.cache.get_or_insert_with(resolved.key.pair(), || {
-            search_tree(&resolved, spec.device, &self.cfg, &self.memo)
+        let plan = self.cache.get_or_insert_with(resolved.key.pair(), || {
+            search_plan(&resolved, spec.device, &self.cfg, &self.memo)
         });
-        let best_accuracy = best_branch_accuracy(&tree, spec.device);
+        let best_accuracy = plan.best_branch_accuracy();
         if best_accuracy < spec.min_accuracy {
             return Err(RejectReason::Constraint {
                 best_accuracy,
@@ -482,8 +484,7 @@ impl Server {
             });
         }
         Ok(Prepared {
-            tree,
-            best_accuracy,
+            plan,
             context: resolved.context,
         })
     }
@@ -748,10 +749,10 @@ impl Server {
         drop(st);
 
         // Slot held; heavy work happens outside the lock.
-        let tree = self.cache.get_or_insert_with(resolved.key.pair(), || {
-            search_tree(&resolved, spec.device, &self.cfg, &self.memo)
+        let plan = self.cache.get_or_insert_with(resolved.key.pair(), || {
+            search_plan(&resolved, spec.device, &self.cfg, &self.memo)
         });
-        let best_accuracy = best_branch_accuracy(&tree, spec.device);
+        let best_accuracy = plan.best_branch_accuracy();
         let mut st = self.lock_live();
         if best_accuracy < spec.min_accuracy {
             st.totals.active -= 1;
@@ -772,8 +773,7 @@ impl Server {
         let outcome = run_session(
             session,
             spec,
-            &tree,
-            best_accuracy,
+            &plan,
             &resolved.context.exec_trace,
             &self.cfg,
         );
@@ -830,8 +830,7 @@ impl Server {
 
 /// Per-arrival state the scheduler carries between phases.
 struct Prepared {
-    tree: Arc<cadmc_core::tree::ModelTree>,
-    best_accuracy: f64,
+    plan: CachedPlan,
     context: Arc<ServedContext>,
 }
 

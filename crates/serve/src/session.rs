@@ -2,16 +2,17 @@
 //!
 //! A session is fully described by [`SessionSpec`]. Resolution turns the
 //! spec into a [`ModelContextKey`] (rejecting malformed IR), one tree
-//! search per *distinct* key warms the shared LRU cache, and
-//! [`run_session`] — a pure function of `(spec, tree, trace, config,
-//! session id)` — streams the session's requests through the executor's
-//! deadline/retry/fallback degradation policy. Purity is what makes the
-//! discrete-event scheduler worker-count invariant: outcomes can be
-//! precomputed in parallel in index order and replayed serially.
+//! search per *distinct* key warms the shared LRU cache with the tree's
+//! [`TreePlan`], and [`run_session`] — a pure function of `(spec, plan,
+//! trace, config, session id)` — streams the session's requests through
+//! the executor's deadline/retry/fallback degradation policy. Purity is
+//! what makes the discrete-event scheduler worker-count invariant:
+//! outcomes can be precomputed in parallel in index order and replayed
+//! serially.
 
 use std::sync::{Arc, OnceLock};
 
-use cadmc_core::executor::{self, ExecConfig, ExecReport, Mode, Policy};
+use cadmc_core::executor::{ExecConfig, ExecReport, Mode, TreePlan};
 use cadmc_core::memo::MemoPool;
 use cadmc_core::search::{Controllers, SearchConfig};
 use cadmc_core::tree::ModelTree;
@@ -306,16 +307,17 @@ impl std::fmt::Debug for ResolveTable {
 }
 
 /// One tree search for a resolved session's cache key — the expensive
-/// step the LRU cache amortizes across sessions. Deterministic in
-/// `(model, context descriptor, cfg)`; search failures fall back to the
-/// unsearched tree root (all-edge static deployments remain valid), so
-/// serving never panics on a pathological model.
-pub(crate) fn search_tree(
+/// step the LRU cache amortizes across sessions — and the searched
+/// tree's plan under `device`. Deterministic in `(model, context
+/// descriptor, cfg)`; search failures fall back to the unsearched tree
+/// root (all-edge static deployments remain valid), so serving never
+/// panics on a pathological model.
+pub(crate) fn search_plan(
     resolved: &ResolvedSession,
     device: Platform,
     cfg: &ServerConfig,
     memo: &MemoPool,
-) -> ModelTree {
+) -> TreePlan<'static> {
     let scfg = SearchConfig {
         episodes: cfg.episodes.max(1),
         feature_actions: cfg.feature_actions,
@@ -326,7 +328,7 @@ pub(crate) fn search_tree(
     let n_blocks = resolved.model.blocks().unwrap_or(2);
     let search_ctx = &resolved.context.search_ctx;
     let levels = search_ctx.levels().to_vec();
-    match cadmc_ir::entry::tree_search(
+    let tree = match cadmc_ir::entry::tree_search(
         &mut controllers,
         &resolved.model,
         &env,
@@ -339,16 +341,8 @@ pub(crate) fn search_tree(
     ) {
         Ok(result) => result.tree,
         Err(_) => ModelTree::new(resolved.model.spec().clone(), n_blocks, levels),
-    }
-}
-
-/// Whether `tree` offers at least one all-edge (cloud-free) branch —
-/// the precondition under which an outage must degrade, never fail.
-pub fn has_edge_only_branch(tree: &ModelTree) -> bool {
-    tree.branches().iter().any(|path| {
-        let c = tree.compose_path(path);
-        c.edge_layers == c.model.len()
-    })
+    };
+    TreePlan::new(env, tree)
 }
 
 /// Terminal outcome of one executed session.
@@ -367,36 +361,24 @@ pub struct SessionOutcome {
     pub best_accuracy: f64,
 }
 
-/// Best-branch oracle accuracy of `tree` under `device`'s oracle.
-pub(crate) fn best_branch_accuracy(tree: &ModelTree, device: Platform) -> f64 {
-    let env = cadmc_core::EvalEnv::for_edge(device);
-    match tree.best_branch() {
-        Some((_, cand)) => env.oracle.evaluate(tree.base(), &cand.actions),
-        None => env.oracle.evaluate(tree.base(), &[]),
-    }
-}
-
 /// Runs one admitted session to its terminal outcome. Pure: the result
 /// depends only on the arguments, never on wall time, worker count or
-/// other sessions (the shared memo pool is value-deterministic).
-/// `best_accuracy` is the caller's [`best_branch_accuracy`] of `tree`,
-/// already worked out for the constraint check.
+/// other sessions (the shared memo pool is value-deterministic, and the
+/// plan's slots hold the same values whoever fills them).
 pub(crate) fn run_session(
     session: u64,
     spec: &SessionSpec,
-    tree: &ModelTree,
-    best_accuracy: f64,
+    plan: &TreePlan<'_>,
     exec_trace: &BandwidthTrace,
     cfg: &ServerConfig,
 ) -> SessionOutcome {
-    let env = cadmc_core::EvalEnv::for_edge(spec.device);
     let mut ec = ExecConfig::new(spec.requests.max(1), Mode::Emulation, spec.seed);
     ec.think_time_ms = cfg.think_time_ms;
     ec.deadline_ms = cfg.deadline_ms;
     ec.max_retries = cfg.max_retries;
     ec.backoff_ms = cfg.backoff_ms;
     ec.faults = spec.faults.for_session(session);
-    let report = executor::execute(&env, tree.base(), &Policy::Tree(tree), exec_trace, &ec);
+    let report = plan.execute(exec_trace, &ec);
     let label = if report.failed_count() > 0 {
         "failed"
     } else if report.degraded_count() > 0 {
@@ -411,8 +393,8 @@ pub(crate) fn run_session(
     SessionOutcome {
         label,
         virtual_ms: virtual_ms.max(1.0),
-        has_edge_only_branch: has_edge_only_branch(tree),
-        best_accuracy,
+        has_edge_only_branch: plan.has_edge_only_branch(),
+        best_accuracy: plan.best_branch_accuracy(),
         report,
     }
 }
@@ -447,9 +429,8 @@ mod tests {
         let spec = spec();
         let resolved = resolve(&spec, &cfg).expect("resolves");
         let memo = MemoPool::new();
-        let tree = search_tree(&resolved, spec.device, &cfg, &memo);
-        let best = best_branch_accuracy(&tree, spec.device);
-        let out = run_session(0, &spec, &tree, best, &resolved.context.exec_trace, &cfg);
+        let plan = search_plan(&resolved, spec.device, &cfg, &memo);
+        let out = run_session(0, &spec, &plan, &resolved.context.exec_trace, &cfg);
         assert_eq!(out.report.latencies_ms.len(), 3);
         assert_eq!(out.label, "ok");
         assert!(out.virtual_ms > 0.0);
@@ -556,11 +537,10 @@ mod tests {
         s.faults = FaultSchedule::canned_outage();
         let resolved = resolve(&s, &cfg).expect("resolves");
         let memo = MemoPool::new();
-        let tree = search_tree(&resolved, s.device, &cfg, &memo);
-        let best = best_branch_accuracy(&tree, s.device);
+        let plan = search_plan(&resolved, s.device, &cfg, &memo);
         let trace = &resolved.context.exec_trace;
-        let a = run_session(5, &s, &tree, best, trace, &cfg);
-        let b = run_session(5, &s, &tree, best, trace, &cfg);
+        let a = run_session(5, &s, &plan, trace, &cfg);
+        let b = run_session(5, &s, &plan, trace, &cfg);
         assert_eq!(a, b);
     }
 }

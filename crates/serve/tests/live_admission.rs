@@ -5,7 +5,9 @@
 //! rate token), and that the `live_stats()` totals agree with the
 //! per-tenant counters of `obs_snapshot()`. A traced submit shows the
 //! `serve.session` span covering the session's work. Concurrent first
-//! submits on a cold server resolve exactly as serial ones do.
+//! submits on a cold server resolve exactly as serial ones do, and
+//! concurrent submits sharing one cached tree plan run exactly as
+//! serial ones do.
 
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -284,6 +286,65 @@ fn concurrent_first_submits_resolve_like_serial_ones() {
         assert_eq!(raced.outcome, alone.outcome, "session {i}");
     }
     assert_eq!(racing.live_stats().admitted, specs.len());
+}
+
+/// Sessions on one cache key walk one shared tree plan. Eight threads
+/// submitting on a warm key at once, each with its own seed and request
+/// count, get the outcomes serial submits on a fresh server get, field
+/// for field apart from the session id.
+#[test]
+fn concurrent_submits_on_one_cached_key_run_like_serial_ones() {
+    let _serial = serial();
+    let roomy = ServerConfig {
+        slots: 8,
+        queue_capacity: 8,
+        rate_per_sec: 1e6,
+        burst: 64,
+        tenant_quota: 64,
+        ..cfg()
+    };
+    let specs: Vec<SessionSpec> = (0..8)
+        .map(|i| SessionSpec {
+            scenario: Scenario::WifiWeakIndoor,
+            requests: 3 + i,
+            seed: 40 + i as u64,
+            ..spec(&format!("t{i}"))
+        })
+        .collect();
+
+    let racing = Server::new(roomy.clone());
+    // One search warms the key; the racers all hit it.
+    racing
+        .submit(specs[0].clone(), 0.0)
+        .unwrap_or_else(|r| panic!("warm-up refused: {r}"));
+    let start = Barrier::new(specs.len());
+    let raced: Vec<_> = thread::scope(|s| {
+        let runs: Vec<_> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let (racing, start, spec) = (&racing, &start, spec.clone());
+                s.spawn(move || {
+                    start.wait();
+                    racing.submit(spec, 1.0 + i as f64)
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|h| h.join().expect("submit thread"))
+            .collect()
+    });
+    let cache = racing.tree_cache().stats();
+    assert_eq!((cache.misses, cache.hits), (1, specs.len()));
+
+    let serial_server = Server::new(roomy);
+    for (i, (spec, raced)) in specs.iter().zip(raced).enumerate() {
+        let raced = raced.unwrap_or_else(|r| panic!("raced submit {i} refused: {r}"));
+        let alone = serial_server
+            .submit(spec.clone(), i as f64)
+            .unwrap_or_else(|r| panic!("serial submit {i} refused: {r}"));
+        assert_eq!(raced.outcome, alone.outcome, "session {i}");
+    }
 }
 
 #[test]
