@@ -75,7 +75,7 @@ COMMANDS:
                     faults) in virtual time, printing the outcome log
                       [--sessions N] [--tenants N] [--overload X]
                       [--faults <preset>] [--requests N] [--seed N]
-                      [--workers N] [--drain-at-ms MS]
+                      [--drain-at-ms MS]
                       [--slots N] [--queue N] [--rate R] [--burst N]
                       [--quota N] [--episodes N] [--deadline-ms MS]
                       [--feature-actions]  (per-session searches explore
@@ -702,8 +702,8 @@ fn report_cmd(args: &Args) -> Result<(), CliError> {
 /// `cadmc serve`: the multi-tenant serving core. Without `--listen` it
 /// runs a deterministic chaos schedule — an arrival burst at
 /// `--overload ×` the admission capacity with a per-session fault
-/// schedule — through the virtual-time scheduler and prints the
-/// per-session outcome log (byte-identical for any `--workers` value).
+/// schedule — through the serial virtual-time scheduler and prints the
+/// per-session outcome log (`--workers` changes nothing in it).
 /// With `--listen <addr>` it serves the line-delimited JSON protocol
 /// over TCP until a client sends `"Drain"`.
 fn serve_cmd(args: &Args) -> Result<(), CliError> {
@@ -800,14 +800,12 @@ fn serve_cmd(args: &Args) -> Result<(), CliError> {
         .transpose()?;
     let server = cadmc_serve::Server::new(cfg);
     let arrivals = cadmc_serve::chaos_arrivals(&chaos, server.config());
-    let n_workers = workers(args)?.workers;
     eprintln!(
-        "chaos schedule: {} arrivals at {:.1}x capacity, {} workers...",
+        "chaos schedule: {} arrivals at {:.1}x capacity...",
         arrivals.len(),
-        chaos.overload,
-        n_workers
+        chaos.overload
     );
-    let report = server.run_schedule(&arrivals, n_workers, drain_at_ms);
+    let report = server.run_schedule(&arrivals, 1, drain_at_ms);
     print!("{}", report.log());
     println!(
         "summary: admitted {} | shed {} | degraded {} | failed {} | drained {} | queue watermark {}/{}",
@@ -819,8 +817,7 @@ fn serve_cmd(args: &Args) -> Result<(), CliError> {
         report.queue_watermark,
         report.queue_capacity
     );
-    // Deterministic observability snapshot: same bytes for any
-    // --workers value, like the outcome log above.
+    // Deterministic observability snapshot, like the outcome log above.
     print!("{}", report.obs.metrics_log());
     Ok(())
 }

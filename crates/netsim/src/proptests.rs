@@ -83,3 +83,41 @@ proptest! {
         prop_assert_eq!(joined.as_slice(), t.samples());
     }
 }
+
+/// Trace samples drawn so that ties, `-0.0` and `+0.0` are common.
+fn arb_sample() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(-0.0f64),
+        Just(0.0f64),
+        (0u8..4).prop_map(f64::from),
+        -50.0f64..50.0,
+    ]
+}
+
+/// The sort-based nearest-rank quantile `quantile` must agree with.
+fn sorted_quantile(samples: &[f64], q: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Selection returns the element a full `total_cmp` sort puts at the
+    /// quantile's rank, bit for bit, on the full trace and on its
+    /// one-sample prefix.
+    #[test]
+    fn quantile_matches_the_sorted_rank(
+        samples in proptest::collection::vec(arb_sample(), 1..48),
+        extra in 0.0f64..1.0,
+    ) {
+        let one = vec![samples[0]];
+        for s in [&samples, &one] {
+            let t = BandwidthTrace::new(100.0, s.clone());
+            for q in [0.0, 0.25, 0.5, 0.75, 1.0, extra] {
+                prop_assert_eq!(t.quantile(q).to_bits(), sorted_quantile(s, q).to_bits());
+            }
+        }
+    }
+}

@@ -91,17 +91,19 @@ impl BandwidthTrace {
         var.sqrt()
     }
 
-    /// Empirical quantile `q ∈ [0, 1]` (nearest-rank).
+    /// Empirical quantile `q ∈ [0, 1]` (nearest-rank): the sample at
+    /// rank `round((len − 1) · q)` under `f64::total_cmp`. Selection
+    /// finds it in linear time; under a total order that element is the
+    /// one a full sort puts there, bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx]
+        let mut samples = self.samples.clone();
+        let idx = ((samples.len() - 1) as f64 * q).round() as usize;
+        *samples.select_nth_unstable_by(idx, f64::total_cmp).1
     }
 
     /// The paper's two bandwidth types for a context: `(poor, good)` =

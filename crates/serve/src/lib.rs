@@ -26,14 +26,13 @@
 //!   lets in-flight sessions finish or degrade, flushes telemetry and
 //!   closes all spans.
 //!
-//! Determinism contract: [`Server::run_schedule`] is a discrete-event
-//! simulation in *virtual* time. OS worker threads are purely a
-//! scheduling knob — session outcomes are pure functions of the session
-//! spec, computed index-ordered — while admission, queueing, breaker and
-//! drain decisions replay serially on the virtual clock. The per-session
-//! outcome log is therefore byte-identical across 1/2/8 workers, and the
-//! chaos harness ([`chaos`]) exploits that to goldens overload × fault
-//! schedules. The live TCP front-end ([`tcp`]) runs the same admission
+//! Determinism contract: [`Server::run_schedule`] is a serial
+//! discrete-event simulation in *virtual* time. Admission, queueing,
+//! breaker and drain decisions replay on the virtual clock, and a
+//! session's outcome, a pure function of its spec, is computed when it
+//! takes a slot. The per-session outcome log therefore depends only on
+//! the schedule and the configuration, and the chaos harness
+//! ([`chaos`]) pins overload × fault schedules to goldens. The live TCP front-end ([`tcp`]) runs the same admission
 //! and session machinery on the wall clock instead.
 
 #![forbid(unsafe_code)]

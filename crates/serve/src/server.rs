@@ -4,31 +4,28 @@
 //!
 //! ## Determinism contract
 //!
-//! `run_schedule` separates *what a session computes* from *when the
-//! server runs it*:
+//! `run_schedule` runs in three serial phases:
 //!
-//! 1. **Resolve** (serial): every arrival's model is checked and keyed.
+//! 1. **Resolve**: every arrival's model is checked and keyed.
 //!    The server resolves each scenario's bandwidth context and each zoo
 //!    model's checked form once, on first use, in a table it shares with
 //!    the live path; inline IR, the context descriptor and the cache key
 //!    are still worked out per arrival.
-//! 2. **Warm** (serial, arrival order): one tree search per distinct
+//! 2. **Warm** (arrival order): one tree search per distinct
 //!    (IR hash, context hash) key fills the shared LRU cache with the
-//!    tree's plan, so cache content never depends on worker
-//!    interleaving.
-//! 3. **Precompute** (parallel): session outcomes are pure functions of
-//!    their spec (faults live on the session's own timeline), so they
-//!    are computed speculatively for every resolvable arrival with
-//!    [`par_map_indexed`] — index-ordered and worker-count invariant.
-//!    Sessions on one key walk its cached plan together; whichever
-//!    worker fills a slot, every walk reads the same value.
-//! 4. **Replay** (serial): a discrete-event loop over *virtual* time
-//!    makes every admission, shed, breaker and drain decision. Worker
-//!    threads never touch this phase.
+//!    tree's plan, so cache content never depends on replay decisions.
+//! 3. **Replay**: a discrete-event loop over *virtual* time makes every
+//!    admission, shed, breaker and drain decision. A session's outcome
+//!    is computed when it takes a slot, at arrival or when it leaves the
+//!    queue, and read again when it completes. Outcomes are pure
+//!    functions of the session's spec (faults live on the session's own
+//!    timeline), so computing them on demand changes no decision, and a
+//!    shed session costs no execution.
 //!
-//! The per-session outcome log is therefore byte-identical across any
-//! worker count; the only cost is that sessions shed at replay time had
-//! their outcome computed needlessly (bounded by the overload factor).
+//! Each outcome runs in stream `index + 1` of one telemetry region, so a
+//! traced session's records carry the same addresses in whatever order
+//! the replay reaches them. The per-session outcome log and the metrics
+//! log are therefore deterministic per schedule and configuration.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,7 +33,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use cadmc_core::executor::ExecReport;
 use cadmc_core::memo::MemoPool;
-use cadmc_core::parallel::par_map_indexed;
 use cadmc_core::tree_cache::{CachedPlan, TreeCache};
 use cadmc_telemetry as telemetry;
 
@@ -433,44 +429,27 @@ impl Server {
 
     /// Replays `arrivals` through admission, queueing, execution and
     /// (optionally) a drain signal at `drain_at_ms`, entirely in virtual
-    /// time. `workers` only parallelizes the pure outcome precompute —
-    /// the returned report (and its `log()`) is byte-identical for any
-    /// value.
+    /// time. `_workers` does nothing: the replay is serial and computes
+    /// only the outcomes of sessions that take a slot. It stays in the
+    /// signature for existing callers.
     pub fn run_schedule(
         &self,
         arrivals: &[Arrival],
-        workers: usize,
+        _workers: usize,
         drain_at_ms: Option<f64>,
     ) -> ScheduleReport {
-        let n = arrivals.len();
+        // Phase 1+2: resolve every arrival, warm the tree cache in
+        // arrival order, check accuracy constraints.
+        let prepared: Vec<Result<Prepared, RejectReason>> =
+            arrivals.iter().map(|a| self.prepare(&a.spec)).collect();
 
-        // Phase 1+2 (serial): resolve every arrival, warm the tree cache
-        // in arrival order, check accuracy constraints.
-        let mut prepared: Vec<Result<Prepared, RejectReason>> = Vec::with_capacity(n);
-        for a in arrivals {
-            prepared.push(self.prepare(&a.spec));
-        }
-
-        // Phase 3 (parallel, speculative): pure per-session outcomes.
-        let outcomes: Vec<Option<SessionOutcome>> = par_map_indexed(n, workers.max(1), |i| {
-            prepared[i].as_ref().ok().map(|p| {
-                run_session(
-                    i as u64,
-                    &arrivals[i].spec,
-                    &p.plan,
-                    &p.context.exec_trace,
-                    &self.cfg,
-                )
-            })
-        });
-
-        // Phase 4 (serial): virtual-time replay.
-        self.replay(arrivals, &prepared, outcomes, drain_at_ms)
+        // Phase 3: virtual-time replay.
+        self.replay(arrivals, &prepared, drain_at_ms)
     }
 
     /// Resolves a spec, warms the cache and applies the accuracy
-    /// constraint. Serial-phase only: cache mutation order must not
-    /// depend on workers.
+    /// constraint. The schedule calls it in arrival order, before the
+    /// replay, so cache content follows the arrivals alone.
     fn prepare(&self, spec: &SessionSpec) -> Result<Prepared, RejectReason> {
         let resolved = self.table.resolve(spec, &self.cfg)?;
         let plan = self.cache.get_or_insert_with(resolved.key.pair(), || {
@@ -493,12 +472,29 @@ impl Server {
         &self,
         arrivals: &[Arrival],
         prepared: &[Result<Prepared, RejectReason>],
-        outcomes: Vec<Option<SessionOutcome>>,
         drain_at_ms: Option<f64>,
     ) -> ScheduleReport {
         let n = arrivals.len();
         let cfg = &self.cfg;
         let slots = cfg.slots.max(1);
+
+        // Session `idx`'s outcome, computed when it takes a slot, in
+        // stream `idx + 1` of the replay's region.
+        let region = telemetry::open_region();
+        let run = |idx: usize| {
+            prepared[idx].as_ref().ok().map(|p| {
+                telemetry::in_stream(region, idx as u64 + 1, || {
+                    run_session(
+                        idx as u64,
+                        &arrivals[idx].spec,
+                        &p.plan,
+                        &p.context.exec_trace,
+                        cfg,
+                    )
+                })
+            })
+        };
+        let mut outcomes: Vec<Option<SessionOutcome>> = vec![None; n];
 
         // Arrival processing order: (time, submission index), stable.
         let mut order: Vec<usize> = (0..n).collect();
@@ -509,9 +505,8 @@ impl Server {
                 .then(a.cmp(&b))
         });
 
-        // Private ledger: replay is serial, so feeding it here (virtual
-        // clock only) keeps the log and snapshots byte-identical for any
-        // worker count.
+        // Private ledger, fed on the virtual clock only, so the log and
+        // snapshots depend on nothing but the schedule.
         let mut ledger = Ledger::new(cfg);
         let mut queue: BoundedQueue<usize> = BoundedQueue::new(cfg.queue_capacity);
         let mut running: Vec<(f64, usize)> = Vec::with_capacity(slots);
@@ -574,6 +569,7 @@ impl Server {
                     if running.len() < slots {
                         if let Some(next_idx) = queue.pop_front() {
                             admit_ms[next_idx] = end_ms;
+                            outcomes[next_idx] = run(next_idx);
                             let dur = outcomes[next_idx]
                                 .as_ref()
                                 .map_or(1.0, |o| o.virtual_ms);
@@ -597,6 +593,7 @@ impl Server {
                     let verdict = ledger.gate(cfg, t, tenant, pre).and_then(|()| {
                         if running.len() < slots {
                             admit_ms[idx] = t;
+                            outcomes[idx] = run(idx);
                             let dur = outcomes[idx].as_ref().map_or(1.0, |o| o.virtual_ms);
                             running.push((t + dur, idx));
                             Ok(())
@@ -651,11 +648,6 @@ impl Server {
                     reason: RejectReason::Draining,
                 })
             })
-            .collect();
-        let outcomes = outcomes
-            .into_iter()
-            .zip(&decisions)
-            .map(|(o, d)| o.filter(|_| matches!(d, Decision::Admitted { .. })))
             .collect();
         let records = decisions
             .into_iter()
@@ -837,5 +829,33 @@ struct Prepared {
 impl std::fmt::Debug for Prepared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Prepared").finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chaos::{chaos_arrivals, ChaosConfig};
+
+    #[test]
+    fn admitted_outcomes_equal_a_fresh_run_on_the_same_plan() {
+        let server = Server::new(ServerConfig::default());
+        let chaos = ChaosConfig {
+            sessions: 48,
+            ..ChaosConfig::default()
+        };
+        let arrivals = chaos_arrivals(&chaos, server.config());
+        let drain_at_ms = Some(arrivals[30].at_ms);
+        let report = server.run_schedule(&arrivals, 1, drain_at_ms);
+        assert!(report.admitted > 0 && report.shed > 0);
+        for (i, (record, outcome)) in report.records.iter().zip(&report.outcomes).enumerate() {
+            let admitted = matches!(record.decision, Decision::Admitted { .. });
+            assert_eq!(outcome.is_some(), admitted, "session {i}");
+            let Some(outcome) = outcome else { continue };
+            let spec = &arrivals[i].spec;
+            let p = server.prepare(spec).expect("an admitted session prepares");
+            let fresh = run_session(i as u64, spec, &p.plan, &p.context.exec_trace, &server.cfg);
+            assert_eq!(*outcome, fresh, "session {i}");
+        }
     }
 }

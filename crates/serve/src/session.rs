@@ -6,9 +6,8 @@
 //! [`TreePlan`], and [`run_session`] — a pure function of `(spec, plan,
 //! trace, config, session id)` — streams the session's requests through
 //! the executor's deadline/retry/fallback degradation policy. Purity is
-//! what makes the discrete-event scheduler worker-count invariant:
-//! outcomes can be precomputed in parallel in index order and replayed
-//! serially.
+//! what lets the discrete-event scheduler compute an outcome only when
+//! its session takes a slot: when it runs changes nothing it returns.
 
 use std::sync::{Arc, OnceLock};
 

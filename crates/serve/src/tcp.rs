@@ -7,8 +7,12 @@
 //! `Draining` and shuts the accept loop down. The TCP path is the
 //! *live* surface; determinism claims belong to the virtual-time
 //! scheduler ([`Server::run_schedule`](crate::Server::run_schedule)).
+//!
+//! Both listeners read at most [`MAX_LINE`] bytes per line into one
+//! buffer per connection, so a peer that never sends a newline cannot
+//! grow the server's memory.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,90 +52,134 @@ pub fn serve(server: &Arc<Server>, listener: TcpListener) -> std::io::Result<()>
     Ok(())
 }
 
+/// Longest line either listener reads, in bytes before the newline: a
+/// protocol request, or one line of a metrics request head.
+pub const MAX_LINE: usize = 1 << 20;
+
+/// What one capped line read produced.
+enum Line {
+    /// A line (or the unterminated tail of the stream) is in the buffer.
+    Read,
+    /// The line ran past [`MAX_LINE`]; the buffer holds its first bytes.
+    TooLong,
+    /// The peer closed the stream.
+    End,
+}
+
+/// Reads one line into `buf` (cleared first), taking at most
+/// `MAX_LINE + 1` bytes from `reader`.
+fn read_line_capped(reader: &mut impl BufRead, buf: &mut String) -> io::Result<Line> {
+    buf.clear();
+    let n = reader.take(MAX_LINE as u64 + 1).read_line(buf)?;
+    Ok(if n == 0 {
+        Line::End
+    } else if n > MAX_LINE && !buf.ends_with('\n') {
+        Line::TooLong
+    } else {
+        Line::Read
+    })
+}
+
 /// Runs one connection's request loop. I/O failures end the loop; they
-/// are the peer's problem, not the server's.
+/// are the peer's problem, not the server's. A line longer than
+/// [`MAX_LINE`] is answered with `Error` and ends the connection.
 fn handle_connection(server: &Server, stream: TcpStream, started: Instant, stop: &AtomicBool) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match parse_request(&line) {
-            Err(detail) => Response::Error { detail },
-            Ok(Request::Ping) => Response::Pong,
-            Ok(Request::Stats) => {
-                let stats = server.live_stats();
-                Response::Stats {
-                    admitted: stats.admitted as u64,
-                    shed: stats.shed as u64,
-                    degraded: stats.degraded as u64,
-                    failed: stats.failed as u64,
-                    queue_depth: stats.waiting as u64,
-                    slots_busy: stats.active as u64,
-                    slo_breaches: stats.slo_breaches as u64,
-                    exposition: server.exposition(),
-                }
-            }
-            Ok(Request::Drain) => {
-                server.begin_drain();
-                server.await_idle();
-                stop.store(true, Ordering::SeqCst);
-                Response::Draining {
-                    drained: server.live_stats().drained as u64,
-                }
-            }
-            Ok(Request::Submit {
-                tenant,
-                model,
-                ir,
-                min_accuracy,
-                device,
-                scenario,
-                requests,
-                seed,
-                faults,
-            }) => {
-                let t_ms = started.elapsed().as_secs_f64() * 1_000.0;
-                match submit_to_spec(
-                    &tenant,
-                    &model,
-                    &ir,
-                    min_accuracy,
-                    &device,
-                    &scenario,
-                    requests,
-                    seed,
-                    &faults,
-                ) {
-                    Err(reason) => rejected(&reason),
-                    Ok(spec) => match server.submit(spec, t_ms) {
-                        Ok(done) => Response::Done {
-                            session: done.session,
-                            outcome: done.outcome.label.to_string(),
-                            requests: done.outcome.report.latencies_ms.len() as u64,
-                            mean_latency_ms: done.outcome.report.mean_latency_ms(),
-                            mean_accuracy: done.outcome.report.mean_accuracy(),
-                            p95_latency_ms: done.outcome.report.p95_latency_ms(),
-                        },
-                        Err(reason) => rejected(&reason),
-                    },
-                }
+    let mut line = String::new();
+    loop {
+        let (response, last) = match read_line_capped(&mut reader, &mut line) {
+            Err(_) | Ok(Line::End) => break,
+            Ok(Line::TooLong) => (
+                Response::Error {
+                    detail: format!("request line exceeds {MAX_LINE} bytes"),
+                },
+                true,
+            ),
+            Ok(Line::Read) if line.trim().is_empty() => continue,
+            Ok(Line::Read) => {
+                let response = respond(server, &line, started, stop);
+                let drain_ack = matches!(response, Response::Draining { .. });
+                (response, drain_ack)
             }
         };
-        let drain_ack = matches!(response, Response::Draining { .. });
-        let mut line = encode_response(&response);
-        line.push('\n');
-        if writer.write_all(line.as_bytes()).is_err() {
+        let mut out = encode_response(&response);
+        out.push('\n');
+        if writer.write_all(out.as_bytes()).is_err() {
             break;
         }
         let _ = writer.flush();
-        if drain_ack {
+        if last {
             break;
+        }
+    }
+}
+
+/// The response to one request line.
+fn respond(server: &Server, line: &str, started: Instant, stop: &AtomicBool) -> Response {
+    match parse_request(line) {
+        Err(detail) => Response::Error { detail },
+        Ok(Request::Ping) => Response::Pong,
+        Ok(Request::Stats) => {
+            let stats = server.live_stats();
+            Response::Stats {
+                admitted: stats.admitted as u64,
+                shed: stats.shed as u64,
+                degraded: stats.degraded as u64,
+                failed: stats.failed as u64,
+                queue_depth: stats.waiting as u64,
+                slots_busy: stats.active as u64,
+                slo_breaches: stats.slo_breaches as u64,
+                exposition: server.exposition(),
+            }
+        }
+        Ok(Request::Drain) => {
+            server.begin_drain();
+            server.await_idle();
+            stop.store(true, Ordering::SeqCst);
+            Response::Draining {
+                drained: server.live_stats().drained as u64,
+            }
+        }
+        Ok(Request::Submit {
+            tenant,
+            model,
+            ir,
+            min_accuracy,
+            device,
+            scenario,
+            requests,
+            seed,
+            faults,
+        }) => {
+            let t_ms = started.elapsed().as_secs_f64() * 1_000.0;
+            match submit_to_spec(
+                &tenant,
+                &model,
+                &ir,
+                min_accuracy,
+                &device,
+                &scenario,
+                requests,
+                seed,
+                &faults,
+            ) {
+                Err(reason) => rejected(&reason),
+                Ok(spec) => match server.submit(spec, t_ms) {
+                    Ok(done) => Response::Done {
+                        session: done.session,
+                        outcome: done.outcome.label.to_string(),
+                        requests: done.outcome.report.latencies_ms.len() as u64,
+                        mean_latency_ms: done.outcome.report.mean_latency_ms(),
+                        mean_accuracy: done.outcome.report.mean_accuracy(),
+                        p95_latency_ms: done.outcome.report.p95_latency_ms(),
+                    },
+                    Err(reason) => rejected(&reason),
+                },
+            }
         }
     }
 }
@@ -147,7 +195,8 @@ fn rejected(reason: &RejectReason) -> Response {
 /// connection gets one `HTTP/1.1 200` response carrying
 /// [`Server::exposition`] and is closed (curl-compatible, hand-rolled —
 /// the request itself is drained up to its blank line and otherwise
-/// ignored). Runs until `stop` is set; use [`unblock_metrics`] to nudge
+/// ignored; a head line past [`MAX_LINE`] closes the connection
+/// unanswered). Runs until `stop` is set; use [`unblock_metrics`] to nudge
 /// the accept loop afterwards.
 pub fn serve_metrics(server: &Arc<Server>, listener: TcpListener, stop: &AtomicBool) {
     for conn in listener.incoming() {
@@ -165,18 +214,25 @@ pub fn unblock_metrics(addr: std::net::SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 
-fn write_exposition(server: &Server, stream: TcpStream) -> std::io::Result<()> {
+fn write_exposition(server: &Server, stream: TcpStream) -> io::Result<()> {
     let Ok(read_half) = stream.try_clone() else {
         return Ok(());
     };
-    // Drain the request head (GET line + headers) without trusting it.
+    // Drain the request head (GET line + headers) without trusting it;
+    // a head line past `MAX_LINE` closes the connection unanswered.
     let mut reader = BufReader::new(read_half);
     let mut line = String::new();
     loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 || line.trim().is_empty() {
-            break;
+        match read_line_capped(&mut reader, &mut line)? {
+            Line::End => break,
+            Line::TooLong => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("request head line exceeds {MAX_LINE} bytes"),
+                ))
+            }
+            Line::Read if line.trim().is_empty() => break,
+            Line::Read => {}
         }
     }
     let body = server.exposition();

@@ -746,6 +746,13 @@ pub mod testing {
 
     static TEST_GATE: Mutex<()> = Mutex::new(());
 
+    /// Runs `f` holding the gate [`with_collector`] takes, so no
+    /// collector is installed while `f` runs.
+    pub(crate) fn with_gate<R>(f: impl FnOnce() -> R) -> R {
+        let _gate = lock(&TEST_GATE);
+        f()
+    }
+
     /// Runs `f` with telemetry installed (no sinks) and returns `f`'s
     /// result plus the captured [`RunReport`]. Panics if a collector
     /// is already installed outside the gate — test-only code.
@@ -758,21 +765,22 @@ pub mod testing {
         meta: &[(&str, &str)],
         f: impl FnOnce() -> R,
     ) -> (R, RunReport) {
-        let _gate = lock(&TEST_GATE);
-        let mut builder = Telemetry::builder();
-        for (k, v) in meta {
-            builder = builder.with_meta(k, v);
-        }
-        let handle = match builder.install() {
-            Ok(h) => h,
-            Err(e) => panic!("with_collector: {e}"),
-        };
-        let result = f();
-        let report = match handle.finish() {
-            Ok(r) => r,
-            Err(e) => panic!("with_collector finish: {e}"),
-        };
-        (result, report)
+        with_gate(|| {
+            let mut builder = Telemetry::builder();
+            for (k, v) in meta {
+                builder = builder.with_meta(k, v);
+            }
+            let handle = match builder.install() {
+                Ok(h) => h,
+                Err(e) => panic!("with_collector: {e}"),
+            };
+            let result = f();
+            let report = match handle.finish() {
+                Ok(r) => r,
+                Err(e) => panic!("with_collector finish: {e}"),
+            };
+            (result, report)
+        })
     }
 }
 
@@ -782,17 +790,21 @@ mod tests {
 
     #[test]
     fn disabled_paths_are_noops() {
-        assert!(!enabled());
-        let s = span!("nothing", x = 1u64);
-        s.record("y", 2u64);
-        drop(s);
-        event!("nothing.ev", z = 3u64);
-        counter!("c", 1);
-        gauge!("g", 1.0);
-        hist!("h", &[1.0], 0.5);
-        assert_eq!(open_region(), 0);
-        let v = in_stream(0, 5, || 7);
-        assert_eq!(v, 7);
+        // Sibling tests install the process-wide collector under the
+        // gate; holding it keeps telemetry off for this whole test.
+        testing::with_gate(|| {
+            assert!(!enabled());
+            let s = span!("nothing", x = 1u64);
+            s.record("y", 2u64);
+            drop(s);
+            event!("nothing.ev", z = 3u64);
+            counter!("c", 1);
+            gauge!("g", 1.0);
+            hist!("h", &[1.0], 0.5);
+            assert_eq!(open_region(), 0);
+            let v = in_stream(0, 5, || 7);
+            assert_eq!(v, 7);
+        });
     }
 
     #[test]
