@@ -131,7 +131,6 @@ fn traced_search_then_report() {
         "tree.search",
         "compose.fork",
         "controller.epoch",
-        "memo.shard",
     ] {
         assert!(names.contains(required), "trace is missing {required:?}");
     }

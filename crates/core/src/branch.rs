@@ -134,33 +134,6 @@ pub fn sample_delta<'a>(
     (tape, delta)
 }
 
-/// Samples one (partition, compression) episode and composes the
-/// candidate — [`sample_delta`] plus materialization, for callers that
-/// want the composed model unconditionally.
-pub fn sample_candidate(
-    controllers: &Controllers,
-    base: &ModelSpec,
-    bandwidth: f64,
-    rng: &mut StdRng,
-    force_no_partition: f64,
-    explore_epsilon: f64,
-) -> (EpisodeTape, Candidate) {
-    let prefixes = EdgePrefixes::new(base);
-    let (tape, delta) = sample_delta(
-        controllers,
-        base,
-        &prefixes,
-        bandwidth,
-        rng,
-        force_no_partition,
-        explore_epsilon,
-    );
-    let candidate = delta
-        .materialize()
-        .expect("sampled plans are applicable by construction");
-    (tape, candidate)
-}
-
 /// RNG stream salt for the branch search (`"branch"`).
 const BRANCH_SALT: u64 = 0x6272_616e_6368;
 

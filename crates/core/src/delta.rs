@@ -25,7 +25,7 @@ use crate::candidate::{Candidate, Partition};
 
 /// SplitMix64 finalizer — the mixing step of the fingerprint chain.
 /// Deterministic across platforms and runs; good avalanche behavior so
-/// the memo's shard selection (top bits) stays balanced.
+/// memo keys spread evenly over the pool's hash buckets.
 #[inline]
 fn mix(h: u64, v: u64) -> u64 {
     let mut z = h ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15);

@@ -29,7 +29,6 @@ use crate::branch::{optimal_branch, SearchOutcome};
 use crate::candidate::Candidate;
 use crate::context::NetworkContext;
 use crate::env::EvalEnv;
-use crate::executor::Mode;
 use crate::memo::MemoPool;
 use crate::search::{Controllers, SearchConfig};
 use crate::surgery;
@@ -308,14 +307,4 @@ pub fn train_all_parallel(
     })
     .into_iter()
     .collect()
-}
-
-/// Execution fidelity for [`emulation_table`].
-pub fn table4_mode() -> Mode {
-    Mode::Emulation
-}
-
-/// Execution fidelity for the field-test table.
-pub fn table5_mode() -> Mode {
-    Mode::Field
 }

@@ -2,18 +2,16 @@
 //! hash code of searched models to avoid redundant computations" (§VII-A,
 //! Training time).
 //!
-//! The pool is lock-striped: entries are spread over a power-of-two number
-//! of independently locked shards selected by the high bits of the cache
-//! key, so parallel rollout workers rarely contend on the same mutex.
-//! Hit/miss/eviction counters are per-shard atomics and never take a lock;
-//! they are the *only* reporting surface — totals are published into the
-//! telemetry metrics registry via [`MemoPool::publish_telemetry`] rather
-//! than printed ad hoc.
+//! The pool is one `Mutex<HashMap>` shared by every rollout worker. Its
+//! hit/miss counters live inside the same lock, next to the map access
+//! each lookup makes anyway. They are the *only* reporting surface —
+//! totals are published into the telemetry metrics registry via
+//! [`MemoPool::publish_telemetry`] rather than printed ad hoc. The pool
+//! has no size bound: entries live as long as the pool.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cadmc_telemetry as telemetry;
@@ -21,87 +19,25 @@ use cadmc_telemetry as telemetry;
 use crate::candidate::Candidate;
 use crate::reward::Evaluation;
 
-/// Default shard count — enough stripes that 8–16 workers rarely collide,
-/// small enough that `len()` stays cheap.
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// One lock stripe: the entry map plus its lock-free counters. Aligned to
-/// a cache line so adjacent shards' mutexes and counters never share one —
-/// with 16 shards packed in a `Vec`, unpadded counters put four shards'
-/// atomics on the same line and every `fetch_add` invalidates neighbors
-/// (false sharing).
+/// The locked state: entries plus the lookup counters.
 #[derive(Debug, Default)]
-#[repr(align(64))]
-struct Shard {
-    map: Mutex<HashMap<u64, Evaluation>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    evictions: AtomicUsize,
-}
-
-/// Counter snapshot for one shard (see [`MemoPool::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Lookups served from the cache.
-    pub hits: usize,
-    /// Lookups that had to compute.
-    pub misses: usize,
-    /// Entries dropped by capacity eviction.
-    pub evictions: usize,
-    /// Entries currently cached.
-    pub entries: usize,
+struct Table {
+    map: HashMap<u64, Evaluation>,
+    hits: usize,
+    misses: usize,
 }
 
 /// Thread-safe evaluation cache keyed by (model structure, cut, quantized
-/// bandwidth), striped over independently locked shards.
-#[derive(Debug)]
+/// bandwidth).
+#[derive(Debug, Default)]
 pub struct MemoPool {
-    shards: Vec<Shard>,
-    /// log2(shards.len()): the shard index is the key's top `shard_bits` bits.
-    shard_bits: u32,
-    /// Max entries per shard; `None` = unbounded. When an insert would
-    /// exceed it the whole shard is cleared (a deterministic wholesale
-    /// eviction — never dependent on `HashMap` iteration order).
-    capacity_per_shard: Option<usize>,
-}
-
-impl Default for MemoPool {
-    fn default() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
+    table: Mutex<Table>,
 }
 
 impl MemoPool {
-    /// An empty pool with [`DEFAULT_SHARDS`] shards.
+    /// An empty pool.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty pool with `shards` lock stripes (rounded up to a power of
-    /// two, minimum 1).
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_and_capacity(shards, None)
-    }
-
-    /// An empty pool with `shards` lock stripes and an optional per-shard
-    /// entry cap (minimum 1 when given).
-    pub fn with_shards_and_capacity(shards: usize, capacity_per_shard: Option<usize>) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        Self {
-            shards: (0..n).map(|_| Shard::default()).collect(),
-            shard_bits: n.trailing_zeros(),
-            capacity_per_shard: capacity_per_shard.map(|c| c.max(1)),
-        }
-    }
-
-    /// Per-shard entry cap, if bounded.
-    pub fn capacity_per_shard(&self) -> Option<usize> {
-        self.capacity_per_shard
-    }
-
-    /// Number of lock stripes.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Cache key for a candidate at a bandwidth (bandwidth quantized to
@@ -114,33 +50,19 @@ impl MemoPool {
         h.finish()
     }
 
-    /// Shard index for a key: the top `shard_bits` bits. `DefaultHasher`
-    /// mixes well, so high bits spread entries evenly; low bits are left
-    /// for the in-shard `HashMap` bucketing.
-    fn shard_for(&self, key: u64) -> usize {
-        if self.shard_bits == 0 {
-            0
-        } else {
-            (key >> (64 - self.shard_bits)) as usize
-        }
+    /// Locks the table, recovering from poisoning: a panicking evaluator
+    /// can only leave the table in a consistent state (entries are
+    /// inserted whole, counters bumped in the same critical section), so
+    /// the cache stays usable instead of cascading panics through every
+    /// other rollout worker.
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn shard(&self, key: u64) -> &Shard {
-        &self.shards[self.shard_for(key)]
-    }
-
-    /// Locks a shard map, recovering from poisoning: a panicking evaluator
-    /// can only leave a shard map in a consistent state (entries are
-    /// inserted whole), so the cache stays usable instead of cascading
-    /// panics through every other rollout worker.
-    fn lock(shard: &Shard) -> MutexGuard<'_, HashMap<u64, Evaluation>> {
-        shard.map.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Returns the cached evaluation or computes and stores it. Only the
-    /// key's shard is locked, and never while `compute` runs; two threads
-    /// racing on the same fresh key may both compute, but both store the
-    /// same value so lookups stay consistent.
+    /// Returns the cached evaluation or computes and stores it. The lock
+    /// is never held while `compute` runs; two threads racing on the same
+    /// fresh key may both compute, but both store the same value so
+    /// lookups stay consistent.
     pub fn get_or_insert_with(
         &self,
         candidate: &Candidate,
@@ -158,126 +80,70 @@ impl MemoPool {
         key: u64,
         compute: impl FnOnce() -> Evaluation,
     ) -> Evaluation {
-        let shard = self.shard(key);
         {
-            let map = Self::lock(shard);
-            if let Some(&e) = map.get(&key) {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
+            let mut table = self.lock();
+            if let Some(&e) = table.map.get(&key) {
+                table.hits += 1;
                 return e;
             }
         }
         let e = compute();
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        self.insert_entry(key, e);
+        let mut table = self.lock();
+        table.misses += 1;
+        table.map.insert(key, e);
         e
     }
 
-    /// Stores an evaluation under a key (capacity eviction applies). Does
-    /// not touch the hit/miss counters — pair with [`MemoPool::get_key`]
-    /// or [`MemoPool::probe_many`], which already counted the miss.
+    /// Stores an evaluation under a key. Does not touch the hit/miss
+    /// counters — pair with [`MemoPool::get_key`] or
+    /// [`MemoPool::probe_many`], which already counted the miss.
     pub fn insert_key(&self, key: u64, e: Evaluation) {
-        self.insert_entry(key, e);
-    }
-
-    fn insert_entry(&self, key: u64, e: Evaluation) {
-        let shard = self.shard(key);
-        let mut map = Self::lock(shard);
-        if let Some(cap) = self.capacity_per_shard {
-            if map.len() >= cap && !map.contains_key(&key) {
-                shard.evictions.fetch_add(map.len(), Ordering::Relaxed);
-                map.clear();
-            }
-        }
-        map.insert(key, e);
+        self.lock().map.insert(key, e);
     }
 
     /// Cached evaluation for a candidate, if present (no compute, counts
     /// as a hit or miss).
     pub fn get(&self, candidate: &Candidate, bandwidth_mbps: f64) -> Option<Evaluation> {
-        let key = Self::key(candidate, bandwidth_mbps);
-        self.get_key(key)
+        self.get_key(Self::key(candidate, bandwidth_mbps))
     }
 
     /// Cached evaluation under a key, if present (counts as a hit or
     /// miss).
     pub fn get_key(&self, key: u64) -> Option<Evaluation> {
-        let shard = self.shard(key);
-        let found = Self::lock(shard).get(&key).copied();
+        let mut table = self.lock();
+        let found = table.map.get(&key).copied();
         match found {
-            Some(_) => shard.hits.fetch_add(1, Ordering::Relaxed),
-            None => shard.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => table.hits += 1,
+            None => table.misses += 1,
+        }
         found
     }
 
-    /// Batched probe for an expansion front: looks up every key, locking
-    /// each touched shard exactly once (probes are grouped by shard) and
-    /// updating its counters with one `fetch_add` per shard instead of
-    /// one per key. Equivalent to calling [`MemoPool::get_key`] per key —
-    /// pinned by the batched-vs-single equivalence test.
+    /// Batched probe for an expansion front: looks up every key under one
+    /// lock acquisition. Equivalent to calling [`MemoPool::get_key`] per
+    /// key — pinned by the batched-vs-single equivalence test.
     pub fn probe_many(&self, keys: &[u64]) -> Vec<Option<Evaluation>> {
-        let mut out = vec![None; keys.len()];
-        // Group key positions by shard. Sorting a small index vec beats
-        // allocating one bucket per shard for typical front sizes.
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by_key(|&i| self.shard_for(keys[i]));
-        let mut pos = 0;
-        while pos < order.len() {
-            let shard_idx = self.shard_for(keys[order[pos]]);
-            let shard = &self.shards[shard_idx];
-            let mut hits = 0;
-            let mut misses = 0;
-            {
-                let map = Self::lock(shard);
-                while pos < order.len() && self.shard_for(keys[order[pos]]) == shard_idx {
-                    let i = order[pos];
-                    match map.get(&keys[i]) {
-                        Some(&e) => {
-                            out[i] = Some(e);
-                            hits += 1;
-                        }
-                        None => misses += 1,
-                    }
-                    pos += 1;
-                }
-            }
-            if hits > 0 {
-                shard.hits.fetch_add(hits, Ordering::Relaxed);
-            }
-            if misses > 0 {
-                shard.misses.fetch_add(misses, Ordering::Relaxed);
-            }
-        }
+        let mut table = self.lock();
+        let out: Vec<_> = keys.iter().map(|k| table.map.get(k).copied()).collect();
+        let hits = out.iter().filter(|e| e.is_some()).count();
+        table.hits += hits;
+        table.misses += keys.len() - hits;
         out
     }
 
-    /// Number of cache hits so far (summed over shards).
+    /// Number of cache hits so far.
     pub fn hits(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.hits.load(Ordering::Relaxed))
-            .sum()
+        self.lock().hits
     }
 
-    /// Number of cache misses so far (summed over shards).
+    /// Number of cache misses so far.
     pub fn misses(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.misses.load(Ordering::Relaxed))
-            .sum()
+        self.lock().misses
     }
 
-    /// Number of entries dropped by capacity eviction (summed over shards).
-    pub fn evictions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.evictions.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Number of cached evaluations across all shards.
+    /// Number of cached evaluations.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock(s).len()).sum()
+        self.lock().map.len()
     }
 
     /// Whether the pool is empty.
@@ -285,52 +151,20 @@ impl MemoPool {
         self.len() == 0
     }
 
-    /// Entry count per shard, in shard order (for balance diagnostics).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| Self::lock(s).len()).collect()
-    }
-
-    /// Counter snapshot per shard, in shard order.
-    pub fn stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|s| ShardStats {
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                evictions: s.evictions.load(Ordering::Relaxed),
-                entries: Self::lock(s).len(),
-            })
-            .collect()
-    }
-
-    /// Publishes the pool's counters into the telemetry registry: totals
-    /// as `memo.hits` / `memo.misses` / `memo.evictions` / `memo.entries`
-    /// counters, one `memo.shard` event per shard, and per-shard
-    /// `memo.shardNN.{hits,misses,evictions}` gauges (a scrape-friendly
-    /// view of the same numbers — gauges overwrite, so publish once per
-    /// pool from one thread). Call when the pool's search finishes; a
-    /// no-op when telemetry is off.
+    /// Publishes the pool's totals into the telemetry registry as the
+    /// `memo.hits` / `memo.misses` / `memo.entries` counters. Call when
+    /// the pool's search finishes; a no-op when telemetry is off.
     pub fn publish_telemetry(&self) {
         if !telemetry::enabled() {
             return;
         }
-        for (i, s) in self.stats().iter().enumerate() {
-            telemetry::counter!("memo.hits", s.hits as u64);
-            telemetry::counter!("memo.misses", s.misses as u64);
-            telemetry::counter!("memo.evictions", s.evictions as u64);
-            telemetry::counter!("memo.entries", s.entries as u64);
-            telemetry::gauge!(&format!("memo.shard{i:02}.hits"), s.hits as f64);
-            telemetry::gauge!(&format!("memo.shard{i:02}.misses"), s.misses as f64);
-            telemetry::gauge!(&format!("memo.shard{i:02}.evictions"), s.evictions as f64);
-            telemetry::event!(
-                "memo.shard",
-                shard = i,
-                hits = s.hits,
-                misses = s.misses,
-                evictions = s.evictions,
-                entries = s.entries,
-            );
-        }
+        let (hits, misses, entries) = {
+            let table = self.lock();
+            (table.hits, table.misses, table.map.len())
+        };
+        telemetry::counter!("memo.hits", hits as u64);
+        telemetry::counter!("memo.misses", misses as u64);
+        telemetry::counter!("memo.entries", entries as u64);
     }
 }
 
@@ -339,6 +173,7 @@ mod tests {
     use super::*;
     use crate::reward::RewardSpec;
     use cadmc_nn::zoo;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn second_lookup_hits() {
@@ -409,40 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(MemoPool::with_shards(1).shards(), 1);
-        assert_eq!(MemoPool::with_shards(3).shards(), 4);
-        assert_eq!(MemoPool::with_shards(16).shards(), 16);
-        assert_eq!(MemoPool::with_shards(0).shards(), 1);
-    }
-
-    #[test]
-    fn entries_spread_across_shards() {
-        // Distinct bandwidths produce distinct keys; with 16 shards and
-        // many entries the stripe distribution must not collapse onto a
-        // single shard.
-        let pool = MemoPool::with_shards(16);
-        let base = zoo::vgg11_cifar();
-        let c = Candidate::base_all_edge(&base);
-        let spec = RewardSpec::default();
-        for i in 0..256 {
-            let bw = 1.0 + i as f64;
-            pool.get_or_insert_with(&c, bw, || Evaluation::new(0.9, 50.0, &spec));
-        }
-        let lens = pool.shard_lens();
-        assert_eq!(lens.iter().sum::<usize>(), 256);
-        assert_eq!(pool.len(), 256);
-        let occupied = lens.iter().filter(|&&l| l > 0).count();
-        assert!(
-            occupied >= 8,
-            "keys collapsed onto {occupied} of 16 shards: {lens:?}"
-        );
-    }
-
-    #[test]
     fn counters_sum_to_lookups_across_threads() {
         // hits + misses must equal total lookups even under contention.
-        let pool = std::sync::Arc::new(MemoPool::with_shards(4));
+        let pool = std::sync::Arc::new(MemoPool::new());
         let base = zoo::vgg11_cifar();
         let c = Candidate::base_all_edge(&base);
         let mut handles = Vec::new();
@@ -469,97 +273,59 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_whole_shard_deterministically() {
-        // One shard, cap 4: the 5th distinct insert clears the shard,
-        // counting 4 evictions, and the pool keeps working.
-        let pool = MemoPool::with_shards_and_capacity(1, Some(4));
-        let base = zoo::vgg11_cifar();
-        let c = Candidate::base_all_edge(&base);
-        let spec = RewardSpec::default();
-        for i in 0..5 {
-            let bw = 1.0 + i as f64;
-            pool.get_or_insert_with(&c, bw, || Evaluation::new(0.9, 50.0, &spec));
-        }
-        assert_eq!(pool.evictions(), 4);
-        assert_eq!(pool.len(), 1);
-        // Re-inserting an evicted key recomputes (a miss).
-        let misses_before = pool.misses();
-        pool.get_or_insert_with(&c, 1.0, || Evaluation::new(0.9, 50.0, &spec));
-        assert_eq!(pool.misses(), misses_before + 1);
-        // Hitting an existing key at capacity does not evict.
-        let evictions_before = pool.evictions();
-        pool.get_or_insert_with(&c, 1.0, || unreachable!("must hit"));
-        assert_eq!(pool.evictions(), evictions_before);
-    }
-
-    #[test]
-    fn stats_snapshot_matches_counters() {
-        let pool = MemoPool::with_shards(4);
-        let base = zoo::vgg11_cifar();
-        let c = Candidate::base_all_edge(&base);
-        let spec = RewardSpec::default();
-        for i in 0..16 {
-            let bw = 1.0 + (i % 8) as f64;
-            pool.get_or_insert_with(&c, bw, || Evaluation::new(0.9, 50.0, &spec));
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.len(), 4);
-        assert_eq!(stats.iter().map(|s| s.hits).sum::<usize>(), pool.hits());
-        assert_eq!(stats.iter().map(|s| s.misses).sum::<usize>(), pool.misses());
-        assert_eq!(stats.iter().map(|s| s.entries).sum::<usize>(), pool.len());
-        assert_eq!(pool.hits() + pool.misses(), 16);
-        assert_eq!(pool.capacity_per_shard(), None);
-    }
-
-    #[test]
-    fn publish_telemetry_reports_to_registry() {
-        let pool = MemoPool::with_shards(2);
+    fn publish_telemetry_emits_exactly_the_three_totals() {
+        let pool = MemoPool::new();
         let base = zoo::vgg11_cifar();
         let c = Candidate::base_all_edge(&base);
         let spec = RewardSpec::default();
         pool.get_or_insert_with(&c, 1.0, || Evaluation::new(0.9, 50.0, &spec));
         pool.get_or_insert_with(&c, 1.0, || unreachable!("must hit"));
+        pool.get_or_insert_with(&c, 2.0, || Evaluation::new(0.9, 60.0, &spec));
         pool.publish_telemetry(); // telemetry off: no-op
         let ((), report) = cadmc_telemetry::testing::with_collector(|| {
             pool.publish_telemetry();
         });
-        assert_eq!(report.metrics.counter("memo.hits"), Some(1));
-        assert_eq!(report.metrics.counter("memo.misses"), Some(1));
-        assert_eq!(report.metrics.counter("memo.entries"), Some(1));
-        let shard_events = report
-            .events
+        let memo_counters: Vec<(&str, u64)> = report
+            .metrics
+            .counters
             .iter()
-            .filter(|e| e.name == "memo.shard")
-            .count();
-        assert_eq!(shard_events, 2);
+            .filter(|(name, _)| name.starts_with("memo."))
+            .map(|(name, v)| (name.as_str(), *v))
+            .collect();
+        assert_eq!(
+            memo_counters,
+            [("memo.entries", 2), ("memo.hits", 1), ("memo.misses", 2)]
+        );
+        assert!(report.events.iter().all(|e| e.name != "memo.shard"));
+        assert!(report
+            .metrics
+            .gauges
+            .iter()
+            .all(|(name, _)| !name.starts_with("memo.shard")));
     }
 
     #[test]
     fn batched_probe_matches_single_probes() {
         // probe_many must agree with per-key get_key on both values and
-        // counter deltas, across shard counts (including the degenerate
-        // single shard) and duplicate keys within one batch.
+        // counter deltas, duplicate keys within one batch included.
         let spec = RewardSpec::default();
-        for shards in [1, 4, 16] {
-            let single = MemoPool::with_shards(shards);
-            let batched = MemoPool::with_shards(shards);
-            let keys: Vec<u64> = (0..64u64)
-                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                .collect();
-            for (n, &k) in keys.iter().enumerate().filter(|(n, _)| n % 3 != 0) {
-                let e = Evaluation::new(0.9, 10.0 + n as f64, &spec);
-                single.insert_key(k, e);
-                batched.insert_key(k, e);
-            }
-            let mut probe: Vec<u64> = keys.clone();
-            probe.extend_from_slice(&keys[..8]); // duplicates
-            let got = batched.probe_many(&probe);
-            let want: Vec<Option<Evaluation>> =
-                probe.iter().map(|&k| single.get_key(k)).collect();
-            assert_eq!(got, want, "{shards} shards");
-            assert_eq!(batched.hits(), single.hits(), "{shards} shards");
-            assert_eq!(batched.misses(), single.misses(), "{shards} shards");
+        let single = MemoPool::new();
+        let batched = MemoPool::new();
+        let keys: Vec<u64> = (0..64u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        for (n, &k) in keys.iter().enumerate().filter(|(n, _)| n % 3 != 0) {
+            let e = Evaluation::new(0.9, 10.0 + n as f64, &spec);
+            single.insert_key(k, e);
+            batched.insert_key(k, e);
         }
+        let mut probe: Vec<u64> = keys.clone();
+        probe.extend_from_slice(&keys[..8]); // duplicates
+        let got = batched.probe_many(&probe);
+        let want: Vec<Option<Evaluation>> = probe.iter().map(|&k| single.get_key(k)).collect();
+        assert_eq!(got, want);
+        assert_eq!(batched.hits(), single.hits());
+        assert_eq!(batched.misses(), single.misses());
     }
 
     #[test]
@@ -581,17 +347,5 @@ mod tests {
         assert_eq!(pool.get_key(key), Some(e));
         let via_key = pool.get_or_insert_key_with(key, || unreachable!("must hit"));
         assert_eq!(via_key, e);
-    }
-
-    #[test]
-    fn single_shard_pool_still_works() {
-        let pool = MemoPool::with_shards(1);
-        let base = zoo::vgg11_cifar();
-        let c = Candidate::base_all_edge(&base);
-        let spec = RewardSpec::default();
-        let e = pool.get_or_insert_with(&c, 5.0, || Evaluation::new(0.8, 40.0, &spec));
-        let e2 = pool.get_or_insert_with(&c, 5.0, || unreachable!("must hit"));
-        assert_eq!(e.reward, e2.reward);
-        assert_eq!(pool.shard_lens(), vec![1]);
     }
 }

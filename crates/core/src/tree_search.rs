@@ -720,7 +720,7 @@ fn complete_tree(tree: &mut ModelTree, env: &EvalEnv, memo: &MemoPool) {
     // root-only path (the tree degenerated to one branch) is scored as the
     // mean over all K levels so rigid trees are not judged at a single
     // optimistic bandwidth. The whole expansion front is probed against
-    // the memo in one batch (one lock per touched shard), and a branch is
+    // the memo in one batch (one lock acquisition), and a branch is
     // composed only when one of its bandwidths misses.
     let scored: Vec<(usize, f64)> = {
         let branches = tree.branches();

@@ -1,4 +1,4 @@
-//! Schedule-permutation stress tests for the lock-striped [`MemoPool`].
+//! Schedule-permutation stress tests for the shared [`MemoPool`].
 //!
 //! Plain concurrency tests exercise whatever interleaving the OS happens
 //! to pick. This harness instead *drives* many distinct schedules: each
@@ -12,7 +12,6 @@
 //! - `len == number of distinct keys touched`,
 //! - `misses >= distinct keys` (each entry was computed at least once;
 //!   benign duplicate compute under a race may push it higher),
-//! - `shard_lens().sum() == len` (stripes partition the key space),
 //! - every lookup of a key observed the same `Evaluation` (first write
 //!   wins semantics never expose torn or mixed values).
 //!
@@ -45,9 +44,8 @@ fn run_schedule(
     workers: usize,
     ops_per_worker: usize,
     key_universe: usize,
-    shards: usize,
 ) -> (Arc<MemoPool>, Vec<Observation>, usize) {
-    let pool = Arc::new(MemoPool::with_shards(shards));
+    let pool = Arc::new(MemoPool::new());
     let base = zoo::tiny_cnn();
     let candidate = Candidate::base_all_edge(&base);
     let computes = Arc::new(AtomicUsize::new(0));
@@ -129,55 +127,38 @@ fn check_invariants(seed: u64, pool: &MemoPool, observations: &[Observation], to
         "seed {seed}: {} misses cannot cover {distinct} distinct keys",
         pool.misses()
     );
-    let lens = pool.shard_lens();
-    assert_eq!(
-        lens.iter().sum::<usize>(),
-        pool.len(),
-        "seed {seed}: shard lens {lens:?} do not partition len {}",
-        pool.len()
-    );
 }
 
 #[test]
 fn seeded_schedules_preserve_invariants() {
-    let (seeds, workers, ops, keys) = if light_mode() {
-        (2u64, 4, 40, 12)
+    // Every operation of every worker goes through the pool's one lock;
+    // the sweep covers both a wide key universe and a narrow one, where
+    // nearly every lookup races another on the same entry.
+    let runs: &[(u64, usize, usize, usize)] = if light_mode() {
+        &[(2, 4, 40, 12), (2, 4, 30, 6)]
     } else {
-        (12u64, 8, 400, 64)
+        &[(12, 8, 400, 64), (6, 8, 300, 16)]
     };
-    for seed in 0..seeds {
-        let (pool, observations, total) = run_schedule(seed, workers, ops, keys, 16);
-        check_invariants(seed, &pool, &observations, total);
-    }
-}
-
-#[test]
-fn single_shard_maximizes_contention() {
-    // One stripe forces every operation through a single mutex — the
-    // worst-case schedule for lost updates and torn reads.
-    let (seeds, workers, ops, keys) = if light_mode() {
-        (2u64, 4, 30, 6)
-    } else {
-        (6u64, 8, 300, 16)
-    };
-    for seed in 100..100 + seeds {
-        let (pool, observations, total) = run_schedule(seed, workers, ops, keys, 1);
-        check_invariants(seed, &pool, &observations, total);
-        assert_eq!(pool.shards(), 1);
+    for (sweep, &(seeds, workers, ops, keys)) in runs.iter().enumerate() {
+        let first = 100 * sweep as u64;
+        for seed in first..first + seeds {
+            let (pool, observations, total) = run_schedule(seed, workers, ops, keys);
+            check_invariants(seed, &pool, &observations, total);
+        }
     }
 }
 
 #[test]
 fn hot_key_hammering_is_consistent() {
     // All workers hammer a tiny key set so nearly every op races on the
-    // same shard entries; hit rate must dominate and values never change.
+    // same entries; hit rate must dominate and values never change.
     let (seeds, workers, ops) = if light_mode() {
         (2u64, 4, 50)
     } else {
         (4u64, 8, 500)
     };
     for seed in 200..200 + seeds {
-        let (pool, observations, total) = run_schedule(seed, workers, ops, 2, 16);
+        let (pool, observations, total) = run_schedule(seed, workers, ops, 2);
         check_invariants(seed, &pool, &observations, total);
         assert_eq!(pool.len(), observations.iter().map(|o| o.0).max().map_or(0, |m| m as usize + 1).min(2));
         // With only 2 keys and hundreds of ops, almost everything hits.
@@ -195,7 +176,7 @@ fn concurrent_batched_probes_match_single_probes() {
     // batches while writers race `insert_key` on the same universe. A
     // batched probe must be indistinguishable from per-key `get_key`:
     // every `Some` carries the key's one true evaluation, result order
-    // matches key order, and no per-shard counter update is lost.
+    // matches key order, and no counter update is lost.
     let (seeds, readers, writers, batches, keys) = if light_mode() {
         (2u64, 3, 2, 20, 12)
     } else {
@@ -209,7 +190,7 @@ fn concurrent_batched_probes_match_single_probes() {
         )
     };
     for seed in 300..300 + seeds {
-        let pool = Arc::new(MemoPool::with_shards(8));
+        let pool = Arc::new(MemoPool::new());
         let probes = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(readers + writers));
         let mut handles = Vec::new();
@@ -220,7 +201,7 @@ fn concurrent_batched_probes_match_single_probes() {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x77a1_u64.wrapping_add(w as u64));
                 barrier.wait();
                 // Interleave inserts with yields so probes race both
-                // empty and populated shards.
+                // missing and present entries.
                 let mut order: Vec<usize> = (0..keys).collect();
                 for i in (1..order.len()).rev() {
                     order.swap(i, rng.random_range(0..=i));
@@ -291,15 +272,24 @@ fn schedules_differ_but_results_do_not() {
     // hit/miss splits are fine) but the final cache contents must be the
     // same whenever the key universe is fully covered.
     let (workers, ops, keys) = if light_mode() { (4, 60, 8) } else { (8, 400, 16) };
-    let mut final_lens = Vec::new();
+    let base = zoo::tiny_cnn();
+    let candidate = Candidate::base_all_edge(&base);
+    let mut contents = Vec::new();
     for seed in [7u64, 77, 777] {
-        let (pool, observations, total) = run_schedule(seed, workers, ops, keys, 8);
+        let (pool, observations, total) = run_schedule(seed, workers, ops, keys);
         check_invariants(seed, &pool, &observations, total);
         assert_eq!(pool.len(), keys, "ops must cover the whole key universe");
-        final_lens.push(pool.shard_lens());
+        let rewards: Vec<Option<u64>> = (0..keys)
+            .map(|k| {
+                let key = MemoPool::key(&candidate, 1.0 + k as f64);
+                pool.get_key(key).map(|e| e.reward.to_bits())
+            })
+            .collect();
+        assert!(rewards.iter().all(Option::is_some), "seed {seed}: a key is missing");
+        contents.push(rewards);
     }
-    // Shard striping is a pure function of the key, so the final layout
-    // is schedule-independent.
-    assert_eq!(final_lens[0], final_lens[1]);
-    assert_eq!(final_lens[1], final_lens[2]);
+    // Every evaluation is a pure function of its key, so the final
+    // contents are schedule-independent.
+    assert_eq!(contents[0], contents[1]);
+    assert_eq!(contents[1], contents[2]);
 }

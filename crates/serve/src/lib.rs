@@ -4,7 +4,7 @@
 //! heterogeneous clients submit a model (a zoo name or inline `.ir`
 //! text), an accuracy constraint, a device profile and a bandwidth
 //! context, and receive the outcome of running that session through the
-//! search/executor stack — sharing the sharded memo pool and an LRU tree
+//! search/executor stack — sharing one memo pool and an LRU tree
 //! cache keyed by `(IR hash, context-distribution hash)` across
 //! sessions.
 //!

@@ -192,9 +192,9 @@ pub struct GaugeSet {
 /// Cache hit/miss pairs for the two shared caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheRates {
-    /// Memo-pool hits (all shards).
+    /// Memo-pool hits.
     pub memo_hits: usize,
-    /// Memo-pool misses (all shards).
+    /// Memo-pool misses.
     pub memo_misses: usize,
     /// Tree-cache hits.
     pub tree_hits: usize,

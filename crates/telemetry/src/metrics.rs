@@ -2,9 +2,9 @@
 //!
 //! The registry lives behind the global collector and is mutated through
 //! the `counter!`/`gauge!`/`hist!` macros (or their function forms).
-//! Subsystems that keep their own lock-free atomics — e.g. the memo
-//! pool's per-shard hit/miss counters — accumulate locally and publish
-//! totals here once, so hot paths never touch the registry lock.
+//! Subsystems that keep their own counters — e.g. the memo pool's
+//! hit/miss counts — accumulate locally and publish totals here once,
+//! so hot paths never touch the registry lock.
 //!
 //! Storage is `BTreeMap`-backed so snapshots enumerate in name order:
 //! metric lines in a trace are deterministic byte-for-byte when the

@@ -601,30 +601,8 @@ pub fn render_summary(report: &RunReport) -> String {
             h as f64 / total as f64 * 100.0
         };
         out.push_str(&format!(
-            "\nmemo pool: {h} hits / {m} misses ({ratio:.1}% hit ratio"
+            "\nmemo pool: {h} hits / {m} misses ({ratio:.1}% hit ratio)\n"
         ));
-        if let Some(ev) = report.metrics.counter("memo.evictions") {
-            out.push_str(&format!(", {ev} evictions"));
-        }
-        out.push_str(")\n");
-        let shards: Vec<&Event> = report
-            .events
-            .iter()
-            .filter(|e| e.name == "memo.shard")
-            .collect();
-        if !shards.is_empty() {
-            out.push_str("  shard   hits  misses  evict  entries\n");
-            for s in shards {
-                out.push_str(&format!(
-                    "  {:>5} {:>6} {:>7} {:>6} {:>8}\n",
-                    s.field_f64("shard").unwrap_or(-1.0) as i64,
-                    s.field_f64("hits").unwrap_or(0.0) as u64,
-                    s.field_f64("misses").unwrap_or(0.0) as u64,
-                    s.field_f64("evictions").unwrap_or(0.0) as u64,
-                    s.field_f64("entries").unwrap_or(0.0) as u64,
-                ));
-            }
-        }
     }
 
     // --- reward trajectories ---

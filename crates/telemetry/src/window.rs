@@ -5,14 +5,15 @@
 //! virtual-time slices; a sliding window over the most recent
 //! `window_ms` of slices is what snapshots and quantiles read from.
 //! Everything is engineered for *byte-identical* results regardless of
-//! how the work was sharded:
+//! the order samples were recorded in:
 //!
 //! - All keys live in `BTreeMap`s, so iteration order is the key order,
 //!   never insertion order.
 //! - Samples are quantized to integer micro-units at record time
 //!   (`value × 1000`, rounded). Sums are `u64` adds — associative and
-//!   commutative — so merging per-worker shards in *any* permutation
-//!   produces the same bytes (float accumulation would not).
+//!   commutative — so folding the live slices into a snapshot produces
+//!   the same bytes for any recording order (float accumulation would
+//!   not).
 //! - Quantile readout is exact over the fixed buckets: `quantile(q)`
 //!   returns the upper bound of the bucket containing rank
 //!   `ceil(q × count)`, a deterministic function of the counts alone.
@@ -83,11 +84,11 @@ impl WindowConfig {
     }
 }
 
-/// A mergeable fixed-bucket histogram with integer micro-unit sums.
+/// A fixed-bucket histogram with integer micro-unit sums.
 ///
 /// Bounds live in the owning [`WindowConfig`]; the cell stores only
 /// counts so per-key state stays compact. `sum_micros` is the sum of
-/// quantized samples — integer, so shard merges are associative.
+/// quantized samples — integer, so folding slices is associative.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WindowHist {
     /// Per-bucket counts; `len() == bounds.len() + 1` (last = overflow).
@@ -111,8 +112,8 @@ impl WindowHist {
     /// to [`quantile`](Self::quantile)): a value exactly on a bound
     /// lands in that bound's bucket, values above the last bound land in
     /// the overflow bucket, and non-finite or negative samples are
-    /// dropped. The sum quantizes to integer micro-units so shard
-    /// merges stay associative.
+    /// dropped. The sum quantizes to integer micro-units so slice
+    /// folds stay associative.
     pub fn record(&mut self, bounds: &[f64], value: f64) {
         if !value.is_finite() || value < 0.0 {
             return;
@@ -208,13 +209,6 @@ impl Slice {
 }
 
 /// Sliding-window aggregator over an external clock.
-///
-/// One aggregator is also one *shard*: per-worker shards built from
-/// disjoint (or overlapping) event streams merge via [`merge_from`]
-/// into the same bytes in any permutation, because every slice, key and
-/// bucket combines with commutative `u64` addition.
-///
-/// [`merge_from`]: WindowAggregator::merge_from
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowAggregator {
     cfg: WindowConfig,
@@ -285,43 +279,6 @@ impl WindowAggregator {
             .cell(tenant, outcome, &cfg)
             .transfer
             .record(&cfg.transfer_bounds, bytes);
-    }
-
-    /// Folds another shard into this one. Slice-by-slice, key-by-key,
-    /// bucket-by-bucket `u64` addition: commutative and associative, so
-    /// any merge order yields identical state (pinned by the
-    /// permutation property test).
-    pub fn merge_from(&mut self, other: &WindowAggregator) {
-        debug_assert_eq!(self.cfg, other.cfg, "merging shards with different windows");
-        if other.now_ms > self.now_ms {
-            self.now_ms = other.now_ms;
-        }
-        for (idx, slice) in &other.slices {
-            let dst = self.slices.entry(*idx).or_default();
-            for (key, cell) in &slice.cells {
-                let d = dst.cells.entry(key.clone()).or_insert_with(|| Cell {
-                    count: 0,
-                    latency: WindowHist::new(self.cfg.latency_bounds_ms.len()),
-                    transfer: WindowHist::new(self.cfg.transfer_bounds.len()),
-                });
-                d.count += cell.count;
-                d.latency.merge_from(&cell.latency);
-                d.transfer.merge_from(&cell.transfer);
-            }
-        }
-        // Expire against the merged clock.
-        self.advance(self.now_ms);
-    }
-
-    /// Merges a set of shards into one aggregator (empty config clone
-    /// when `shards` is empty is not expressible — pass at least one).
-    pub fn merged(shards: &[WindowAggregator]) -> Option<WindowAggregator> {
-        let mut it = shards.iter();
-        let mut acc = it.next()?.clone();
-        for s in it {
-            acc.merge_from(s);
-        }
-        Some(acc)
     }
 
     /// Snapshot of everything inside the current window, keys sorted.
@@ -399,7 +356,7 @@ impl WindowSnapshot {
     /// Canonical fixed-precision text rendering — one line per key with
     /// count, latency p50/p95/p99/mean and transfer totals. Two
     /// snapshots built from the same samples render byte-identically
-    /// regardless of sharding (integer sums, sorted keys, fixed
+    /// regardless of recording order (integer sums, sorted keys, fixed
     /// `{:.3}` formatting).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -488,26 +445,6 @@ mod tests {
         // 10 s window, 1 s slices: at t=10.5s slice 0 has expired.
         w.advance(10_500.0);
         assert_eq!(w.snapshot().total(), 0);
-    }
-
-    #[test]
-    fn merge_is_permutation_invariant_smoke() {
-        let mut a = WindowAggregator::new(cfg());
-        let mut b = WindowAggregator::new(cfg());
-        let mut c = WindowAggregator::new(cfg());
-        a.observe_latency(10.0, "t0", "ok", 3.0);
-        b.observe_latency(20.0, "t1", "failed", 200.0);
-        b.observe_count(30.0, "t0", "shed:rate", 2);
-        c.observe_transfer(40.0, "t0", "ok", 5_000.0);
-
-        let mut ab = a.clone();
-        ab.merge_from(&b);
-        ab.merge_from(&c);
-        let mut cb = c.clone();
-        cb.merge_from(&b);
-        cb.merge_from(&a);
-        assert_eq!(ab, cb);
-        assert_eq!(ab.snapshot().render(), cb.snapshot().render());
     }
 
     #[test]

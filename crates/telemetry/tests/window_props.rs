@@ -1,125 +1,10 @@
-//! Windowed-aggregation merge properties and quantile boundary pins.
+//! Windowed-aggregation quantile boundary pins.
 //!
-//! The merge contract is the one the serving layer's determinism claims
-//! rest on: samples sharded across any number of per-worker aggregators
-//! and merged back in *any permutation* produce a snapshot that renders
-//! byte-identically to one aggregator that saw every sample — counts
-//! and micro-unit sums are plain `u64` additions, so merging is
-//! associative and commutative with no float re-association anywhere.
 //! The quantile contract is exact fixed-bucket readout: the reported
 //! quantile is the upper bound of the bucket containing rank
 //! `ceil(q * count)`, and the overflow bucket reads `+Inf`.
 
-use cadmc_telemetry::{WindowAggregator, WindowConfig, WindowHist};
-use proptest::prelude::*;
-
-const TENANTS: &[&str] = &["tenant-0", "tenant-1", "tenant-2"];
-const OUTCOMES: &[&str] = &["ok", "degraded", "failed", "shed:rate"];
-
-/// One synthetic observation, indices into the small name pools so
-/// proptest shrinks toward tiny cases.
-#[derive(Debug, Clone, Copy)]
-struct Sample {
-    slot: u16,
-    tenant: u8,
-    outcome: u8,
-    latency_ms: u32,
-    transfer: u32,
-}
-
-fn sample_strategy() -> impl Strategy<Value = Sample> {
-    // Nested pairs: the vendored proptest implements tuple strategies
-    // only up to arity four.
-    ((0u16..60, 0u8..3, 0u8..4), (0u32..30_000, 0u32..20_000_000)).prop_map(
-        |((slot, tenant, outcome), (latency_ms, transfer))| Sample {
-            slot,
-            tenant,
-            outcome,
-            latency_ms,
-            transfer,
-        },
-    )
-}
-
-fn feed(agg: &mut WindowAggregator, s: &Sample) {
-    let t_ms = f64::from(s.slot) * 1_000.0 + 0.5;
-    let tenant = TENANTS[s.tenant as usize];
-    let outcome = OUTCOMES[s.outcome as usize];
-    agg.observe_count(t_ms, tenant, outcome, 1);
-    agg.observe_latency(t_ms, tenant, outcome, f64::from(s.latency_ms) / 10.0);
-    agg.observe_transfer(t_ms, tenant, outcome, f64::from(s.transfer));
-}
-
-/// Applies the permutation `perm` (any u64 seed) to shard indices via a
-/// deterministic Fisher–Yates driven by a splitmix step — no `rand`
-/// needed in this crate's dev graph.
-fn permute<T>(items: &mut [T], mut seed: u64) {
-    for i in (1..items.len()).rev() {
-        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let j = (seed >> 33) as usize % (i + 1);
-        items.swap(i, j);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Sharding samples across 1..=8 per-worker aggregators and merging
-    /// the shards in an arbitrary permutation renders the same bytes as
-    /// one aggregator that saw everything, for every worker count.
-    #[test]
-    fn shard_merge_is_permutation_invariant(
-        samples in proptest::collection::vec(sample_strategy(), 0..120),
-        perm_seed in 0u64..u64::MAX,
-    ) {
-        let cfg = WindowConfig::default();
-        let mut reference = WindowAggregator::new(cfg.clone());
-        for s in &samples {
-            feed(&mut reference, s);
-        }
-        reference.advance(60_000.0);
-        let want = reference.snapshot().render();
-
-        for workers in [1usize, 2, 8] {
-            let mut shards: Vec<WindowAggregator> =
-                (0..workers).map(|_| WindowAggregator::new(cfg.clone())).collect();
-            for (i, s) in samples.iter().enumerate() {
-                feed(&mut shards[i % workers], s);
-            }
-            permute(&mut shards, perm_seed);
-            let mut merged = WindowAggregator::merged(&shards).expect("non-empty");
-            merged.advance(60_000.0);
-            let got = merged.snapshot().render();
-            prop_assert_eq!(
-                &got, &want,
-                "snapshot must be byte-identical for {} workers", workers
-            );
-        }
-    }
-
-    /// Merging two shards in either order yields identical bytes
-    /// (commutativity pinned directly, not just via `merged`).
-    #[test]
-    fn pairwise_merge_commutes(
-        left in proptest::collection::vec(sample_strategy(), 0..40),
-        right in proptest::collection::vec(sample_strategy(), 0..40),
-    ) {
-        let cfg = WindowConfig::default();
-        let mut a = WindowAggregator::new(cfg.clone());
-        let mut b = WindowAggregator::new(cfg.clone());
-        for s in &left { feed(&mut a, s); }
-        for s in &right { feed(&mut b, s); }
-        let mut ab = a.clone();
-        ab.merge_from(&b);
-        let mut ba = b.clone();
-        ba.merge_from(&a);
-        ab.advance(60_000.0);
-        ba.advance(60_000.0);
-        prop_assert_eq!(ab.snapshot().render(), ba.snapshot().render());
-    }
-}
-
-// --- quantile bucket-boundary pins -----------------------------------------
+use cadmc_telemetry::WindowHist;
 
 const BOUNDS: &[f64] = &[10.0, 20.0, 40.0];
 
