@@ -125,13 +125,7 @@ mod tests {
             (v, Some(g.backward(loss)))
         };
         let (_, grads) = run(&params);
-        assert_gradients_close(
-            &params,
-            &[w1, b1, w2],
-            &grads.unwrap(),
-            |p| run(p).0,
-            2e-2,
-        );
+        assert_gradients_close(&params, &[w1, b1, w2], &grads.unwrap(), |p| run(p).0, 2e-2);
     }
 
     #[test]

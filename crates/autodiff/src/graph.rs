@@ -396,7 +396,9 @@ impl Graph {
     pub fn lstm_cell_state(&mut self, gates: VarId, c_prev: VarId, hidden: usize) -> VarId {
         let gv = self.value(gates);
         let i = gv.slice_cols(0, hidden).map(|x| 1.0 / (1.0 + (-x).exp()));
-        let f = gv.slice_cols(hidden, hidden).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let f = gv
+            .slice_cols(hidden, hidden)
+            .map(|x| 1.0 / (1.0 + (-x).exp()));
         let g = gv.slice_cols(3 * hidden, hidden).map(f32::tanh);
         // Single pass over the gate blocks; each element is the same
         // left-associated `(f∘c_prev) + (i∘g)` expression the hadamard →
@@ -409,7 +411,16 @@ impl Graph {
             }
         }
         let v = Matrix::from_vec(i.rows(), i.cols(), vdata);
-        self.push(v, Op::LstmCellState { gates, c_prev, i, f, g })
+        self.push(
+            v,
+            Op::LstmCellState {
+                gates,
+                c_prev,
+                i,
+                f,
+                g,
+            },
+        )
     }
 
     /// Fused LSTM output `σ(ô) ∘ tanh(c)` where `ô` is the third
@@ -422,7 +433,15 @@ impl Graph {
             .map(|x| 1.0 / (1.0 + (-x).exp()));
         let tanh_c = self.value(c).map(f32::tanh);
         let v = o.hadamard(&tanh_c);
-        self.push(v, Op::LstmOutGate { gates, c, o, tanh_c })
+        self.push(
+            v,
+            Op::LstmOutGate {
+                gates,
+                c,
+                o,
+                tanh_c,
+            },
+        )
     }
 
     /// Mean over all elements, producing a `1x1` value.
@@ -485,7 +504,11 @@ impl Graph {
         let softmax = lv.softmax_rows();
         let mut out = Matrix::zeros(lv.rows(), 1);
         for (r, &p) in picks.iter().enumerate() {
-            assert!(p < lv.cols(), "pick {p} out of range for {} classes", lv.cols());
+            assert!(
+                p < lv.cols(),
+                "pick {p} out of range for {} classes",
+                lv.cols()
+            );
             *out.at_mut(r, 0) = softmax.at(r, p).max(1e-12).ln();
         }
         self.push(
@@ -552,7 +575,11 @@ impl Graph {
         out_w: usize,
     ) -> VarId {
         let iv = self.value(input);
-        assert_eq!(iv.rows(), batch * out_h * out_w, "nhwc_to_nchw row mismatch");
+        assert_eq!(
+            iv.rows(),
+            batch * out_h * out_w,
+            "nhwc_to_nchw row mismatch"
+        );
         let channels = iv.cols();
         let v = nhwc_to_nchw_forward(iv, batch, out_h, out_w);
         self.push(
@@ -578,7 +605,14 @@ impl Graph {
         assert_eq!(iv.cols(), geom.input_len(), "max_pool input width mismatch");
         let (v, argmax) = max_pool_forward(iv, geom);
         let in_cols = iv.cols();
-        self.push(v, Op::MaxPool { input, argmax, in_cols })
+        self.push(
+            v,
+            Op::MaxPool {
+                input,
+                argmax,
+                in_cols,
+            },
+        )
     }
 
     /// Runs reverse-mode differentiation from `loss` (which must be `1x1`)
@@ -741,9 +775,7 @@ impl Graph {
                         }
                     }
                     accumulate(&mut grads, *gates, gx);
-                    let gc = g
-                        .hadamard(o)
-                        .zip_map(tanh_c, |gv, yv| gv * (1.0 - yv * yv));
+                    let gc = g.hadamard(o).zip_map(tanh_c, |gv, yv| gv * (1.0 - yv * yv));
                     accumulate(&mut grads, *c, gc);
                 }
                 Op::MeanAll(a) => {
@@ -1008,7 +1040,10 @@ mod tests {
         let (input, hidden) = (3, 4);
         let w_p = params.insert("w", Matrix::seeded_xavier(input + hidden, 4 * hidden, 3));
         let b_p = params.insert("b", Matrix::seeded_xavier(1, 4 * hidden, 4));
-        let xs = [Matrix::seeded_xavier(1, input, 5), Matrix::seeded_xavier(1, input, 6)];
+        let xs = [
+            Matrix::seeded_xavier(1, input, 5),
+            Matrix::seeded_xavier(1, input, 6),
+        ];
 
         let run = |fused: bool| {
             let mut g = Graph::new();
@@ -1146,7 +1181,10 @@ mod tests {
         let loss = g.scale(h, -1.0);
         let grads = g.backward(loss);
         let gl = grads.get(p).unwrap();
-        assert!(gl.at(0, 0) > 0.0, "peak logit should be pushed down by -H loss gradient descent");
+        assert!(
+            gl.at(0, 0) > 0.0,
+            "peak logit should be pushed down by -H loss gradient descent"
+        );
         assert!(gl.at(0, 1) < 0.0);
     }
 
@@ -1162,7 +1200,9 @@ mod tests {
             pad: 0,
         };
         let mut g = Graph::new();
-        let x = g.constant(Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]]));
+        let x = g.constant(Matrix::from_rows(&[&[
+            1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0,
+        ]]));
         let cols = g.im2col(x, geom);
         // rows = 4 spatial positions, cols = 2 channels.
         assert_eq!(g.value(cols).shape(), (4, 2));

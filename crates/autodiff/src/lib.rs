@@ -42,11 +42,11 @@
 
 pub mod gradcheck;
 mod graph;
-mod proptests;
 mod lstm;
 mod matrix;
 mod optim;
 mod params;
+mod proptests;
 
 pub use graph::{ConvGeom, Gradients, Graph, VarId};
 pub use lstm::{BiLstm, LstmCell};

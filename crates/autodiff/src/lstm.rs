@@ -187,7 +187,8 @@ impl BiLstm {
     /// terminal states — a whole-sequence embedding.
     pub fn run_to_summary(&self, graph: &mut Graph, params: &ParamSet, inputs: &[VarId]) -> VarId {
         let hs = self.run(graph, params, inputs);
-        *hs.last().expect("BiLstm::run_to_summary needs a non-empty sequence")
+        *hs.last()
+            .expect("BiLstm::run_to_summary needs a non-empty sequence")
     }
 }
 

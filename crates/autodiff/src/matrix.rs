@@ -357,7 +357,11 @@ impl Matrix {
 
     /// Elementwise unary map into a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix::from_vec(self.rows, self.cols, self.data.iter().map(|&a| f(a)).collect())
+        Matrix::from_vec(
+            self.rows,
+            self.cols,
+            self.data.iter().map(|&a| f(a)).collect(),
+        )
     }
 
     /// Elementwise sum.
@@ -471,10 +475,8 @@ impl Matrix {
         assert_eq!(self.rows, other.rows, "hcat row mismatch");
         let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
         for r in 0..self.rows {
-            out.data[r * out.cols..r * out.cols + self.cols]
-                .copy_from_slice(self.row(r));
-            out.data[r * out.cols + self.cols..(r + 1) * out.cols]
-                .copy_from_slice(other.row(r));
+            out.data[r * out.cols..r * out.cols + self.cols].copy_from_slice(self.row(r));
+            out.data[r * out.cols + self.cols..(r + 1) * out.cols].copy_from_slice(other.row(r));
         }
         out
     }

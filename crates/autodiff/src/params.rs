@@ -40,7 +40,12 @@ pub struct ParamSet {
 
 impl fmt::Debug for ParamSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ParamSet({} params, {} scalars)", self.len(), self.num_scalars())
+        write!(
+            f,
+            "ParamSet({} params, {} scalars)",
+            self.len(),
+            self.num_scalars()
+        )
     }
 }
 
