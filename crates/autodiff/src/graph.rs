@@ -10,8 +10,6 @@
 //! for REINFORCE and knowledge distillation, and im2col / pooling ops for
 //! the small-CNN runtime.
 
-use std::collections::HashMap;
-
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
 
@@ -96,35 +94,33 @@ enum Op {
     HCat(VarId, VarId),
     SliceCols(VarId, usize),
     /// Fused `hcat(x, h) * w + b` (one LSTM gate pre-activation) — one
-    /// node instead of three. `z` caches the concatenated input row for
-    /// the weight gradient. Bit-identical to the HCat → MatMul →
+    /// node instead of three, reading `x` and `h` in place of their
+    /// concatenation. Bit-identical to the HCat → MatMul →
     /// AddBroadcastRow chain it replaces in both directions.
     ConcatMatMulBias {
         x: VarId,
         h: VarId,
         w: VarId,
         b: VarId,
-        z: Matrix,
     },
     /// Fused LSTM cell state `σ(gates_f) ∘ c_prev + σ(gates_i) ∘
-    /// tanh(gates_g)` — one node instead of nine. The activated gate
-    /// rows are cached for the backward pass. Gradient contributions
-    /// scatter into disjoint column ranges of `gates`, so collapsing the
-    /// per-gate nodes cannot change any sum.
+    /// tanh(gates_g)` — one node instead of nine. `act` caches the
+    /// activated i, f and g blocks, stacked (`3·rows × hidden`), for the
+    /// backward pass. Gradient contributions scatter into disjoint
+    /// column ranges of `gates`, so collapsing the per-gate nodes cannot
+    /// change any sum.
     LstmCellState {
         gates: VarId,
         c_prev: VarId,
-        i: Matrix,
-        f: Matrix,
-        g: Matrix,
+        act: Matrix,
     },
     /// Fused LSTM output `σ(gates_o) ∘ tanh(c)` — one node instead of
-    /// four, with both activations cached for the backward pass.
+    /// four. `act` caches `σ(gates_o)` stacked on `tanh(c)`
+    /// (`2·rows × hidden`) for the backward pass.
     LstmOutGate {
         gates: VarId,
         c: VarId,
-        o: Matrix,
-        tanh_c: Matrix,
+        act: Matrix,
     },
     MeanAll(VarId),
     SumAll(VarId),
@@ -165,52 +161,76 @@ enum Op {
 struct Node {
     value: Matrix,
     op: Op,
+    /// Whether a gradient arriving here can reach a parameter. Backward
+    /// arms skip inputs without it: constants discard what they receive.
+    needs_grad: bool,
 }
 
-/// Gradients produced by [`Graph::backward`], keyed by parameter.
+/// Gradients produced by [`Graph::backward`], one slot per [`ParamId`].
+///
+/// Every whole-set reduction (merge, global norm, clipping, optimizer
+/// steps) visits the slots in parameter-id order, so its floating-point
+/// result does not depend on anything but the gradients themselves.
 #[derive(Debug, Default)]
 pub struct Gradients {
-    by_param: HashMap<ParamId, Matrix>,
+    by_param: Vec<Option<Matrix>>,
 }
 
 impl Gradients {
     /// Gradient for `param`, if it participated in the graph.
     pub fn get(&self, param: ParamId) -> Option<&Matrix> {
-        self.by_param.get(&param)
+        self.by_param.get(param.0).and_then(Option::as_ref)
     }
 
-    /// Iterates over `(param, gradient)` pairs.
+    /// Iterates over `(param, gradient)` pairs in parameter-id order.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Matrix)> {
-        self.by_param.iter().map(|(&k, v)| (k, v))
+        self.by_param
+            .iter()
+            .enumerate()
+            .filter_map(|(i, g)| Some((ParamId(i), g.as_ref()?)))
     }
 
     /// Number of parameters with gradients.
     pub fn len(&self) -> usize {
-        self.by_param.len()
+        self.by_param.iter().flatten().count()
     }
 
     /// Whether no gradients were produced.
     pub fn is_empty(&self) -> bool {
-        self.by_param.is_empty()
+        self.by_param.iter().all(Option::is_none)
     }
 
-    /// Merges another gradient set into this one (summing overlaps).
-    pub fn merge(&mut self, other: Gradients) {
-        for (k, v) in other.by_param {
-            match self.by_param.get_mut(&k) {
-                Some(acc) => acc.add_assign(&v),
-                None => {
-                    self.by_param.insert(k, v);
-                }
+    /// Adds `g` into `param`'s gradient, or stores it if `param` has none
+    /// yet. Returns `g` when it was added (its storage is spare).
+    fn add(&mut self, param: ParamId, g: Matrix) -> Option<Matrix> {
+        if self.by_param.len() <= param.0 {
+            self.by_param.resize_with(param.0 + 1, || None);
+        }
+        match &mut self.by_param[param.0] {
+            Some(acc) => {
+                acc.add_assign(&g);
+                Some(g)
+            }
+            slot @ None => {
+                *slot = Some(g);
+                None
             }
         }
     }
 
-    /// Global L2 norm across all gradients.
+    /// Merges another gradient set into this one (summing overlaps).
+    pub fn merge(&mut self, other: Gradients) {
+        for (i, g) in other.by_param.into_iter().enumerate() {
+            if let Some(g) = g {
+                self.add(ParamId(i), g);
+            }
+        }
+    }
+
+    /// Global L2 norm across all gradients, summed in parameter-id order.
     pub fn global_norm(&self) -> f32 {
-        self.by_param
-            .values()
-            .map(|m| {
+        self.iter()
+            .map(|(_, m)| {
                 let n = m.frobenius_norm();
                 n * n
             })
@@ -223,7 +243,7 @@ impl Gradients {
         let norm = self.global_norm();
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
-            for m in self.by_param.values_mut() {
+            for m in self.by_param.iter_mut().flatten() {
                 for v in m.data_mut() {
                     *v *= s;
                 }
@@ -277,7 +297,41 @@ impl Graph {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> VarId {
-        self.nodes.push(Node { value, op });
+        let needs = |v: &VarId| self.nodes[v.0].needs_grad;
+        let needs_grad = match &op {
+            Op::Constant => false,
+            Op::Param(_) => true,
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Hadamard(a, b)
+            | Op::MatMul(a, b)
+            | Op::AddBroadcastRow(a, b)
+            | Op::HCat(a, b) => needs(a) || needs(b),
+            Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::Transpose(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Relu(a)
+            | Op::Square(a)
+            | Op::SliceCols(a, _)
+            | Op::MeanAll(a)
+            | Op::SumAll(a) => needs(a),
+            Op::ConcatMatMulBias { x, h, w, b, .. } => [x, h, w, b].into_iter().any(needs),
+            Op::LstmCellState { gates, c_prev, .. } => needs(gates) || needs(c_prev),
+            Op::LstmOutGate { gates, c, .. } => needs(gates) || needs(c),
+            Op::SoftmaxCrossEntropy { logits, .. }
+            | Op::PickLogSoftmax { logits, .. }
+            | Op::EntropyRows { logits, .. } => needs(logits),
+            Op::Im2Col { input, .. } | Op::NhwcToNchw { input, .. } | Op::MaxPool { input, .. } => {
+                needs(input)
+            }
+        };
+        self.nodes.push(Node {
+            value,
+            op,
+            needs_grad,
+        });
         VarId(self.nodes.len() - 1)
     }
 
@@ -335,7 +389,7 @@ impl Graph {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: VarId) -> VarId {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.value(a).map(sigmoid);
         self.push(v, Op::Sigmoid(a))
     }
 
@@ -382,66 +436,89 @@ impl Graph {
     /// [`hcat`]: Graph::hcat
     /// [`matmul`]: Graph::matmul
     /// [`add_broadcast_row`]: Graph::add_broadcast_row
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` and `h` differ in rows or `w` does not have
+    /// `x.cols + h.cols` rows.
     pub fn concat_matmul_bias(&mut self, x: VarId, h: VarId, w: VarId, b: VarId) -> VarId {
-        let z = self.value(x).hcat(self.value(h));
-        let mut v = z.matmul(self.value(w));
+        let (xv, hv, wv) = (self.value(x), self.value(h), self.value(w));
+        assert_eq!(xv.rows(), hv.rows(), "hcat row mismatch");
+        assert_eq!(
+            xv.cols() + hv.cols(),
+            wv.rows(),
+            "matmul shape mismatch: {}x{} * {}x{}",
+            xv.rows(),
+            xv.cols() + hv.cols(),
+            wv.rows(),
+            wv.cols()
+        );
+        // `[x | h] * w` one row block of `w` at a time: each element's
+        // ascending-k sum runs over x's columns, then h's.
+        let mut v = Matrix::zeros(xv.rows(), wv.cols());
+        xv.add_product_into(wv, 0, v.data_mut());
+        hv.add_product_into(wv, xv.cols(), v.data_mut());
         v.add_row_broadcast_assign(self.value(b));
-        self.push(v, Op::ConcatMatMulBias { x, h, w, b, z })
+        self.push(v, Op::ConcatMatMulBias { x, h, w, b })
     }
 
     /// Fused LSTM cell state `σ(f̂) ∘ c_prev + σ(î) ∘ tanh(ĝ)` where
     /// `î, f̂, ĝ` are the first, second and fourth `hidden`-wide column
     /// blocks of `gates` (the standard `[i f o g]` packing). One tape
     /// node, bit-identical to the slice/activation/hadamard/add chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hidden` is zero, `gates` is not `4 * hidden` wide or
+    /// `c_prev` is not `rows × hidden`.
     pub fn lstm_cell_state(&mut self, gates: VarId, c_prev: VarId, hidden: usize) -> VarId {
-        let gv = self.value(gates);
-        let i = gv.slice_cols(0, hidden).map(|x| 1.0 / (1.0 + (-x).exp()));
-        let f = gv
-            .slice_cols(hidden, hidden)
-            .map(|x| 1.0 / (1.0 + (-x).exp()));
-        let g = gv.slice_cols(3 * hidden, hidden).map(f32::tanh);
-        // Single pass over the gate blocks; each element is the same
-        // left-associated `(f∘c_prev) + (i∘g)` expression the hadamard →
-        // hadamard → add chain computes, so the bits match.
-        let cp = self.value(c_prev);
-        let mut vdata = Vec::with_capacity(i.rows() * i.cols());
-        for r in 0..i.rows() {
-            for c in 0..i.cols() {
-                vdata.push(f.at(r, c) * cp.at(r, c) + i.at(r, c) * g.at(r, c));
+        let (gv, cp) = (self.value(gates), self.value(c_prev));
+        let rows = gate_rows(gv, hidden);
+        assert_eq!(cp.shape(), (rows, hidden), "LSTM cell state shape mismatch");
+        let mut act = Vec::with_capacity(3 * rows * hidden);
+        for (start, f) in [
+            (0, sigmoid as fn(f32) -> f32),
+            (hidden, sigmoid),
+            (3 * hidden, f32::tanh),
+        ] {
+            for row in gv.data().chunks_exact(4 * hidden) {
+                act.extend(row[start..start + hidden].iter().map(|&x| f(x)));
             }
         }
-        let v = Matrix::from_vec(i.rows(), i.cols(), vdata);
-        self.push(
-            v,
-            Op::LstmCellState {
-                gates,
-                c_prev,
-                i,
-                f,
-                g,
-            },
-        )
+        // Each element is the same left-associated `(f∘c_prev) + (i∘g)`
+        // expression the hadamard → hadamard → add chain computes, so the
+        // bits match.
+        let n = rows * hidden;
+        let (i, rest) = act.split_at(n);
+        let (f, g) = rest.split_at(n);
+        let v = (0..n).map(|e| f[e] * cp.data()[e] + i[e] * g[e]).collect();
+        let v = Matrix::from_vec(rows, hidden, v);
+        let act = Matrix::from_vec(3 * rows, hidden, act);
+        self.push(v, Op::LstmCellState { gates, c_prev, act })
     }
 
     /// Fused LSTM output `σ(ô) ∘ tanh(c)` where `ô` is the third
     /// `hidden`-wide column block of `gates`. One tape node,
     /// bit-identical to the slice/sigmoid/tanh/hadamard chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hidden` is zero, `gates` is not `4 * hidden` wide or
+    /// `c` is not `rows × hidden`.
     pub fn lstm_out_gate(&mut self, gates: VarId, c: VarId, hidden: usize) -> VarId {
-        let o = self
-            .value(gates)
-            .slice_cols(2 * hidden, hidden)
-            .map(|x| 1.0 / (1.0 + (-x).exp()));
-        let tanh_c = self.value(c).map(f32::tanh);
-        let v = o.hadamard(&tanh_c);
-        self.push(
-            v,
-            Op::LstmOutGate {
-                gates,
-                c,
-                o,
-                tanh_c,
-            },
-        )
+        let (gv, cv) = (self.value(gates), self.value(c));
+        let rows = gate_rows(gv, hidden);
+        assert_eq!(cv.shape(), (rows, hidden), "LSTM cell state shape mismatch");
+        let mut act = Vec::with_capacity(2 * rows * hidden);
+        for row in gv.data().chunks_exact(4 * hidden) {
+            act.extend(row[2 * hidden..3 * hidden].iter().map(|&x| sigmoid(x)));
+        }
+        act.extend(cv.data().iter().map(|&x| x.tanh()));
+        let (o, tanh_c) = act.split_at(rows * hidden);
+        let v = o.iter().zip(tanh_c).map(|(&o, &t)| o * t).collect();
+        let v = Matrix::from_vec(rows, hidden, v);
+        let act = Matrix::from_vec(2 * rows, hidden, act);
+        self.push(v, Op::LstmOutGate { gates, c, act })
     }
 
     /// Mean over all elements, producing a `1x1` value.
@@ -526,18 +603,8 @@ impl Graph {
     /// objectives. Rows with masked (−∞-ish) entries contribute only their
     /// live options, since masked options carry no probability mass.
     pub fn entropy_rows(&mut self, logits: VarId) -> VarId {
-        let lv = self.value(logits);
-        let softmax = lv.softmax_rows();
-        let mut total = 0.0f32;
-        for r in 0..softmax.rows() {
-            for c in 0..softmax.cols() {
-                let p = softmax.at(r, c);
-                if p > 1e-12 {
-                    total -= p * p.ln();
-                }
-            }
-        }
-        let v = Matrix::from_vec(1, 1, vec![total / softmax.rows() as f32]);
+        let softmax = self.value(logits).softmax_rows();
+        let v = Matrix::from_vec(1, 1, vec![softmax.mean_row_entropy()]);
         self.push(v, Op::EntropyRows { logits, softmax })
     }
 
@@ -618,6 +685,13 @@ impl Graph {
     /// Runs reverse-mode differentiation from `loss` (which must be `1x1`)
     /// and returns per-parameter gradients.
     ///
+    /// Each node's gradient is the sum of its consumers' contributions
+    /// in reverse tape order, exactly as if every contribution were a
+    /// fresh matrix added with [`Matrix::add_assign`]. The arms do not
+    /// materialize those matrices: they add into the slot in place (or
+    /// write an empty slot directly), and spent gradient storage is
+    /// reused for later slots.
+    ///
     /// # Panics
     ///
     /// Panics if `loss` is not a `1x1` node.
@@ -627,257 +701,457 @@ impl Graph {
             (1, 1),
             "backward expects a scalar (1x1) loss node"
         );
-        let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Matrix::from_vec(1, 1, vec![1.0]));
-        let mut out = Gradients::default();
-
+        let mut pass = Backward {
+            slots: Slots {
+                nodes: &self.nodes,
+                grads: vec![None; loss.0 + 1],
+                spare: Vec::new(),
+            },
+            row: Vec::new(),
+            transposes: Vec::new(),
+            out: Gradients::default(),
+        };
+        pass.slots.grads[loss.0] = Some(Matrix::from_vec(1, 1, vec![1.0]));
         for idx in (0..=loss.0).rev() {
-            let Some(g) = grads[idx].take() else { continue };
-            match &self.nodes[idx].op {
-                Op::Constant => {}
-                Op::Param(p) => match out.by_param.get_mut(p) {
-                    Some(acc) => acc.add_assign(&g),
-                    None => {
-                        out.by_param.insert(*p, g);
-                    }
-                },
-                Op::Add(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g);
+            let Some(g) = pass.slots.grads[idx].take() else {
+                continue;
+            };
+            if let Op::Param(p) = self.nodes[idx].op {
+                if let Some(spent) = pass.out.add(p, g) {
+                    pass.slots.recycle(spent);
                 }
-                Op::Sub(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g.scale(-1.0));
-                }
-                Op::Hadamard(a, b) => {
-                    let ga = g.hadamard(self.value(*b));
-                    let gb = g.hadamard(self.value(*a));
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
-                }
-                Op::Scale(a, s) => accumulate(&mut grads, *a, g.scale(*s)),
-                Op::AddScalar(a) => accumulate(&mut grads, *a, g),
-                Op::MatMul(a, b) => {
-                    let ga = g.matmul_bt(self.value(*b));
-                    let gb = self.value(*a).matmul_at(&g);
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
-                }
-                Op::Transpose(a) => accumulate(&mut grads, *a, g.transpose()),
-                Op::Sigmoid(a) => {
-                    let y = &self.nodes[idx].value;
-                    let gx = g.zip_map(y, |gv, yv| gv * yv * (1.0 - yv));
-                    accumulate(&mut grads, *a, gx);
-                }
-                Op::Tanh(a) => {
-                    let y = &self.nodes[idx].value;
-                    let gx = g.zip_map(y, |gv, yv| gv * (1.0 - yv * yv));
-                    accumulate(&mut grads, *a, gx);
-                }
-                Op::Relu(a) => {
-                    let x = self.value(*a);
-                    let gx = g.zip_map(x, |gv, xv| if xv > 0.0 { gv } else { 0.0 });
-                    accumulate(&mut grads, *a, gx);
-                }
-                Op::Square(a) => {
-                    let x = self.value(*a);
-                    let gx = g.zip_map(x, |gv, xv| gv * 2.0 * xv);
-                    accumulate(&mut grads, *a, gx);
-                }
-                Op::AddBroadcastRow(a, bias) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *bias, g.sum_rows());
-                }
-                Op::HCat(a, b) => {
-                    let wa = self.value(*a).cols();
-                    let wb = self.value(*b).cols();
-                    accumulate(&mut grads, *a, g.slice_cols(0, wa));
-                    accumulate(&mut grads, *b, g.slice_cols(wa, wb));
-                }
-                Op::SliceCols(a, start) => {
-                    let src = self.value(*a);
-                    let mut gx = Matrix::zeros(src.rows(), src.cols());
-                    for r in 0..g.rows() {
-                        for c in 0..g.cols() {
-                            *gx.at_mut(r, start + c) += g.at(r, c);
-                        }
-                    }
-                    accumulate(&mut grads, *a, gx);
-                }
-                Op::ConcatMatMulBias { x, h, w, b, z } => {
-                    // Bias and weight gradients exactly as the
-                    // AddBroadcastRow and MatMul arms would produce them;
-                    // the input gradient is sliced out of `g * w^T`
-                    // exactly as the HCat arm would. The slice headed for
-                    // a constant input (the embedded layer features) is
-                    // skipped outright — constants discard gradients.
-                    accumulate(&mut grads, *b, g.sum_rows());
-                    let gw = z.matmul_at(&g);
-                    accumulate(&mut grads, *w, gw);
-                    let wx = self.value(*x).cols();
-                    let wh = self.value(*h).cols();
-                    if matches!(self.nodes[x.0].op, Op::Constant) {
-                        // Only the recurrent slice of `g * w^T` is ever
-                        // consumed, so compute just those columns.
-                        let gh = g.matmul_bt_cols(self.value(*w), wx, wh);
-                        accumulate(&mut grads, *h, gh);
-                    } else {
-                        let gz = g.matmul_bt(self.value(*w));
-                        accumulate(&mut grads, *x, gz.slice_cols(0, wx));
-                        accumulate(&mut grads, *h, gz.slice_cols(wx, wh));
-                    }
-                }
-                Op::LstmCellState {
-                    gates,
-                    c_prev,
-                    i,
-                    f,
-                    g: gate_g,
-                } => {
-                    // Per-element expressions match the decomposed
-                    // hadamard → sigmoid/tanh → slice-scatter chain
-                    // (left-associated products, `+=` into zeros). The
-                    // three gate ranges are disjoint columns of `gates`,
-                    // so fusing their scatters cannot change any sum.
-                    let src = self.value(*gates);
-                    let hidden = i.cols();
-                    let mut gx = Matrix::zeros(src.rows(), src.cols());
-                    for r in 0..g.rows() {
-                        for c in 0..hidden {
-                            let gv = g.at(r, c);
-                            let iv = i.at(r, c);
-                            let fv = f.at(r, c);
-                            let gg = gate_g.at(r, c);
-                            *gx.at_mut(r, c) += gv * gg * iv * (1.0 - iv);
-                            *gx.at_mut(r, hidden + c) +=
-                                gv * self.value(*c_prev).at(r, c) * fv * (1.0 - fv);
-                            *gx.at_mut(r, 3 * hidden + c) += gv * iv * (1.0 - gg * gg);
-                        }
-                    }
-                    accumulate(&mut grads, *gates, gx);
-                    accumulate(&mut grads, *c_prev, g.hadamard(f));
-                }
-                Op::LstmOutGate {
-                    gates,
-                    c,
-                    o,
-                    tanh_c,
-                } => {
-                    let src = self.value(*gates);
-                    let hidden = o.cols();
-                    let mut gx = Matrix::zeros(src.rows(), src.cols());
-                    for r in 0..g.rows() {
-                        for col in 0..hidden {
-                            let gv = g.at(r, col);
-                            let ov = o.at(r, col);
-                            *gx.at_mut(r, 2 * hidden + col) +=
-                                gv * tanh_c.at(r, col) * ov * (1.0 - ov);
-                        }
-                    }
-                    accumulate(&mut grads, *gates, gx);
-                    let gc = g.hadamard(o).zip_map(tanh_c, |gv, yv| gv * (1.0 - yv * yv));
-                    accumulate(&mut grads, *c, gc);
-                }
-                Op::MeanAll(a) => {
-                    let src = self.value(*a);
-                    let per = g.at(0, 0) / src.len() as f32;
-                    accumulate(&mut grads, *a, Matrix::full(src.rows(), src.cols(), per));
-                }
-                Op::SumAll(a) => {
-                    let src = self.value(*a);
-                    accumulate(
-                        &mut grads,
-                        *a,
-                        Matrix::full(src.rows(), src.cols(), g.at(0, 0)),
-                    );
-                }
-                Op::SoftmaxCrossEntropy {
-                    logits,
-                    targets,
-                    softmax,
-                } => {
-                    let n = softmax.rows() as f32;
-                    let scale = g.at(0, 0) / n;
-                    let gx = softmax.zip_map(targets, |s, t| (s - t) * scale);
-                    accumulate(&mut grads, *logits, gx);
-                }
-                Op::PickLogSoftmax {
-                    logits,
-                    picks,
-                    softmax,
-                } => {
-                    let mut gx = Matrix::zeros(softmax.rows(), softmax.cols());
-                    for (r, &p) in picks.iter().enumerate() {
-                        let up = g.at(r, 0);
-                        for c in 0..softmax.cols() {
-                            let onehot = if c == p { 1.0 } else { 0.0 };
-                            *gx.at_mut(r, c) += up * (onehot - softmax.at(r, c));
-                        }
-                    }
-                    accumulate(&mut grads, *logits, gx);
-                }
-                Op::EntropyRows { logits, softmax } => {
-                    // dH/dz_j = -p_j (ln p_j + H_row), averaged over rows.
-                    let n = softmax.rows() as f32;
-                    let up = g.at(0, 0) / n;
-                    let mut gx = Matrix::zeros(softmax.rows(), softmax.cols());
-                    for r in 0..softmax.rows() {
-                        let mut h_row = 0.0f32;
-                        for c in 0..softmax.cols() {
-                            let p = softmax.at(r, c);
-                            if p > 1e-12 {
-                                h_row -= p * p.ln();
-                            }
-                        }
-                        for c in 0..softmax.cols() {
-                            let p = softmax.at(r, c);
-                            if p > 1e-12 {
-                                *gx.at_mut(r, c) = -up * p * (p.ln() + h_row);
-                            }
-                        }
-                    }
-                    accumulate(&mut grads, *logits, gx);
-                }
-                Op::Im2Col { input, geom, batch } => {
-                    let gx = im2col_backward(&g, *geom, *batch);
-                    accumulate(&mut grads, *input, gx);
-                }
-                Op::NhwcToNchw {
-                    input,
-                    batch,
-                    out_h,
-                    out_w,
-                    channels,
-                } => {
-                    let gx = nchw_to_nhwc_forward(&g, *batch, *out_h, *out_w, *channels);
-                    accumulate(&mut grads, *input, gx);
-                }
-                Op::MaxPool {
-                    input,
-                    argmax,
-                    in_cols,
-                } => {
-                    let src_rows = self.value(*input).rows();
-                    let mut gx = Matrix::zeros(src_rows, *in_cols);
-                    let out_cols = g.cols();
-                    for r in 0..g.rows() {
-                        for c in 0..out_cols {
-                            let src = argmax[r * out_cols + c];
-                            gx.data_mut()[r * in_cols + src] += g.at(r, c);
-                        }
-                    }
-                    accumulate(&mut grads, *input, gx);
-                }
+            } else {
+                pass.propagate(idx, &g);
+                pass.slots.recycle(g);
             }
         }
-        out
+        pass.out
     }
 }
 
-fn accumulate(grads: &mut [Option<Matrix>], id: VarId, g: Matrix) {
-    match &mut grads[id.0] {
-        Some(acc) => acc.add_assign(&g),
-        slot @ None => *slot = Some(g),
+/// The logistic function, as every sigmoid in the tape computes it.
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// Rows of a packed `[i f o g]` gate matrix, checking its width.
+fn gate_rows(gates: &Matrix, hidden: usize) -> usize {
+    assert!(hidden > 0, "LSTM hidden width must be positive");
+    assert_eq!(
+        gates.cols(),
+        4 * hidden,
+        "LSTM gates must be 4 * hidden wide"
+    );
+    gates.rows()
+}
+
+/// Per-node gradient slots of one backward pass, with the storage of
+/// spent gradients kept for reuse.
+struct Slots<'a> {
+    nodes: &'a [Node],
+    grads: Vec<Option<Matrix>>,
+    spare: Vec<Vec<f32>>,
+}
+
+impl<'a> Slots<'a> {
+    fn value(&self, id: VarId) -> &'a Matrix {
+        &self.nodes[id.0].value
+    }
+
+    fn needs(&self, id: VarId) -> bool {
+        self.nodes[id.0].needs_grad
+    }
+
+    fn recycle(&mut self, m: Matrix) {
+        self.spare.push(m.into_data());
+    }
+
+    /// Accumulates the `rows × cols` gradient whose element `(r, c)` is
+    /// `fresh(r, c)`: written into an empty slot as is, added into a
+    /// filled one — the bits of accumulating the materialized matrix.
+    fn add_grid(
+        &mut self,
+        id: VarId,
+        rows: usize,
+        cols: usize,
+        fresh: impl Fn(usize, usize) -> f32,
+    ) {
+        if !self.needs(id) {
+            return;
+        }
+        let cells = (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c)));
+        if let Some(acc) = &mut self.grads[id.0] {
+            assert_eq!(acc.shape(), (rows, cols), "gradient shape mismatch");
+            for (a, (r, c)) in acc.data_mut().iter_mut().zip(cells) {
+                *a += fresh(r, c);
+            }
+        } else {
+            let mut buf = self.spare.pop().unwrap_or_default();
+            buf.clear();
+            buf.extend(cells.map(|(r, c)| fresh(r, c)));
+            self.grads[id.0] = Some(Matrix::from_vec(rows, cols, buf));
+        }
+    }
+
+    /// [`Slots::add_grid`] by flat element index `e = r * cols + c`.
+    fn add_from(&mut self, id: VarId, rows: usize, cols: usize, fresh: impl Fn(usize) -> f32) {
+        self.add_grid(id, rows, cols, |r, c| fresh(r * cols + c));
+    }
+
+    /// Accumulates columns `[start, start + width)` of the row-major
+    /// `rows × src_cols` block `src`, one contiguous row slice at a time.
+    fn add_cols(
+        &mut self,
+        id: VarId,
+        src: &[f32],
+        (rows, src_cols): (usize, usize),
+        start: usize,
+        width: usize,
+    ) {
+        if !self.needs(id) {
+            return;
+        }
+        let part = |r: usize| &src[r * src_cols + start..r * src_cols + start + width];
+        if let Some(acc) = &mut self.grads[id.0] {
+            assert_eq!(acc.shape(), (rows, width), "gradient shape mismatch");
+            for r in 0..rows {
+                let dst = &mut acc.data_mut()[r * width..(r + 1) * width];
+                for (d, &v) in dst.iter_mut().zip(part(r)) {
+                    *d += v;
+                }
+            }
+        } else {
+            let mut buf = self.spare.pop().unwrap_or_default();
+            buf.clear();
+            for r in 0..rows {
+                buf.extend_from_slice(part(r));
+            }
+            self.grads[id.0] = Some(Matrix::from_vec(rows, width, buf));
+        }
+    }
+
+    /// Accumulates an already materialized gradient.
+    fn add_owned(&mut self, id: VarId, g: Matrix) {
+        if !self.needs(id) {
+            return;
+        }
+        match &mut self.grads[id.0] {
+            Some(acc) => {
+                acc.add_assign(&g);
+                self.recycle(g);
+            }
+            slot @ None => *slot = Some(g),
+        }
+    }
+
+    /// The slot of `id` for in-place accumulation, zero-filled if empty
+    /// (`None` if `id` needs no gradient). Only for contributions whose
+    /// every element is a sum seeded from `+0.0` (matmul products, row
+    /// sums, scatters into zeros): such a sum is never `-0.0`, so adding
+    /// it to a fresh `+0.0` reproduces it bit for bit.
+    fn zeroed(&mut self, id: VarId, rows: usize, cols: usize) -> Option<&mut Matrix> {
+        if !self.needs(id) {
+            return None;
+        }
+        if self.grads[id.0].is_none() {
+            let mut buf = self.spare.pop().unwrap_or_default();
+            buf.clear();
+            buf.resize(rows * cols, 0.0);
+            self.grads[id.0] = Some(Matrix::from_vec(rows, cols, buf));
+        }
+        let acc = self.grads[id.0].as_mut()?;
+        assert_eq!(acc.shape(), (rows, cols), "gradient shape mismatch");
+        Some(acc)
+    }
+}
+
+/// Working state of one [`Graph::backward`] call.
+struct Backward<'a> {
+    slots: Slots<'a>,
+    /// Staging for one matmul product row (or a few), reused by every arm.
+    row: Vec<f32>,
+    /// Transposed row blocks of matmul right operands, keyed by node and
+    /// row range and built on first use: an LSTM weight's recurrent block
+    /// serves every step of its sequence.
+    transposes: Vec<((usize, usize, usize), Matrix)>,
+    out: Gradients,
+}
+
+impl Backward<'_> {
+    /// `self.row = g · v[lo..hi]^T` for node `b`'s value `v`: columns
+    /// `[lo, hi)` of `g.matmul_bt(v)`, bit for bit. The transposed row
+    /// block is built once per node and range in a pass.
+    fn product_bt(&mut self, g: &Matrix, b: VarId, lo: usize, hi: usize) {
+        let key = (b.0, lo, hi);
+        let pos = match self.transposes.iter().position(|(k, _)| *k == key) {
+            Some(pos) => pos,
+            None => {
+                let block = self.slots.value(b).transpose_rows(lo, hi);
+                self.transposes.push((key, block));
+                self.transposes.len() - 1
+            }
+        };
+        let block = &self.transposes[pos].1;
+        self.row.clear();
+        self.row.resize(g.rows() * block.cols(), 0.0);
+        g.add_product_into(block, 0, &mut self.row);
+    }
+
+    /// Feeds node `idx`'s gradient `g` to the node's inputs.
+    fn propagate(&mut self, idx: usize, g: &Matrix) {
+        let node = &self.slots.nodes[idx];
+        let (rows, cols) = g.shape();
+        let gd = g.data();
+        match &node.op {
+            Op::Constant | Op::Param(_) => {}
+            Op::Add(a, b) => {
+                self.slots.add_cols(*a, gd, (rows, cols), 0, cols);
+                self.slots.add_cols(*b, gd, (rows, cols), 0, cols);
+            }
+            Op::Sub(a, b) => {
+                self.slots.add_cols(*a, gd, (rows, cols), 0, cols);
+                // The product `scale(-1.0)` forms, not a negation: the two
+                // differ on a NaN's sign bit.
+                let minus_one = -1.0;
+                self.slots.add_from(*b, rows, cols, |e| gd[e] * minus_one);
+            }
+            Op::Hadamard(a, b) => {
+                let (ad, bd) = (self.slots.value(*a).data(), self.slots.value(*b).data());
+                self.slots.add_from(*a, rows, cols, |e| gd[e] * bd[e]);
+                self.slots.add_from(*b, rows, cols, |e| gd[e] * ad[e]);
+            }
+            Op::Scale(a, s) => self.slots.add_from(*a, rows, cols, |e| gd[e] * s),
+            Op::AddScalar(a) => self.slots.add_cols(*a, gd, (rows, cols), 0, cols),
+            Op::MatMul(a, b) => {
+                let (av, bv) = (self.slots.value(*a), self.slots.value(*b));
+                if self.slots.needs(*a) {
+                    self.product_bt(g, *b, 0, bv.rows());
+                    let width = bv.rows();
+                    self.slots.add_cols(*a, &self.row, (rows, width), 0, width);
+                }
+                if let Some(acc) = self.slots.zeroed(*b, av.cols(), cols) {
+                    av.add_matmul_at_into(g, acc.data_mut(), &mut self.row);
+                }
+            }
+            Op::Transpose(a) => self.slots.add_grid(*a, cols, rows, |r, c| gd[c * cols + r]),
+            Op::Sigmoid(a) => {
+                let yd = node.value.data();
+                self.slots
+                    .add_from(*a, rows, cols, |e| gd[e] * yd[e] * (1.0 - yd[e]));
+            }
+            Op::Tanh(a) => {
+                let yd = node.value.data();
+                self.slots
+                    .add_from(*a, rows, cols, |e| gd[e] * (1.0 - yd[e] * yd[e]));
+            }
+            Op::Relu(a) => {
+                let xd = self.slots.value(*a).data();
+                self.slots
+                    .add_from(*a, rows, cols, |e| if xd[e] > 0.0 { gd[e] } else { 0.0 });
+            }
+            Op::Square(a) => {
+                let xd = self.slots.value(*a).data();
+                self.slots.add_from(*a, rows, cols, |e| gd[e] * 2.0 * xd[e]);
+            }
+            Op::AddBroadcastRow(a, bias) => {
+                self.slots.add_cols(*a, gd, (rows, cols), 0, cols);
+                if let Some(acc) = self.slots.zeroed(*bias, 1, cols) {
+                    g.add_sum_rows_into(acc);
+                }
+            }
+            Op::HCat(a, b) => {
+                let wa = self.slots.value(*a).cols();
+                let wb = self.slots.value(*b).cols();
+                self.slots.add_cols(*a, gd, (rows, cols), 0, wa);
+                self.slots.add_cols(*b, gd, (rows, cols), wa, wb);
+            }
+            Op::SliceCols(a, start) => {
+                // A scatter into zeros: `0.0 + g` inside the slice, `0.0`
+                // outside it.
+                let src_cols = self.slots.value(*a).cols();
+                let src_rows = self.slots.value(*a).rows();
+                self.slots.add_grid(*a, src_rows, src_cols, |r, c| {
+                    if (*start..*start + cols).contains(&c) {
+                        0.0 + gd[r * cols + c - start]
+                    } else {
+                        0.0
+                    }
+                });
+            }
+            Op::ConcatMatMulBias { x, h, w, b } => {
+                // The AddBroadcastRow, MatMul and HCat arms of the chain
+                // this node fuses, in place. The input gradient `g · w^T`
+                // is computed only for the columns a non-constant input
+                // consumes (the embedded layer features are constants),
+                // against `w`'s transpose so each step reads contiguous
+                // rows.
+                if let Some(acc) = self.slots.zeroed(*b, 1, cols) {
+                    g.add_sum_rows_into(acc);
+                }
+                let (xv, hv) = (self.slots.value(*x), self.slots.value(*h));
+                let (wx, wh) = (xv.cols(), hv.cols());
+                if let Some(acc) = self.slots.zeroed(*w, wx + wh, cols) {
+                    // Row i of the weight gradient reads column i of
+                    // `[x | h]`: rows of `x` first, then of `h`.
+                    let (ax, ah) = acc.data_mut().split_at_mut(wx * cols);
+                    xv.add_matmul_at_into(g, ax, &mut self.row);
+                    hv.add_matmul_at_into(g, ah, &mut self.row);
+                }
+                let lo = if self.slots.needs(*x) { 0 } else { wx };
+                let hi = if self.slots.needs(*h) { wx + wh } else { wx };
+                if lo < hi {
+                    self.product_bt(g, *w, lo, hi);
+                    let block = (rows, hi - lo);
+                    if lo == 0 {
+                        self.slots.add_cols(*x, &self.row, block, 0, wx);
+                    }
+                    if hi > wx {
+                        self.slots.add_cols(*h, &self.row, block, wx - lo, wh);
+                    }
+                }
+            }
+            Op::LstmCellState { gates, c_prev, act } => {
+                // The slice-scatter into `gates`: each of the i, f and g
+                // blocks receives one `0.0 + expr` term (left-associated
+                // products, as the decomposed chain forms them) and the o
+                // block receives `0.0`.
+                let hidden = act.cols();
+                let (id, rest) = act.data().split_at(rows * hidden);
+                let (fd, gg) = rest.split_at(rows * hidden);
+                let cp = self.slots.value(*c_prev).data();
+                let (grows, gcols) = self.slots.value(*gates).shape();
+                if let Some(acc) = self.slots.zeroed(*gates, grows, gcols) {
+                    for (r, dst) in acc.data_mut().chunks_exact_mut(4 * hidden).enumerate() {
+                        let (di, rest) = dst.split_at_mut(hidden);
+                        let (df, rest) = rest.split_at_mut(hidden);
+                        let (d_o, dg) = rest.split_at_mut(hidden);
+                        for c in 0..hidden {
+                            let e = r * hidden + c;
+                            let (gv, iv, fv, gt) = (gd[e], id[e], fd[e], gg[e]);
+                            di[c] += 0.0 + gv * gt * iv * (1.0 - iv);
+                            df[c] += 0.0 + gv * cp[e] * fv * (1.0 - fv);
+                            d_o[c] += 0.0;
+                            dg[c] += 0.0 + gv * iv * (1.0 - gt * gt);
+                        }
+                    }
+                }
+                self.slots.add_from(*c_prev, rows, cols, |e| gd[e] * fd[e]);
+            }
+            Op::LstmOutGate { gates, c, act } => {
+                // The o block of `gates` receives `0.0 + expr`, the other
+                // blocks `0.0`.
+                let hidden = act.cols();
+                let (od, td) = act.data().split_at(rows * hidden);
+                let (grows, gcols) = self.slots.value(*gates).shape();
+                if let Some(acc) = self.slots.zeroed(*gates, grows, gcols) {
+                    for (r, dst) in acc.data_mut().chunks_exact_mut(4 * hidden).enumerate() {
+                        let (d_if, rest) = dst.split_at_mut(2 * hidden);
+                        let (d_o, dg) = rest.split_at_mut(hidden);
+                        for v in d_if.iter_mut().chain(dg) {
+                            *v += 0.0;
+                        }
+                        for (col, d) in d_o.iter_mut().enumerate() {
+                            let e = r * hidden + col;
+                            let ov = od[e];
+                            *d += 0.0 + gd[e] * td[e] * ov * (1.0 - ov);
+                        }
+                    }
+                }
+                self.slots
+                    .add_from(*c, rows, cols, |e| gd[e] * od[e] * (1.0 - td[e] * td[e]));
+            }
+            Op::MeanAll(a) => {
+                let (r, c) = self.slots.value(*a).shape();
+                let per = gd[0] / (r * c) as f32;
+                self.slots.add_from(*a, r, c, |_| per);
+            }
+            Op::SumAll(a) => {
+                let (r, c) = self.slots.value(*a).shape();
+                self.slots.add_from(*a, r, c, |_| gd[0]);
+            }
+            Op::SoftmaxCrossEntropy {
+                logits,
+                targets,
+                softmax,
+            } => {
+                let scale = gd[0] / softmax.rows() as f32;
+                let (sd, td) = (softmax.data(), targets.data());
+                let (r, c) = softmax.shape();
+                self.slots
+                    .add_from(*logits, r, c, |e| (sd[e] - td[e]) * scale);
+            }
+            Op::PickLogSoftmax {
+                logits,
+                picks,
+                softmax,
+            } => {
+                let (r, c) = softmax.shape();
+                let sd = softmax.data();
+                self.slots.add_grid(*logits, r, c, |row, col| {
+                    let onehot = if col == picks[row] { 1.0 } else { 0.0 };
+                    0.0 + gd[row] * (onehot - sd[row * c + col])
+                });
+            }
+            Op::EntropyRows { logits, softmax } => {
+                // dH/dz_j = -p_j (ln p_j + H_row), averaged over rows.
+                let up = gd[0] / softmax.rows() as f32;
+                let (r, c) = softmax.shape();
+                self.row.clear();
+                for row in 0..r {
+                    let mut h_row = 0.0f32;
+                    for &p in softmax.row(row) {
+                        if p > 1e-12 {
+                            h_row -= p * p.ln();
+                        }
+                    }
+                    self.row.push(h_row);
+                }
+                let (sd, h_rows) = (softmax.data(), &self.row);
+                self.slots.add_grid(*logits, r, c, |row, col| {
+                    let p = sd[row * c + col];
+                    if p > 1e-12 {
+                        -up * p * (p.ln() + h_rows[row])
+                    } else {
+                        0.0
+                    }
+                });
+            }
+            Op::Im2Col { input, geom, batch } => {
+                if self.slots.needs(*input) {
+                    self.slots
+                        .add_owned(*input, im2col_backward(g, *geom, *batch));
+                }
+            }
+            Op::NhwcToNchw {
+                input,
+                batch,
+                out_h,
+                out_w,
+                channels,
+            } => {
+                if self.slots.needs(*input) {
+                    let gx = nchw_to_nhwc_forward(g, *batch, *out_h, *out_w, *channels);
+                    self.slots.add_owned(*input, gx);
+                }
+            }
+            Op::MaxPool {
+                input,
+                argmax,
+                in_cols,
+            } => {
+                if self.slots.needs(*input) {
+                    let src_rows = self.slots.value(*input).rows();
+                    let mut gx = Matrix::zeros(src_rows, *in_cols);
+                    for r in 0..rows {
+                        for c in 0..cols {
+                            let src = argmax[r * cols + c];
+                            gx.data_mut()[r * in_cols + src] += g.at(r, c);
+                        }
+                    }
+                    self.slots.add_owned(*input, gx);
+                }
+            }
+        }
     }
 }
 
@@ -1245,6 +1519,50 @@ mod tests {
         assert_eq!(g.value(y).shape(), (1, 12));
         // channel 0 plane should be elements (0,0),(1,0),(2,0),(3,0) = 0,3,6,9
         assert_eq!(&g.value(y).row(0)[..4], &[0.0, 3.0, 6.0, 9.0]);
+    }
+
+    #[test]
+    fn global_norm_and_clipping_are_the_same_for_every_gradient_set() {
+        // Two dozen parameters whose squared norms span fourteen orders of
+        // magnitude: their f32 sum depends on the order it is taken in.
+        let mut params = ParamSet::new();
+        let ids: Vec<ParamId> = (0..24)
+            .map(|k| {
+                let scale = 10f32.powi(k % 8 - 3) * 7.0;
+                let value = Matrix::seeded_xavier(3, 5, k as u64).scale(scale);
+                params.insert(format!("p{k}"), value)
+            })
+            .collect();
+        let grads = || {
+            let mut g = Graph::new();
+            let mut total: Option<VarId> = None;
+            for &id in &ids {
+                let v = g.param(&params, id);
+                let sq = g.square(v);
+                let s = g.sum_all(sq);
+                total = Some(match total {
+                    Some(t) => g.add(t, s),
+                    None => s,
+                });
+            }
+            g.backward(total.expect("params registered"))
+        };
+        let mut reference = grads();
+        let norm = reference.global_norm();
+        assert!(norm > 5.0, "clipping must fire: norm {norm}");
+        reference.clip_global_norm(5.0);
+        for _ in 0..200 {
+            let mut fresh = grads();
+            assert_eq!(fresh.global_norm().to_bits(), norm.to_bits());
+            fresh.clip_global_norm(5.0);
+            assert_eq!(fresh.len(), ids.len());
+            for (id, m) in fresh.iter() {
+                let r = reference.get(id).expect("same parameters");
+                for (a, b) in m.data().iter().zip(r.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -209,21 +209,51 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
+        self.add_product_into(other, 0, &mut out.data);
+        out
+    }
+
+    /// Adds `self * other[offset .. offset + self.cols]` (a block of
+    /// `other`'s rows) into the row-major `out`, in the loop order of
+    /// [`matmul`]: ikj, ascending `k`, exact-zero `self` entries skipped.
+    /// Into zeros this is [`matmul`]. A second call with the next row
+    /// block continues each element's ascending-`k` sum, so `[x | h] * w`
+    /// forms from `x` and `h` without concatenating them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row block exceeds `other` or `out` is not
+    /// `self.rows × other.cols`.
+    ///
+    /// [`matmul`]: Matrix::matmul
+    pub(crate) fn add_product_into(&self, other: &Matrix, offset: usize, out: &mut [f32]) {
+        assert!(
+            offset + self.cols <= other.rows,
+            "product row block {offset}..{} exceeds {} rows",
+            offset + self.cols,
+            other.rows
+        );
+        assert_eq!(out.len(), self.rows * other.cols, "product output size");
+        let n = other.cols;
+        if self.cols == 0 || n == 0 {
+            return;
+        }
+        let block = &other.data[offset * n..(offset + self.cols) * n];
         // ikj loop order: streams over `other` rows for cache friendliness.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
+        for (lhs, dst) in self
+            .data
+            .chunks_exact(self.cols)
+            .zip(out.chunks_exact_mut(n))
+        {
+            for (&a, src) in lhs.iter().zip(block.chunks_exact(n)) {
                 if a == 0.0 {
                     continue;
                 }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let dst = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (d, &b) in dst.iter_mut().zip(orow) {
+                for (d, &b) in dst.iter_mut().zip(src) {
                     *d += a * b;
                 }
             }
         }
-        out
     }
 
     /// Matrix product `self * other^T` without materializing the
@@ -250,46 +280,6 @@ impl Matrix {
                 let dst = &mut out.data[i * other.rows..(i + 1) * other.rows];
                 for (j, d) in dst.iter_mut().enumerate() {
                     *d += a * other.data[j * other.cols + k];
-                }
-            }
-        }
-        out
-    }
-
-    /// Columns `[start, start+width)` of `self * other^T`, i.e. the
-    /// product against rows `start..start+width` of `other` only.
-    /// Bit-identical to `self.matmul_bt(other).slice_cols(start, width)`:
-    /// each retained element receives the exact same contribution
-    /// sequence (ascending `k` with the exact-zero skip), and the slice
-    /// is a pure copy. Lets the LSTM backward pass skip the gradient
-    /// columns headed for a constant input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols` or the column range is out of
-    /// bounds.
-    pub fn matmul_bt_cols(&self, other: &Matrix, start: usize, width: usize) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_bt_cols shape mismatch: {}x{} * ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        assert!(
-            start + width <= other.rows,
-            "matmul_bt_cols column range {start}..{} out of bounds for {} output columns",
-            start + width,
-            other.rows
-        );
-        let mut out = Matrix::zeros(self.rows, width);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let dst = &mut out.data[i * width..(i + 1) * width];
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d += a * other.data[(start + j) * other.cols + k];
                 }
             }
         }
@@ -326,6 +316,109 @@ impl Matrix {
             }
         }
         out
+    }
+
+    /// The transpose of rows `[lo, hi)`: a `cols × (hi − lo)` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the matrix height.
+    pub(crate) fn transpose_rows(&self, lo: usize, hi: usize) -> Matrix {
+        assert!(lo <= hi && hi <= self.rows, "transpose_rows out of range");
+        let height = hi - lo;
+        let mut out = Matrix::zeros(self.cols, height);
+        if height == 0 || self.cols == 0 {
+            return out;
+        }
+        for (j, row) in self.data[lo * self.cols..hi * self.cols]
+            .chunks_exact(self.cols)
+            .enumerate()
+        {
+            for (d, &v) in out.data[j..].iter_mut().step_by(height).zip(row) {
+                *d = v;
+            }
+        }
+        out
+    }
+
+    /// Adds `self^T * other` into the row-major `acc` in place.
+    /// Bit-identical to `acc.add_assign(&self.matmul_at(other))`: each
+    /// output row is summed in `row` exactly as [`matmul_at`] sums it,
+    /// then added. A one-row `self` (the LSTM case) skips the staging
+    /// row: its product row is `0.0 + a·b`, or `0.0` for an exact-zero
+    /// `a`, and exactly that is added.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows != other.rows` or `acc` is not
+    /// `self.cols × other.cols`.
+    ///
+    /// [`matmul_at`]: Matrix::matmul_at
+    pub(crate) fn add_matmul_at_into(&self, other: &Matrix, acc: &mut [f32], row: &mut Vec<f32>) {
+        assert_eq!(self.rows, other.rows, "add_matmul_at_into shape mismatch");
+        assert_eq!(
+            acc.len(),
+            self.cols * other.cols,
+            "add_matmul_at_into output size"
+        );
+        let n = other.cols;
+        for i in 0..self.cols {
+            let dst = &mut acc[i * n..(i + 1) * n];
+            if self.rows == 1 {
+                let a = self.data[i];
+                if a == 0.0 {
+                    for d in dst {
+                        *d += 0.0;
+                    }
+                } else {
+                    for (d, &b) in dst.iter_mut().zip(&other.data) {
+                        *d += 0.0 + a * b;
+                    }
+                }
+                continue;
+            }
+            row.clear();
+            row.resize(n, 0.0);
+            for k in 0..self.rows {
+                let a = self.data[k * self.cols + i];
+                if a == 0.0 {
+                    continue;
+                }
+                for (d, &b) in row.iter_mut().zip(&other.data[k * n..(k + 1) * n]) {
+                    *d += a * b;
+                }
+            }
+            for (d, &r) in dst.iter_mut().zip(row.iter()) {
+                *d += r;
+            }
+        }
+    }
+
+    /// Adds the column sums of `self` into the `1 × cols` row `acc`.
+    /// Bit-identical to `acc.add_assign(&self.sum_rows())`: each column
+    /// is summed in row order from `+0.0`, then added.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` is not `1 × self.cols`.
+    pub(crate) fn add_sum_rows_into(&self, acc: &mut Matrix) {
+        assert_eq!(
+            acc.shape(),
+            (1, self.cols),
+            "add_sum_rows_into output shape"
+        );
+        for (c, d) in acc.data.iter_mut().enumerate() {
+            let mut s = 0.0;
+            for r in 0..self.rows {
+                s += self.data[r * self.cols + c];
+            }
+            *d += s;
+        }
+    }
+
+    /// Consumes the matrix, returning its row-major storage for reuse.
+    pub(crate) fn into_data(self) -> Vec<f32> {
+        self.data
     }
 
     /// Transpose.
@@ -540,6 +633,20 @@ impl Matrix {
         out
     }
 
+    /// Mean over rows of each row's Shannon entropy (nats), the row read
+    /// as a probability distribution whose entries at or below `1e-12`
+    /// carry no mass. On a row-wise softmax this is the value of
+    /// [`Graph::entropy_rows`](crate::Graph::entropy_rows).
+    pub fn mean_row_entropy(&self) -> f32 {
+        let mut total = 0.0f32;
+        for &p in &self.data {
+            if p > 1e-12 {
+                total -= p * p.ln();
+            }
+        }
+        total / self.rows as f32
+    }
+
     /// Index of the largest element in row `r` (first on ties).
     pub fn argmax_row(&self, r: usize) -> usize {
         let row = self.row(r);
@@ -597,17 +704,66 @@ mod tests {
         }
     }
 
+    /// A matrix whose rows mix exact zeros, `-0.0` and small values, so
+    /// the zero skips and signed-zero additions are exercised.
+    fn with_zeros(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut m = Matrix::seeded_xavier(rows, cols, seed);
+        for (e, v) in m.data_mut().iter_mut().enumerate() {
+            match e % 5 {
+                0 => *v = 0.0,
+                3 => *v = -0.0,
+                _ => {}
+            }
+        }
+        m
+    }
+
+    fn assert_bits_eq(a: &Matrix, b: &Matrix) {
+        assert_eq!(a.shape(), b.shape());
+        for (x, y) in a.data().iter().zip(b.data()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
     #[test]
-    fn matmul_bt_cols_matches_full_product_slice_bitwise() {
-        let a = Matrix::seeded_xavier(2, 6, 21);
+    fn products_by_row_block_match_full_products_bitwise() {
+        let a = with_zeros(2, 6, 21);
         let b = Matrix::seeded_xavier(7, 6, 22);
         let full = a.matmul_bt(&b);
-        for (start, width) in [(0, 7), (0, 3), (2, 4), (5, 2), (6, 1)] {
-            let cols = a.matmul_bt_cols(&b, start, width);
-            let reference = full.slice_cols(start, width);
-            assert_eq!(cols.shape(), (2, width));
-            for (x, y) in cols.data().iter().zip(reference.data()) {
-                assert_eq!(x.to_bits(), y.to_bits());
+        for (lo, hi) in [(0, 7), (0, 3), (2, 6), (5, 7), (6, 7)] {
+            let block = b.transpose_rows(lo, hi);
+            assert_eq!(block, b.slice_rows(lo, hi - lo).transpose());
+            assert_bits_eq(&a.matmul(&block), &full.slice_cols(lo, hi - lo));
+        }
+        // [x | h] * w from x and h, one row block of w at a time.
+        let (x, h) = (with_zeros(3, 4, 23), with_zeros(3, 2, 24));
+        let w = Matrix::seeded_xavier(6, 5, 25);
+        let mut out = Matrix::zeros(3, 5);
+        x.add_product_into(&w, 0, out.data_mut());
+        h.add_product_into(&w, 4, out.data_mut());
+        assert_bits_eq(&out, &x.hcat(&h).matmul(&w));
+    }
+
+    #[test]
+    fn in_place_accumulations_match_add_assign_bitwise() {
+        let mut row = Vec::new();
+        for rows in [1, 3] {
+            let a = with_zeros(rows, 5, 31);
+            let g = with_zeros(rows, 4, 32);
+            // Accumulators holding -0.0 tell `+= 0.0` from no add at all.
+            for acc0 in [Matrix::full(5, 4, -0.0), Matrix::seeded_xavier(5, 4, 33)] {
+                let mut expect = acc0.clone();
+                expect.add_assign(&a.matmul_at(&g));
+                let mut got = acc0.clone();
+                a.add_matmul_at_into(&g, got.data_mut(), &mut row);
+                assert_bits_eq(&got, &expect);
+            }
+            for acc0 in [Matrix::full(1, 4, -0.0), Matrix::seeded_xavier(1, 4, 34)] {
+                let mut expect = acc0.clone();
+                expect.add_assign(&g.sum_rows());
+                let mut got = acc0.clone();
+                g.add_sum_rows_into(&mut got);
+                assert_bits_eq(&got, &expect);
             }
         }
     }

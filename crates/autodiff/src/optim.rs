@@ -1,10 +1,17 @@
 //! Gradient-descent optimizers over [`ParamSet`]s.
 
-use std::collections::HashMap;
-
 use crate::graph::Gradients;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
+
+/// Per-parameter optimizer state, indexed by [`ParamId`] and created
+/// (zeroed, shaped like the gradient) on a parameter's first update.
+fn state_for<T>(state: &mut Vec<Option<T>>, id: ParamId, init: impl FnOnce() -> T) -> &mut T {
+    if state.len() <= id.index() {
+        state.resize_with(id.index() + 1, || None);
+    }
+    state[id.index()].get_or_insert_with(init)
+}
 
 /// Stochastic gradient descent with optional momentum.
 ///
@@ -31,7 +38,7 @@ use crate::params::{ParamId, ParamSet};
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    velocity: HashMap<ParamId, Matrix>,
+    velocity: Vec<Option<Matrix>>,
 }
 
 impl Sgd {
@@ -52,7 +59,7 @@ impl Sgd {
         Self {
             lr,
             momentum,
-            velocity: HashMap::new(),
+            velocity: Vec::new(),
         }
     }
 
@@ -70,10 +77,7 @@ impl Sgd {
     /// Applies one update step.
     pub fn step(&mut self, params: &mut ParamSet, grads: &Gradients) {
         for (id, g) in grads.iter() {
-            let v = self
-                .velocity
-                .entry(id)
-                .or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
+            let v = state_for(&mut self.velocity, id, || Matrix::zeros(g.rows(), g.cols()));
             // v = momentum * v + g; w -= lr * v
             for (vi, &gi) in v.data_mut().iter_mut().zip(g.data()) {
                 *vi = self.momentum * *vi + gi;
@@ -94,8 +98,8 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     t: u64,
-    m: HashMap<ParamId, Matrix>,
-    v: HashMap<ParamId, Matrix>,
+    /// First and second moment estimates per parameter.
+    moments: Vec<Option<(Matrix, Matrix)>>,
 }
 
 impl Adam {
@@ -112,8 +116,7 @@ impl Adam {
             beta2: 0.999,
             eps: 1e-8,
             t: 0,
-            m: HashMap::new(),
-            v: HashMap::new(),
+            moments: Vec::new(),
         }
     }
 
@@ -133,24 +136,29 @@ impl Adam {
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
         for (id, g) in grads.iter() {
-            let m = self
-                .m
-                .entry(id)
-                .or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
-            let v = self
-                .v
-                .entry(id)
-                .or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
-            for ((mi, vi), &gi) in m.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-            }
+            let (m, v) = state_for(&mut self.moments, id, || {
+                (
+                    Matrix::zeros(g.rows(), g.cols()),
+                    Matrix::zeros(g.rows(), g.cols()),
+                )
+            });
             let w = params.value_mut(id);
-            for ((wi, &mi), &vi) in w.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
-                let mhat = mi / b1t;
-                let vhat = vi / b2t;
-                *wi -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            // One pass per element: moments, then the bias-corrected step
+            // (the same operations, per element, as two separate passes).
+            for (((wi, mi), vi), &gi) in w
+                .data_mut()
+                .iter_mut()
+                .zip(m.data_mut())
+                .zip(v.data_mut())
+                .zip(g.data())
+            {
+                *mi = beta1 * *mi + (1.0 - beta1) * gi;
+                *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+                let mhat = *mi / b1t;
+                let vhat = *vi / b2t;
+                *wi -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
     }

@@ -15,7 +15,10 @@ pub struct EpisodeTape {
     /// The autodiff graph the episode's policy passes were recorded on.
     pub graph: Graph,
     logps: Vec<VarId>,
-    entropies: Vec<VarId>,
+    /// The masked logits of each sampled decision. Their entropy nodes
+    /// are recorded only when a loss uses them (a non-zero entropy
+    /// bonus); until then the tape carries no entropy work.
+    decisions: Vec<VarId>,
 }
 
 impl EpisodeTape {
@@ -43,15 +46,15 @@ impl EpisodeTape {
     /// zero for an empty tape. A telemetry-facing health signal: entropy
     /// collapsing to 0 early means the policy stopped exploring.
     pub fn mean_entropy(&self) -> f64 {
-        if self.entropies.is_empty() {
+        if self.decisions.is_empty() {
             return 0.0;
         }
         let sum: f64 = self
-            .entropies
+            .decisions
             .iter()
-            .map(|&v| f64::from(self.graph.value(v).at(0, 0)))
+            .map(|&v| f64::from(self.graph.value(v).softmax_rows().mean_row_entropy()))
             .sum();
-        sum / self.entropies.len() as f64
+        sum / self.decisions.len() as f64
     }
 
     /// Sum of recorded log-probabilities (the episode's log-likelihood).
@@ -88,10 +91,17 @@ impl EpisodeTape {
             sum = self.graph.add(sum, v);
         }
         let mut loss = self.graph.scale(sum, -advantage);
-        if beta != 0.0 && !self.entropies.is_empty() {
-            let mut h = self.entropies[0];
-            let rest: Vec<VarId> = self.entropies[1..].to_vec();
-            for v in rest {
+        if beta != 0.0 && !self.decisions.is_empty() {
+            // Each entropy node lands after its decision's log-probability
+            // node, as it would have at sampling time, so the backward
+            // pass still adds its contribution to the logits first.
+            let entropies: Vec<VarId> = self
+                .decisions
+                .iter()
+                .map(|&m| self.graph.entropy_rows(m))
+                .collect();
+            let mut h = entropies[0];
+            for &v in &entropies[1..] {
                 h = self.graph.add(h, v);
             }
             let bonus = self.graph.scale(h, -beta);
@@ -129,8 +139,7 @@ pub fn sample_masked(
     let pick = sample_categorical(probs.row(0), rng);
     let logp = tape.graph.pick_log_softmax(masked, &[pick]);
     tape.record(logp);
-    let h = tape.graph.entropy_rows(masked);
-    tape.entropies.push(h);
+    tape.decisions.push(masked);
     (pick, logp)
 }
 
@@ -332,6 +341,28 @@ mod tests {
         let tape = EpisodeTape::new();
         let grads = tape.into_gradients(1.0);
         assert!(grads.is_empty());
+    }
+
+    #[test]
+    fn mean_entropy_is_the_mean_of_the_entropy_nodes() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut tape = EpisodeTape::new();
+        let a = tape.graph.constant(Matrix::row_vector(&[0.3, -1.0, 2.0]));
+        let b = tape.graph.constant(Matrix::row_vector(&[1.0, 1.0, 0.5, -0.25]));
+        let _ = sample_masked(&mut tape, a, &[true, false, true], &mut rng);
+        let _ = sample_masked(&mut tape, b, &[true, true, true, true], &mut rng);
+        let nodes: Vec<f64> = tape
+            .decisions
+            .clone()
+            .into_iter()
+            .map(|m| {
+                let h = tape.graph.entropy_rows(m);
+                f64::from(tape.graph.value(h).at(0, 0))
+            })
+            .collect();
+        let expected = (nodes[0] + nodes[1]) / 2.0;
+        assert_eq!(tape.mean_entropy().to_bits(), expected.to_bits());
+        assert!(expected > 0.0);
     }
 
     #[test]

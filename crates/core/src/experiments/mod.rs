@@ -196,11 +196,7 @@ pub fn train_scene(
     let tail = branch_outcome.improvers.len().saturating_sub(5);
     pool.extend(branch_outcome.improvers[tail..].iter().map(|(c, _)| c));
     rerank_span.record("pool", pool.len());
-    let branch = pool
-        .into_iter()
-        .max_by(|a, b| {
-executed(a).total_cmp(&executed(b))
-        })
+    let branch = last_best(pool, |c| executed(c))
         .expect("pool contains surgery")
         .clone();
     drop(rerank_span);
@@ -307,4 +303,32 @@ pub fn train_all_parallel(
     })
     .into_iter()
     .collect()
+}
+
+/// The highest-scoring item, the last one among equal scores (the
+/// tie rule of [`Iterator::max_by`]). Each item is scored exactly once.
+fn last_best<T>(items: Vec<T>, mut score: impl FnMut(&T) -> f64) -> Option<T> {
+    let scored: Vec<(f64, T)> = items.into_iter().map(|t| (score(&t), t)).collect();
+    scored
+        .into_iter()
+        .max_by(|a, b| a.0.total_cmp(&b.0))
+        .map(|(_, t)| t)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::last_best;
+
+    #[test]
+    fn last_best_scores_each_item_once_and_keeps_the_last_tie() {
+        let mut calls = 0;
+        let items = vec![(0, 1.0), (1, 3.0), (2, 2.0), (3, 3.0), (4, -1.0)];
+        let best = last_best(items, |&(_, s)| {
+            calls += 1;
+            s
+        });
+        assert_eq!(best, Some((3, 3.0)), "a tie picks the later item");
+        assert_eq!(calls, 5);
+        assert_eq!(last_best(Vec::<u8>::new(), |_| 0.0), None);
+    }
 }

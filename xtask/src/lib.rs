@@ -487,9 +487,10 @@ const L1_CRATES: [&str; 8] = [
 ];
 
 /// Hot-path files where map iteration order would leak into search
-/// results: the searches themselves, reward/eval, the memo pool and the
-/// controllers.
-const L2_HOT_PATHS: [&str; 11] = [
+/// results: the searches themselves, reward/eval, the memo pool, the
+/// controllers, and the autodiff tape and optimizers that train them (a
+/// gradient norm summed in hash order changes the clipped Adam step).
+const L2_HOT_PATHS: [&str; 13] = [
     "crates/core/src/search.rs",
     "crates/core/src/tree_search.rs",
     "crates/core/src/branch.rs",
@@ -501,6 +502,8 @@ const L2_HOT_PATHS: [&str; 11] = [
     "crates/core/src/memo.rs",
     "crates/core/src/parallel.rs",
     "crates/core/src/controller/",
+    "crates/autodiff/src/graph.rs",
+    "crates/autodiff/src/optim.rs",
 ];
 
 const L3_CRATES: [&str; 3] = ["crates/core/src", "crates/netsim/src", "crates/latency/src"];

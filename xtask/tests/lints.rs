@@ -109,6 +109,24 @@ fn l2_not_fooled_by_vec_of_map_shards() {
 }
 
 #[test]
+fn l2_fires_on_gradient_norm_summed_over_map_values() {
+    // The controllers' gradient norm: a float sum in hash order makes the
+    // clipped optimizer step depend on the process's hash seed.
+    let src = "pub struct Gradients {\n\
+                   by_param: HashMap<ParamId, Matrix>,\n\
+               }\n\
+               impl Gradients {\n\
+                   pub fn global_norm(&self) -> f32 {\n\
+                       self.by_param.values().map(|m| m.frobenius_norm()).sum::<f32>()\n\
+                   }\n\
+               }\n";
+    for file in ["crates/autodiff/src/graph.rs", "crates/autodiff/src/optim.rs"] {
+        let found = lints_of(file, src);
+        assert!(found.contains(&Lint::L2MapIteration), "{file}: {found:?}");
+    }
+}
+
+#[test]
 fn l2_ignores_non_hot_path_files() {
     let src = "fn f() {\n    let m: HashMap<u64, u64> = HashMap::new();\n    for k in m.keys() { let _ = k; }\n}\n";
     assert!(!lints_of("crates/core/src/persist.rs", src).contains(&Lint::L2MapIteration));
