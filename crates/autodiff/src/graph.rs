@@ -161,9 +161,6 @@ enum Op {
 struct Node {
     value: Matrix,
     op: Op,
-    /// Whether a gradient arriving here can reach a parameter. Backward
-    /// arms skip inputs without it: constants discard what they receive.
-    needs_grad: bool,
 }
 
 /// Gradients produced by [`Graph::backward`], one slot per [`ParamId`].
@@ -297,41 +294,7 @@ impl Graph {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> VarId {
-        let needs = |v: &VarId| self.nodes[v.0].needs_grad;
-        let needs_grad = match &op {
-            Op::Constant => false,
-            Op::Param(_) => true,
-            Op::Add(a, b)
-            | Op::Sub(a, b)
-            | Op::Hadamard(a, b)
-            | Op::MatMul(a, b)
-            | Op::AddBroadcastRow(a, b)
-            | Op::HCat(a, b) => needs(a) || needs(b),
-            Op::Scale(a, _)
-            | Op::AddScalar(a)
-            | Op::Transpose(a)
-            | Op::Sigmoid(a)
-            | Op::Tanh(a)
-            | Op::Relu(a)
-            | Op::Square(a)
-            | Op::SliceCols(a, _)
-            | Op::MeanAll(a)
-            | Op::SumAll(a) => needs(a),
-            Op::ConcatMatMulBias { x, h, w, b, .. } => [x, h, w, b].into_iter().any(needs),
-            Op::LstmCellState { gates, c_prev, .. } => needs(gates) || needs(c_prev),
-            Op::LstmOutGate { gates, c, .. } => needs(gates) || needs(c),
-            Op::SoftmaxCrossEntropy { logits, .. }
-            | Op::PickLogSoftmax { logits, .. }
-            | Op::EntropyRows { logits, .. } => needs(logits),
-            Op::Im2Col { input, .. } | Op::NhwcToNchw { input, .. } | Op::MaxPool { input, .. } => {
-                needs(input)
-            }
-        };
-        self.nodes.push(Node {
-            value,
-            op,
-            needs_grad,
-        });
+        self.nodes.push(Node { value, op });
         VarId(self.nodes.len() - 1)
     }
 
@@ -758,8 +721,9 @@ impl<'a> Slots<'a> {
         &self.nodes[id.0].value
     }
 
+    /// Whether a gradient for `id` is kept: constants discard theirs.
     fn needs(&self, id: VarId) -> bool {
-        self.nodes[id.0].needs_grad
+        !matches!(self.nodes[id.0].op, Op::Constant)
     }
 
     fn recycle(&mut self, m: Matrix) {

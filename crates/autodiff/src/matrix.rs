@@ -346,7 +346,8 @@ impl Matrix {
     /// output row is summed in `row` exactly as [`matmul_at`] sums it,
     /// then added. A one-row `self` (the LSTM case) skips the staging
     /// row: its product row is `0.0 + a·b`, or `0.0` for an exact-zero
-    /// `a`, and exactly that is added.
+    /// `a`, and exactly that is added in one pass over `acc` instead of
+    /// three (clear, accumulate, add).
     ///
     /// # Panics
     ///

@@ -82,3 +82,16 @@ fn default_width_tree_search_params_match_recorded_digest() {
     let got = trained_digest(&zoo::alexnet_cifar(), Scenario::FourGOutdoorQuick, cfg);
     assert_eq!(got, 0x8f2e_24fe_455f_2d8e, "got {got:#018x}");
 }
+
+#[test]
+fn entropy_bonus_tree_search_params_match_recorded_digest() {
+    // A non-zero entropy bonus adds the per-decision entropy terms to
+    // every loss, so their gradients flow into the masked logits too.
+    let cfg = SearchConfig {
+        entropy_beta: 0.01,
+        parallelism: Parallelism::new(2),
+        ..SearchConfig::quick(5)
+    };
+    let got = trained_digest(&zoo::vgg11_cifar(), Scenario::WifiWeakIndoor, cfg);
+    assert_eq!(got, 0x5e12_e680_c82e_c0da, "got {got:#018x}");
+}
