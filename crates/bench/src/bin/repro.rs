@@ -1,0 +1,763 @@
+//! Regenerates the paper's evaluation (§VII) and the extension
+//! experiments: `repro` prints every section, `repro table3_offline
+//! fig7_search_comparison` only the named ones. Each section is headed
+//! `== <name> ==`, so `repro > results/full_run.txt` rebuilds the
+//! checked-in record. The 14 paper scenes are trained once, on first use,
+//! and shared by every section that reads them. The budget comes from
+//! `CADMC_EPISODES`, `CADMC_REQUESTS`, `CADMC_SEED` and `CADMC_WORKERS`
+//! (see [`Budget`]).
+
+use std::cell::OnceCell;
+use std::process::ExitCode;
+
+use cadmc_bench::{downsample, rule, select, sparkline, triple, Budget, Section};
+use cadmc_compress::{CompressionPlan, Technique};
+use cadmc_core::baselines::{epsilon_greedy_search, random_search};
+use cadmc_core::branch::optimal_branch;
+use cadmc_core::executor::Mode;
+use cadmc_core::experiments::{
+    averages, emulation_table, mismatch_matrix, nk_sweep, offline_table, search_comparison,
+    strategy_illustration, train_all, TrainedScene, K_LEVELS, N_BLOCKS,
+};
+use cadmc_core::memo::MemoPool;
+use cadmc_core::search::{Controllers, SearchConfig};
+use cadmc_core::tree::BackwardRule;
+use cadmc_core::tree_search::tree_search;
+use cadmc_core::{Candidate, EvalEnv, NetworkContext, Partition};
+use cadmc_latency::calibrate::{conv_sweep, fc_sweep, fit_linear, transfer_sweep};
+use cadmc_latency::{DeviceProfile, EnergyProfile, Mbps, Platform, Radio, TransferModel};
+use cadmc_netsim::Scenario;
+use cadmc_nn::zoo::{self, ResNetDepth};
+
+/// The bandwidth of the per-layer breakdown's transfers.
+const BREAKDOWN_MBPS: f64 = 10.0;
+
+/// Requests per cell of the context-mismatch matrix.
+const MISMATCH_REQUESTS: usize = 120;
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let sections = match select(&args) {
+        Ok(sections) => sections,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let repro = Repro {
+        budget: Budget::from_env(),
+        scenes: OnceCell::new(),
+    };
+    for section in sections {
+        println!("== {section} ==");
+        match section {
+            Section::Table1Latency => table1_latency(),
+            Section::Fig1Traces => fig1_traces(repro.budget.seed),
+            Section::Table2Compression => table2_compression(),
+            Section::Fig5LatencyModel => fig5_latency_model(repro.budget.seed),
+            Section::Fig7SearchComparison => fig7_search_comparison(&repro.budget),
+            Section::Fig8BranchExample => fig8_branch_example(&repro),
+            Section::Table3Offline => table3_offline(repro.scenes()),
+            Section::Table4Emulation => executed_table(
+                &repro,
+                Mode::Emulation,
+                "Table 4: emulation results",
+                "paper (VGG11 avg): 78.28 -> 60.91 -> 56.11 ms; accuracy 92.01 -> 90.65 -> 90.77 %",
+            ),
+            Section::Table5Field => executed_table(
+                &repro,
+                Mode::Field,
+                "Table 5: field test results",
+                "paper (VGG11 avg): 137.61 -> 90.82 -> 87.51 ms (36.4% reduction at 0.74 pp loss)",
+            ),
+            Section::SweepNk => sweep_nk(&repro.budget),
+            Section::EnergyReport => energy_report(&repro),
+            Section::AblationQuality => ablation_quality(&repro.budget),
+            Section::MismatchMatrix => mismatch(&repro),
+            Section::LatencyBreakdown => latency_breakdown(),
+            Section::SeedVariance => seed_variance(&repro),
+        }
+        println!();
+    }
+    ExitCode::SUCCESS
+}
+
+/// The shared budget and the paper scenes trained under it.
+struct Repro {
+    budget: Budget,
+    scenes: OnceCell<Vec<TrainedScene>>,
+}
+
+impl Repro {
+    /// The 14 paper scenes at the budget's seed, trained on first use.
+    fn scenes(&self) -> &[TrainedScene] {
+        self.scenes
+            .get_or_init(|| train(&self.budget, self.budget.seed))
+    }
+
+    /// The paper scene of VGG11 on the phone in `scenario`.
+    fn vgg11_phone(&self, scenario: Scenario) -> &TrainedScene {
+        self.scenes()
+            .iter()
+            .find(|s| {
+                let w = &s.workload;
+                w.model.name() == "VGG11" && w.device == Platform::Phone && w.scenario == scenario
+            })
+            .expect("the paper workloads run VGG11 on the phone in every scenario")
+    }
+}
+
+/// Trains the 14 paper scenes under `seed`.
+fn train(budget: &Budget, seed: u64) -> Vec<TrainedScene> {
+    eprintln!(
+        "training 14 scenes ({} episodes each, seed {seed})...",
+        budget.episodes
+    );
+    train_all(&budget.search_config(seed), seed).expect("the paper workloads are valid")
+}
+
+fn table1_latency() {
+    let phone = DeviceProfile::phone();
+    let rows = [
+        ("VGG19", zoo::vgg19_imagenet(), 5734.89),
+        ("ResNet50", zoo::resnet_imagenet(ResNetDepth::D50), 1103.20),
+        (
+            "ResNet101",
+            zoo::resnet_imagenet(ResNetDepth::D101),
+            2238.79,
+        ),
+        (
+            "ResNet152",
+            zoo::resnet_imagenet(ResNetDepth::D152),
+            3729.10,
+        ),
+    ];
+    println!("Table 1: inference latencies on Xiaomi MI 6X (1x224x224x3)");
+    println!(
+        "{:<12} {:>12} {:>14} {:>14} {:>8}",
+        "Model", "GMACCs", "paper (ms)", "ours (ms)", "diff"
+    );
+    rule(64);
+    for (name, model, paper) in rows {
+        let ours = phone.model_latency_ms(&model);
+        println!(
+            "{:<12} {:>12.2} {:>14.2} {:>14.2} {:>7.1}%",
+            name,
+            model.total_maccs() as f64 / 1e9,
+            paper,
+            ours,
+            100.0 * (ours - paper) / paper
+        );
+    }
+}
+
+fn fig1_traces(seed: u64) {
+    println!("Fig. 1: real-world network contexts (synthesized, 60 s @ 10 Hz)\n");
+    for scenario in [Scenario::FourGOutdoorQuick, Scenario::WifiWeakIndoor] {
+        let trace = scenario.trace(seed);
+        let (poor, good) = trace.quartile_levels();
+        // Largest change within any 1-second window.
+        let s = trace.samples();
+        let max_1s_jump = s.windows(10).fold(0.0f64, |jump, w| {
+            let lo = w.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = w.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            jump.max(hi - lo)
+        });
+        println!("{}", scenario.name());
+        println!("  {}", sparkline(&downsample(s, 100)));
+        println!(
+            "  mean {:.2} Mbps | std {:.2} | quartiles (poor/good) {:.2}/{:.2} | max 1s swing {:.2} Mbps",
+            trace.mean(),
+            trace.std_dev(),
+            poor,
+            good,
+            max_1s_jump
+        );
+        println!();
+    }
+}
+
+fn table2_compression() {
+    let base = zoo::vgg11_cifar();
+    let row = |technique: &str, layer: &str, idx: &str, maccs: u64, params: u64| {
+        println!(
+            "{:<22} {:<22} {:>10} {:>11.1}M {:>11.2}M",
+            technique,
+            layer,
+            idx,
+            maccs as f64 / 1e6,
+            params as f64 / 1e6
+        );
+    };
+    println!("Table 2: compression techniques applied to VGG11 (first applicable layer)");
+    println!(
+        "{:<22} {:<22} {:>10} {:>12} {:>12}",
+        "Technique", "Target layer", "layer idx", "MACCs", "params"
+    );
+    rule(84);
+    row("(base)", "-", "-", base.total_maccs(), base.total_params());
+    for t in Technique::ALL {
+        let Some(idx) = (0..base.len()).find(|&i| t.applicable(&base, i)) else {
+            println!(
+                "{:<22} {:<22} {:>10}",
+                t.to_string(),
+                "(not applicable)",
+                "-"
+            );
+            continue;
+        };
+        let out = t.apply(&base, idx).expect("applicable");
+        row(
+            &t.to_string(),
+            &base.layers()[idx].encode(),
+            &idx.to_string(),
+            out.total_maccs(),
+            out.total_params(),
+        );
+    }
+}
+
+fn fig5_latency_model(seed: u64) {
+    println!("Fig. 5: latency estimation model fits (slope/intercept/R²)\n");
+    println!(
+        "{:<10} {:<14} {:>14} {:>12} {:>8}",
+        "Platform", "Panel", "slope (ms/MACC)", "intercept", "R²"
+    );
+    rule(64);
+    for platform in [Platform::Phone, Platform::Tx2, Platform::CloudServer] {
+        let profile = DeviceProfile::for_platform(platform);
+        let panels = [1usize, 3, 5]
+            .map(|k| (format!("conv {k}x{k}"), conv_sweep(&profile, k, seed)))
+            .into_iter()
+            .chain([("FC".to_string(), fc_sweep(&profile, seed))]);
+        for (panel, sweep) in panels {
+            let fit = fit_linear(&sweep);
+            println!(
+                "{:<10} {:<14} {:>14.3e} {:>12.3} {:>8.3}",
+                platform.name(),
+                panel,
+                fit.slope,
+                fit.intercept,
+                fit.r2
+            );
+        }
+    }
+    let fit = fit_linear(&transfer_sweep(&TransferModel::default(), seed));
+    println!(
+        "{:<10} {:<14} {:>14.3} {:>12.3} {:>8.3}   (x = transmission ms = S/W)",
+        "-", "transfer", fit.slope, fit.intercept, fit.r2
+    );
+    println!("\nNote: GPU platforms (TX2/cloud) show lower R² — the paper observes the");
+    println!("same: parallel execution obscures the MACC-linearity on GPUs.");
+}
+
+fn fig7_search_comparison(budget: &Budget) {
+    let Budget {
+        episodes,
+        seed,
+        workers,
+        ..
+    } = *budget;
+    let curve_line = |name: &str, curve: &[f64]| {
+        println!(
+            "  {:<10} best {:>7.2}  {}",
+            name,
+            curve.last().copied().unwrap_or(0.0),
+            sparkline(&downsample(curve, 60))
+        );
+    };
+    println!("Fig. 7: search method comparison (VGG11, Phone; {episodes} episodes per method)\n");
+    for scenario in [Scenario::FourGIndoorStatic, Scenario::WifiWeakIndoor] {
+        println!("context: {}", scenario.name());
+        let cmp = search_comparison(
+            &zoo::vgg11_cifar(),
+            Platform::Phone,
+            scenario,
+            episodes,
+            seed,
+            workers,
+        )
+        .expect("valid inputs");
+        curve_line("RL (ours)", &cmp.rl);
+        curve_line("random", &cmp.random);
+        curve_line("e-greedy", &cmp.epsilon_greedy);
+        println!();
+    }
+    // Second panel: the same comparison on the Alg. 1 (single-branch)
+    // space at the weak-WiFi median bandwidth.
+    println!("branch-space comparison (Alg. 1, WiFi (weak) indoor median):");
+    let env = EvalEnv::phone();
+    let base = zoo::vgg11_cifar();
+    let ctx = NetworkContext::from_scenario(Scenario::WifiWeakIndoor, 2, seed);
+    let bw = Mbps(ctx.median_bandwidth());
+    let cfg = budget.search_config(seed);
+    let mut controllers = Controllers::new(&cfg);
+    let rl = optimal_branch(&mut controllers, &base, &env, bw, &cfg, &MemoPool::new())
+        .expect("valid inputs");
+    let rnd = random_search(
+        &base,
+        &env,
+        bw,
+        episodes,
+        seed,
+        &MemoPool::new(),
+        workers,
+        false,
+    )
+    .expect("valid inputs");
+    let eg = epsilon_greedy_search(
+        &base,
+        &env,
+        bw,
+        episodes,
+        0.3,
+        seed,
+        &MemoPool::new(),
+        workers,
+        false,
+    )
+    .expect("valid inputs");
+    for (name, out) in [("RL (ours)", &rl), ("random", &rnd), ("e-greedy", &eg)] {
+        curve_line(name, &out.best_so_far());
+    }
+    println!();
+    println!("paper (4G indoor static): RL 367.70 > e-greedy 358.90 ~ random 358.77");
+    println!("(best reward so far per episode; in these spaces the methods mostly reach");
+    println!(" the same optimum, so best reward rarely separates them)");
+}
+
+fn fig8_branch_example(repro: &Repro) {
+    for scenario in [Scenario::FourGIndoorStatic, Scenario::FourGOutdoorQuick] {
+        let ill = strategy_illustration(repro.vgg11_phone(scenario), repro.budget.seed);
+        println!("Fig. 8: strategies under '{}'", ill.scenario);
+        println!(
+            "bandwidth levels (poor/good): {:.2} / {:.2} Mbps\n",
+            ill.levels[0], ill.levels[1]
+        );
+        println!(
+            "{:<22} {:<54} {:>9} {:>9}",
+            "Strategy", "Deployment", "planned", "executed"
+        );
+        rule(97);
+        for (name, (summary, planned, executed)) in [
+            ("Dynamic DNN surgery", &ill.surgery),
+            ("Optimal branch", &ill.branch),
+        ] {
+            println!("{name:<22} {summary:<54} {planned:>9.2} {executed:>9.2}");
+        }
+        for (i, (summary, reward)) in ill.tree_branches.iter().enumerate() {
+            let exec = if i == 0 {
+                format!("{:>9.2}", ill.tree_executed)
+            } else {
+                format!("{:>9}", "\"")
+            };
+            println!(
+                "{:<22} {:<54} {:>9.2} {exec}",
+                format!("Model tree branch {i}"),
+                summary,
+                reward
+            );
+        }
+        println!("\n(planned = at the context median; executed = Alg. 2 over a held-out trace)\n");
+    }
+}
+
+fn table3_offline(scenes: &[TrainedScene]) {
+    let rows = offline_table(scenes);
+    let line = |model: &str, device: &str, scenario: &str, [s, b, t]: [f64; 3]| {
+        println!("{model:<10} {device:<8} {scenario:<22} {s:>9.2} {b:>9.2} {t:>9.2}");
+    };
+    println!("Table 3: offline training reward");
+    println!(
+        "{:<10} {:<8} {:<22} {:>9} {:>9} {:>9}",
+        "Model", "Device", "Environment", "Surgery", "Branch", "Tree"
+    );
+    rule(72);
+    for r in &rows {
+        line(
+            &r.model,
+            &r.device,
+            &r.scenario,
+            [r.surgery, r.branch, r.tree],
+        );
+    }
+    rule(72);
+    for group in rows.chunk_by(|a, b| a.model == b.model) {
+        let mean = |f: fn(&_) -> f64| group.iter().map(f).sum::<f64>() / group.len() as f64;
+        let avg = [mean(|r| r.surgery), mean(|r| r.branch), mean(|r| r.tree)];
+        line(&group[0].model, "-", "Average", avg);
+    }
+    println!(
+        "\npaper averages (VGG11): 352.14 / 355.92 / 359.57; (AlexNet): 347.05 / 357.64 / 359.56"
+    );
+}
+
+/// Tables 4 and 5, which differ only in the execution mode, the title and
+/// the paper's reference line.
+fn executed_table(repro: &Repro, mode: Mode, title: &str, paper: &str) {
+    let Budget { requests, seed, .. } = repro.budget;
+    let rows = emulation_table(repro.scenes(), mode, requests, seed);
+    let line = |model: &str, device: &str, scenario: &str, cells: [(f64, f64, f64); 3]| {
+        println!(
+            "{:<10} {:<8} {:<22} | {} | {} | {}",
+            model,
+            device,
+            scenario,
+            triple(cells[0]),
+            triple(cells[1]),
+            triple(cells[2])
+        );
+    };
+    println!("{title} ({requests} requests per run)");
+    println!(
+        "{:<10} {:<8} {:<22} | {:^26} | {:^26} | {:^26}",
+        "Model", "Device", "Environment", "Surgery (R/ms/%)", "Branch (R/ms/%)", "Tree (R/ms/%)"
+    );
+    rule(128);
+    for r in &rows {
+        line(
+            &r.model,
+            &r.device,
+            &r.scenario,
+            [r.surgery, r.branch, r.tree],
+        );
+    }
+    rule(128);
+    for group in rows.chunk_by(|a, b| a.model == b.model) {
+        let avg = averages(group);
+        line(&group[0].model, "-", "Average", avg);
+        let (cut, loss) = tree_vs_surgery(&avg);
+        println!(
+            "{:<42} tree vs surgery: {:.1}% latency reduction, {:.2} pp accuracy loss",
+            "", cut, loss
+        );
+    }
+    println!("\n{paper}");
+}
+
+/// The tree's latency cut versus surgery (percent) and its accuracy loss
+/// (percentage points), from `(surgery, branch, tree)` averages.
+fn tree_vs_surgery(avg: &[(f64, f64, f64); 3]) -> (f64, f64) {
+    let (surgery, tree) = (avg[0], avg[2]);
+    (
+        100.0 * (surgery.1 - tree.1) / surgery.1,
+        100.0 * (surgery.2 - tree.2),
+    )
+}
+
+fn sweep_nk(budget: &Budget) {
+    let episodes = budget.episodes;
+    println!("N/K sweep: VGG11, Phone, WiFi (weak) indoor ({episodes} episodes per cell)\n");
+    println!(
+        "{:>3} {:>3} {:>10} {:>12} {:>14} {:>8}",
+        "N", "K", "reward", "latency ms", "storage MB", "nodes"
+    );
+    rule(56);
+    let points = nk_sweep(
+        &zoo::vgg11_cifar(),
+        Platform::Phone,
+        Scenario::WifiWeakIndoor,
+        &[2, 3, 4],
+        &[2, 3],
+        &budget.search_config(budget.seed),
+        budget.seed,
+    )
+    .expect("valid inputs");
+    for p in &points {
+        println!(
+            "{:>3} {:>3} {:>10.2} {:>12.2} {:>14.2} {:>8}",
+            p.n,
+            p.k,
+            p.reward,
+            p.latency_ms,
+            p.storage_bytes as f64 / 1e6,
+            p.nodes
+        );
+    }
+    let base = zoo::vgg11_cifar();
+    println!(
+        "\nsingle base model storage: {:.2} MB",
+        base.param_bytes() as f64 / 1e6
+    );
+    println!("paper setting: N = 3, K = 2.");
+}
+
+fn energy_report(repro: &Repro) {
+    println!("Per-inference device energy (VGG11, Phone; mJ at the context median)\n");
+    println!(
+        "{:<22} {:>10} | {:>9} {:>9} {:>9}",
+        "Environment", "median bw", "Surgery", "Branch", "Tree"
+    );
+    rule(66);
+    let device = DeviceProfile::phone();
+    let transfer = TransferModel::default();
+    for scenario in [
+        Scenario::FourGWeakIndoor,
+        Scenario::FourGIndoorStatic,
+        Scenario::WifiWeakIndoor,
+        Scenario::WifiOutdoorSlow,
+    ] {
+        let scene = repro.vgg11_phone(scenario);
+        let radio = if scenario.is_4g() {
+            Radio::Cellular
+        } else {
+            Radio::Wifi
+        };
+        let energy = EnergyProfile::phone(radio);
+        let bw = Mbps(scene.ctx.median_bandwidth());
+        let of = |c: &Candidate| {
+            energy.deployment_energy_mj(
+                &device,
+                &transfer,
+                &c.model,
+                c.edge_layers,
+                c.transfer_bytes(),
+                bw,
+            )
+        };
+        // The tree's energy at the median: compose for that bandwidth.
+        let (_, tree_cand) = scene.tree.tree.compose(|_| bw.0);
+        println!(
+            "{:<22} {:>7.2} Mb | {:>9.2} {:>9.2} {:>9.2}",
+            scenario.name(),
+            bw.0,
+            of(&scene.surgery.candidate),
+            of(&scene.branch),
+            of(&tree_cand)
+        );
+    }
+    println!("\nCompression cuts compute energy; offloading trades compute joules for");
+    println!("radio joules — on 4G the radio premium is substantial.");
+}
+
+fn ablation_quality(budget: &Budget) {
+    let episodes = budget.episodes;
+    let seeds = [7u64, 17, 27];
+    println!(
+        "Quality ablations (VGG11, Phone, WiFi (weak) indoor, {episodes} episodes, {} seeds)\n",
+        seeds.len()
+    );
+    println!("{:<34} {:>12}", "Variant", "mean reward");
+    rule(48);
+    // (name, change to the paper configuration, branch boosting)
+    type Variant = (&'static str, fn(&mut SearchConfig), bool);
+    let variants: [Variant; 6] = [
+        ("paper (mean, fair-chance, boost)", |_| {}, true),
+        (
+            "backward rule = max",
+            |c| c.backward_rule = BackwardRule::Max,
+            true,
+        ),
+        ("no fair-chance exploration", |c| c.alpha = 0.0, true),
+        ("no branch boosting", |_| {}, false),
+        ("entropy bonus b=0.01", |c| c.entropy_beta = 0.01, true),
+        ("no epsilon exploration", |c| c.explore_epsilon = 0.0, true),
+    ];
+    let base = zoo::vgg11_cifar();
+    let env = EvalEnv::phone();
+    for (name, variant, boost) in variants {
+        let reward = |seed: u64| {
+            let mut cfg = budget.search_config(seed);
+            variant(&mut cfg);
+            let ctx = NetworkContext::from_scenario(Scenario::WifiWeakIndoor, K_LEVELS, seed);
+            let mut controllers = Controllers::new(&cfg);
+            tree_search(
+                &mut controllers,
+                &base,
+                &env,
+                ctx.levels(),
+                N_BLOCKS,
+                &cfg,
+                &MemoPool::new(),
+                boost,
+                Some(ctx.trace()),
+            )
+            .expect("valid inputs")
+            .tree
+            .mean_branch_reward()
+        };
+        let mean = seeds.iter().map(|&s| reward(s)).sum::<f64>() / seeds.len() as f64;
+        println!("{:<34} {:>12.2}", name, mean);
+    }
+}
+
+fn mismatch(repro: &Repro) {
+    let scenes = [
+        Scenario::FourGIndoorStatic,
+        Scenario::FourGOutdoorQuick,
+        Scenario::WifiWeakIndoor,
+        Scenario::WifiOutdoorSlow,
+    ]
+    .map(|s| repro.vgg11_phone(s));
+    println!(
+        "Context mismatch (VGG11, Phone): executed reward of tree trained on row, run in column\n"
+    );
+    let m = mismatch_matrix(&scenes, MISMATCH_REQUESTS, repro.budget.seed);
+    print!("{:<22}", "trained \\ executed");
+    for s in &m.scenarios {
+        print!(" {:>20}", s);
+    }
+    println!();
+    rule(22 + 21 * m.scenarios.len());
+    for (i, row) in m.rewards.iter().enumerate() {
+        print!("{:<22}", m.scenarios[i]);
+        for (j, r) in row.iter().enumerate() {
+            let marker = if i == j { "*" } else { " " };
+            print!(" {:>19.2}{marker}", r);
+        }
+        println!();
+    }
+    println!(
+        "\n(* = matched context) mean diagonal advantage: {:.2} reward",
+        m.mean_diagonal_advantage()
+    );
+}
+
+fn latency_breakdown() {
+    let bw = BREAKDOWN_MBPS;
+    let base = zoo::vgg11_cifar();
+    let env = EvalEnv::phone();
+    println!("Per-layer breakdown: VGG11 on Phone, transfers at {bw} Mbps\n");
+    println!(
+        "{:>3} {:<20} {:>12} {:>10} {:>12}",
+        "i", "layer", "MACCs", "edge ms", "out bytes"
+    );
+    rule(62);
+    for (i, layer) in base.layers().iter().enumerate() {
+        println!(
+            "{:>3} {:<20} {:>12} {:>10.2} {:>12}",
+            i,
+            layer.encode(),
+            base.layer_maccs(i),
+            env.edge.layer_latency_ms(layer, base.layer_input(i)),
+            base.cut_bytes_after(i)
+        );
+    }
+
+    println!("\nCut-point table (edge + transfer + cloud = total):");
+    println!(
+        "{:<12} {:>9} {:>9} {:>9} {:>9}",
+        "cut", "edge ms", "xfer ms", "cloud ms", "total"
+    );
+    rule(52);
+    let plan = CompressionPlan::identity(base.len());
+    let options = std::iter::once(Partition::AllCloud)
+        .chain((0..base.len() - 1).map(Partition::AfterLayer))
+        .chain([Partition::AllEdge]);
+    let mut best: Option<(Partition, f64)> = None;
+    for p in options {
+        let c = Candidate::compose(&base, p, &plan).expect("identity plan");
+        let m = &c.model;
+        let te = env.edge.range_latency_ms(m, 0, c.edge_layers);
+        let tt = env.transfer.latency_ms(c.transfer_bytes(), Mbps(bw));
+        let tc = env
+            .cloud
+            .range_latency_ms(m, c.edge_layers, m.len())
+            .max(0.0);
+        let total = te + tt + tc;
+        println!(
+            "{:<12} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
+            p.to_string(),
+            te,
+            tt,
+            tc,
+            total
+        );
+        if best.is_none_or(|(_, b)| total < b) {
+            best = Some((p, total));
+        }
+    }
+    let (cut, total) = best.expect("options non-empty");
+    println!("\noptimal static cut at {bw} Mbps: {cut} ({total:.2} ms)");
+}
+
+/// The seeds of the seed-variance section.
+const SEEDS: std::ops::RangeInclusive<u64> = 1..=10;
+
+/// The shape claims of Tables 3–5 at every seed in [`SEEDS`], each
+/// summarised by its median and quartiles.
+fn seed_variance(repro: &Repro) {
+    let Budget {
+        episodes, requests, ..
+    } = repro.budget;
+    let claims = ["T4 VGG11", "T4 AlexNet", "T5 VGG11", "T5 AlexNet"];
+    println!(
+        "Shape claims over seeds {}-{} ({episodes} episodes, {requests} requests)",
+        SEEDS.start(),
+        SEEDS.end()
+    );
+    println!("T3 = Table 3 rows with Surgery <= Branch <= Tree;");
+    println!("T4/T5 = tree vs surgery latency cut and accuracy loss of the averages\n");
+    print!("{:>4} | {:>10}", "seed", "T3 S<=B<=T");
+    for claim in claims {
+        print!(" | {claim:>15}");
+    }
+    println!();
+    rule(87);
+    let (mut ordered, mut row_count) = (Vec::new(), 0);
+    let mut cuts = vec![Vec::new(); claims.len()];
+    for seed in SEEDS {
+        let owned;
+        let scenes = if seed == repro.budget.seed {
+            repro.scenes()
+        } else {
+            owned = train(&repro.budget, seed);
+            &owned
+        };
+        let rows = offline_table(scenes);
+        let holds = rows
+            .iter()
+            .filter(|r| r.surgery <= r.branch && r.branch <= r.tree)
+            .count();
+        row_count = rows.len();
+        print!("{seed:>4} | {holds:>7}/{row_count}");
+        ordered.push(holds as f64);
+        let executed = [Mode::Emulation, Mode::Field]
+            .map(|mode| emulation_table(scenes, mode, requests, seed));
+        let groups = executed
+            .iter()
+            .flat_map(|rows| rows.chunk_by(|a, b| a.model == b.model));
+        for (claim, group) in cuts.iter_mut().zip(groups) {
+            let (cut, loss) = tree_vs_surgery(&averages(group));
+            print!(" | {cut:>6.1}% {loss:>5.2}pp");
+            claim.push((cut, loss));
+        }
+        println!();
+    }
+    rule(87);
+    println!("median [quartiles] over {} seeds:", ordered.len());
+    println!(
+        "{:<11} {} of {row_count} rows",
+        "T3",
+        quartiles(&ordered, 1)
+    );
+    for (name, claim) in claims.iter().zip(&cuts) {
+        let (cut, loss): (Vec<f64>, Vec<f64>) = claim.iter().copied().unzip();
+        println!(
+            "{name:<11} cut {} % | loss {} pp",
+            quartiles(&cut, 1),
+            quartiles(&loss, 2)
+        );
+    }
+    println!(
+        "\npaper: Surgery < Branch < Tree in every Table 3 row; a 30-50% latency cut at ~1 pp"
+    );
+}
+
+/// `median [q1, q3]` of `values` with `digits` decimals; quantiles
+/// interpolate linearly between order statistics.
+fn quartiles(values: &[f64], digits: usize) -> String {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let q = |p: f64| {
+        let x = p * (sorted.len() - 1) as f64;
+        let (lo, hi) = (sorted[x.floor() as usize], sorted[x.ceil() as usize]);
+        lo + (hi - lo) * x.fract()
+    };
+    format!(
+        "{:.digits$} [{:.digits$}, {:.digits$}]",
+        q(0.5),
+        q(0.25),
+        q(0.75)
+    )
+}

@@ -95,12 +95,7 @@ fn sites_per_search(episodes: usize) -> u64 {
     run_search(episodes, 7);
     handle.finish().expect("memory sink cannot fail");
     let report = sink.take().expect("finish fed the sink");
-    let hist_samples: u64 = report
-        .metrics
-        .histograms
-        .iter()
-        .map(|(_, h)| h.count)
-        .sum();
+    let hist_samples: u64 = report.metrics.histograms.iter().map(|(_, h)| h.count).sum();
     let counter_increments: u64 = report.metrics.counters.iter().map(|(_, v)| *v).sum();
     report.events.len() as u64 + hist_samples + counter_increments
 }
@@ -154,7 +149,11 @@ fn main() -> ExitCode {
     println!("search (enabled)   : {enabled_ms:.2} ms ({enabled_pct:+.1}%)");
     println!(
         "disabled overhead  : {bound_pct:.4}% bound — {}",
-        if report.pass_under_2pct { "PASS (<2%)" } else { "FAIL (>=2%)" }
+        if report.pass_under_2pct {
+            "PASS (<2%)"
+        } else {
+            "FAIL (>=2%)"
+        }
     );
 
     let out = std::env::var("CADMC_BENCH_OUT")

@@ -1,28 +1,212 @@
 //! # cadmc-bench
 //!
-//! The paper reproduction harness: one binary per table and figure of
-//! the paper's evaluation (see `src/bin/`), plus `telemetry_overhead`,
-//! which gates the disabled-instrumentation bound. End-to-end and
-//! per-layer performance is measured by the separate `perfbench`
-//! package. Shared formatting helpers live here.
+//! The paper reproduction harness. The `repro` binary prints every table
+//! and figure of the paper's evaluation (§VII) and the extension
+//! experiments, one [`Section`] each, from one set of trained scenes:
+//! `repro > results/full_run.txt` regenerates the checked-in record.
+//! `telemetry_overhead` gates the disabled-instrumentation bound.
+//! End-to-end and per-layer performance is measured by the separate
+//! `perfbench` package. The section selector, the run [`Budget`] and
+//! shared formatting helpers live here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt;
+use std::str::FromStr;
+
+use cadmc_core::parallel::Parallelism;
+use cadmc_core::search::SearchConfig;
+
+/// One section of the reproduction, named after the binary that printed
+/// it before the sections shared one command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// Table 1: inference latencies on the phone.
+    Table1Latency,
+    /// Fig. 1: synthesized bandwidth traces.
+    Fig1Traces,
+    /// Table 2: the compression techniques on VGG11.
+    Table2Compression,
+    /// Fig. 5: latency-model fits.
+    Fig5LatencyModel,
+    /// Fig. 7: search-method comparison.
+    Fig7SearchComparison,
+    /// Fig. 8: the strategies under two contexts.
+    Fig8BranchExample,
+    /// Table 3: offline training reward.
+    Table3Offline,
+    /// Table 4: emulation results.
+    Table4Emulation,
+    /// Table 5: field-test results.
+    Table5Field,
+    /// Extension: the N/K tree-shape sweep.
+    SweepNk,
+    /// Extension: per-inference device energy.
+    EnergyReport,
+    /// Extension: quality ablations of the search's design choices.
+    AblationQuality,
+    /// Extension: trees executed in contexts they were not trained for.
+    MismatchMatrix,
+    /// Per-layer latency and cut-point table of VGG11.
+    LatencyBreakdown,
+    /// The shape claims of Tables 3–5 over several seeds.
+    SeedVariance,
+}
+
+impl Section {
+    /// Every section, in the order of `results/full_run.txt`.
+    pub const ALL: [Section; 15] = [
+        Section::Table1Latency,
+        Section::Fig1Traces,
+        Section::Table2Compression,
+        Section::Fig5LatencyModel,
+        Section::Fig7SearchComparison,
+        Section::Fig8BranchExample,
+        Section::Table3Offline,
+        Section::Table4Emulation,
+        Section::Table5Field,
+        Section::SweepNk,
+        Section::EnergyReport,
+        Section::AblationQuality,
+        Section::MismatchMatrix,
+        Section::LatencyBreakdown,
+        Section::SeedVariance,
+    ];
+
+    /// The name that selects the section and heads it in the output.
+    pub fn name(self) -> &'static str {
+        match self {
+            Section::Table1Latency => "table1_latency",
+            Section::Fig1Traces => "fig1_traces",
+            Section::Table2Compression => "table2_compression",
+            Section::Fig5LatencyModel => "fig5_latency_model",
+            Section::Fig7SearchComparison => "fig7_search_comparison",
+            Section::Fig8BranchExample => "fig8_branch_example",
+            Section::Table3Offline => "table3_offline",
+            Section::Table4Emulation => "table4_emulation",
+            Section::Table5Field => "table5_field",
+            Section::SweepNk => "sweep_nk",
+            Section::EnergyReport => "energy_report",
+            Section::AblationQuality => "ablation_quality",
+            Section::MismatchMatrix => "mismatch_matrix",
+            Section::LatencyBreakdown => "latency_breakdown",
+            Section::SeedVariance => "seed_variance",
+        }
+    }
+}
+
+impl fmt::Display for Section {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl FromStr for Section {
+    type Err = SelectError;
+
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        Section::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| SelectError::Unknown(name.to_string()))
+    }
+}
+
+/// Why a list of section names was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SelectError {
+    /// A name that is no section.
+    Unknown(String),
+    /// A section named more than once.
+    Repeated(Section),
+}
+
+impl fmt::Display for SelectError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SelectError::Unknown(name) => {
+                let valid: Vec<&str> = Section::ALL.iter().map(|s| s.name()).collect();
+                write!(
+                    f,
+                    "unknown section `{name}`; valid sections: {}",
+                    valid.join(", ")
+                )
+            }
+            SelectError::Repeated(s) => write!(f, "section `{s}` is named more than once"),
+        }
+    }
+}
+
+impl std::error::Error for SelectError {}
+
+/// The sections named by `args`, in the order given; no names selects
+/// every section in [`Section::ALL`] order.
+///
+/// # Errors
+///
+/// Returns [`SelectError`] for a name that is no section or a section
+/// named twice.
+pub fn select(args: &[String]) -> Result<Vec<Section>, SelectError> {
+    if args.is_empty() {
+        return Ok(Section::ALL.to_vec());
+    }
+    let mut sections = Vec::with_capacity(args.len());
+    for arg in args {
+        let section: Section = arg.parse()?;
+        if sections.contains(&section) {
+            return Err(SelectError::Repeated(section));
+        }
+        sections.push(section);
+    }
+    Ok(sections)
+}
+
+/// The run budget every section shares, read once from the environment:
+/// `CADMC_EPISODES` (default 120), `CADMC_REQUESTS` (150), `CADMC_SEED`
+/// (7) and `CADMC_WORKERS` (the machine's available parallelism). A value
+/// that does not parse falls back to its default. Worker count never
+/// affects results, only wall-clock time.
+#[derive(Debug, Clone, Copy)]
+pub struct Budget {
+    /// Search episodes per method and scene.
+    pub episodes: usize,
+    /// Requests streamed per executed run.
+    pub requests: usize,
+    /// Characterization and search seed.
+    pub seed: u64,
+    /// Rollout worker pool.
+    pub workers: Parallelism,
+}
+
+impl Budget {
+    /// Reads the budget from the `CADMC_*` variables.
+    pub fn from_env() -> Self {
+        fn var<T: FromStr>(name: &str) -> Option<T> {
+            std::env::var(name).ok().and_then(|v| v.parse().ok())
+        }
+        Budget {
+            episodes: var("CADMC_EPISODES").unwrap_or(120),
+            requests: var("CADMC_REQUESTS").unwrap_or(150),
+            seed: var("CADMC_SEED").unwrap_or(7),
+            workers: var("CADMC_WORKERS").map_or_else(Parallelism::available, Parallelism::new),
+        }
+    }
+
+    /// The search configuration of this budget under `seed`.
+    pub fn search_config(&self, seed: u64) -> SearchConfig {
+        SearchConfig {
+            episodes: self.episodes,
+            seed,
+            parallelism: self.workers,
+            ..SearchConfig::default()
+        }
+    }
+}
+
 /// Prints a horizontal rule of the given width.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
-}
-
-/// Rollout worker pool for the harness binaries: `CADMC_WORKERS` if set,
-/// otherwise the machine's available parallelism. Worker count never
-/// affects results — only wall-clock time.
-pub fn workers_from_env() -> cadmc_core::parallel::Parallelism {
-    use cadmc_core::parallel::Parallelism;
-    std::env::var("CADMC_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map_or_else(Parallelism::available, Parallelism::new)
 }
 
 /// Formats a `(reward, latency, accuracy)` triple as table cells.
@@ -61,6 +245,48 @@ pub fn downsample(values: &[f64], n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(names: &[&str]) -> Vec<String> {
+        names.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn every_section_name_parses_and_no_names_select_all_in_order() {
+        for s in Section::ALL {
+            assert_eq!(s.name().parse::<Section>(), Ok(s));
+        }
+        let all = select(&[]).expect("no names select all");
+        assert_eq!(all, Section::ALL);
+        let names: Vec<&str> = all.iter().map(|s| s.name()).collect();
+        assert_eq!(names[0], "table1_latency");
+        assert_eq!(names[12], "mismatch_matrix");
+        assert_eq!(
+            select(&args(&["table3_offline", "fig7_search_comparison"])),
+            Ok(vec![Section::Table3Offline, Section::Fig7SearchComparison])
+        );
+    }
+
+    #[test]
+    fn unknown_or_repeated_names_are_typed_errors() {
+        let err = select(&args(&["table3_offline", "table9"])).unwrap_err();
+        assert_eq!(err, SelectError::Unknown("table9".to_string()));
+        let msg = err.to_string();
+        for s in Section::ALL {
+            assert!(msg.contains(s.name()), "{msg} lacks {s}");
+        }
+        assert_eq!(
+            select(&args(&["", "--help"])),
+            Err(SelectError::Unknown(String::new()))
+        );
+        assert_eq!(
+            select(&args(&["sweep_nk", "table1_latency", "sweep_nk"])),
+            Err(SelectError::Repeated(Section::SweepNk))
+        );
+        assert_eq!(
+            "TABLE1_LATENCY".parse::<Section>(),
+            Err(SelectError::Unknown("TABLE1_LATENCY".to_string()))
+        );
+    }
 
     #[test]
     fn sparkline_length_matches_input() {

@@ -1,4 +1,4 @@
-//! Reproduces the EXPERIMENTS.md "outage robustness" entry: the same
+//! Reproduces the DESIGN.md §11 outage measurement: the same
 //! steady 60 Mbps scene, clean vs. canned cloud-link outages, for a
 //! two-fork VGG11 tree whose child 0 is an edge-only branch.
 //!

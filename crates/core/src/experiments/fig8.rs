@@ -3,15 +3,11 @@
 //! surgery partition, the optimal-branch transformation, and every branch
 //! of the model tree, each with its reward.
 
-use cadmc_latency::{Mbps, Platform};
-use cadmc_netsim::Scenario;
-use cadmc_nn::ModelSpec;
+use cadmc_latency::Mbps;
 
 use crate::executor::{execute, ExecConfig, Policy};
-use crate::search::SearchConfig;
-use crate::validate::ValidateError;
 
-use super::{train_scene, Workload};
+use super::TrainedScene;
 
 /// The Fig. 8 panel data. Each strategy carries two rewards: the
 /// *planned* reward at the context's median bandwidth (the static view the
@@ -45,25 +41,10 @@ impl StrategyIllustration {
     }
 }
 
-/// Builds the illustration for one (model, device, scenario) cell.
-///
-/// # Errors
-///
-/// Returns [`ValidateError`] when the model or configuration fails
-/// pre-search validation.
-pub fn strategy_illustration(
-    base: &ModelSpec,
-    device: Platform,
-    scenario: Scenario,
-    cfg: &SearchConfig,
-    seed: u64,
-) -> Result<StrategyIllustration, ValidateError> {
-    let w = Workload {
-        model: base.clone(),
-        device,
-        scenario,
-    };
-    let scene = train_scene(&w, cfg, seed)?;
+/// Builds the illustration from one trained scene; `seed` drives the
+/// executed runs over the scene's held-out trace.
+pub fn strategy_illustration(scene: &TrainedScene, seed: u64) -> StrategyIllustration {
+    let base = &scene.workload.model;
     let tree = &scene.tree.tree;
     // Every displayed deployment is scored at the context median, so the
     // panel's rewards are directly comparable (like the paper's Fig. 8,
@@ -85,8 +66,8 @@ pub fn strategy_illustration(
             (cand.summary(), reward)
         })
         .collect();
-    Ok(StrategyIllustration {
-        scenario: scenario.name().to_string(),
+    StrategyIllustration {
+        scenario: scene.workload.scenario.name().to_string(),
         surgery: (
             scene.surgery.candidate.summary(),
             scene.surgery.evaluation.reward,
@@ -100,12 +81,16 @@ pub fn strategy_illustration(
         tree_executed: executed(Policy::Tree(tree)),
         tree_branches,
         levels: scene.ctx.levels().to_vec(),
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{train_scene, Workload};
+    use crate::search::SearchConfig;
+    use cadmc_latency::Platform;
+    use cadmc_netsim::Scenario;
     use cadmc_nn::zoo;
 
     #[test]
@@ -114,14 +99,13 @@ mod tests {
             episodes: 40,
             ..SearchConfig::quick(1)
         };
-        let ill = strategy_illustration(
-            &zoo::vgg11_cifar(),
-            Platform::Phone,
-            Scenario::FourGIndoorStatic,
-            &cfg,
-            1,
-        )
-        .expect("valid inputs");
+        let w = Workload {
+            model: zoo::vgg11_cifar(),
+            device: Platform::Phone,
+            scenario: Scenario::FourGIndoorStatic,
+        };
+        let scene = train_scene(&w, &cfg, 1).expect("valid inputs");
+        let ill = strategy_illustration(&scene, 1);
         // Fig. 8's qualitative content: under execution, the tree is at
         // least competitive with both static strategies, and the panel
         // carries planned + executed numbers for each.

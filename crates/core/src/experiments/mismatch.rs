@@ -3,19 +3,13 @@
 //! The paper trains and evaluates within the same scenario. A natural
 //! deployment question it leaves open: what happens when the context
 //! characterization is *wrong* — the device trained for scene A but finds
-//! itself in scene B? This experiment trains a tree per source scenario
-//! and executes it against every target scenario, producing a reward
+//! itself in scene B? This experiment executes the tree trained for each
+//! source scenario against every target scenario, producing a reward
 //! matrix whose diagonal is the matched case.
 
-use cadmc_latency::Platform;
-use cadmc_netsim::Scenario;
-use cadmc_nn::ModelSpec;
-
 use crate::executor::{execute, ExecConfig, Mode, Policy};
-use crate::search::SearchConfig;
-use crate::validate::ValidateError;
 
-use super::{train_scene, TrainedScene, Workload};
+use super::TrainedScene;
 
 /// The reward matrix of a mismatch study.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,35 +44,9 @@ impl MismatchMatrix {
     }
 }
 
-/// Trains a tree per scenario in `scenarios` and cross-executes, streaming
-/// `requests` per cell on each target's held-out trace.
-///
-/// # Errors
-///
-/// Returns [`ValidateError`] when the model or configuration fails
-/// pre-search validation.
-pub fn mismatch_matrix(
-    base: &ModelSpec,
-    device: Platform,
-    scenarios: &[Scenario],
-    cfg: &SearchConfig,
-    requests: usize,
-    seed: u64,
-) -> Result<MismatchMatrix, ValidateError> {
-    let scenes: Vec<TrainedScene> = scenarios
-        .iter()
-        .map(|&scenario| {
-            train_scene(
-                &Workload {
-                    model: base.clone(),
-                    device,
-                    scenario,
-                },
-                cfg,
-                seed,
-            )
-        })
-        .collect::<Result<_, _>>()?;
+/// Cross-executes each trained scene's tree against every scene's
+/// held-out trace, streaming `requests` per cell.
+pub fn mismatch_matrix(scenes: &[&TrainedScene], requests: usize, seed: u64) -> MismatchMatrix {
     let exec = ExecConfig::new(requests, Mode::Emulation, seed);
     let rewards = scenes
         .iter()
@@ -88,7 +56,7 @@ pub fn mismatch_matrix(
                 .map(|target| {
                     let report = execute(
                         &trained.env,
-                        base,
+                        &trained.workload.model,
                         &Policy::Tree(&trained.tree.tree),
                         &target.test_trace,
                         &exec,
@@ -98,15 +66,19 @@ pub fn mismatch_matrix(
                 .collect()
         })
         .collect();
-    Ok(MismatchMatrix {
-        scenarios: scenarios.iter().map(|s| s.name()).collect(),
+    MismatchMatrix {
+        scenarios: scenes.iter().map(|s| s.workload.scenario.name()).collect(),
         rewards,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{train_scene, Workload};
+    use crate::search::SearchConfig;
+    use cadmc_latency::Platform;
+    use cadmc_netsim::Scenario;
     use cadmc_nn::zoo;
 
     #[test]
@@ -115,15 +87,18 @@ mod tests {
             episodes: 20,
             ..SearchConfig::quick(1)
         };
-        let m = mismatch_matrix(
-            &zoo::alexnet_cifar(),
-            Platform::Phone,
-            &[Scenario::FourGIndoorStatic, Scenario::WifiWeakIndoor],
-            &cfg,
-            40,
-            1,
-        )
-        .expect("valid inputs");
+        let scenes: Vec<TrainedScene> = [Scenario::FourGIndoorStatic, Scenario::WifiWeakIndoor]
+            .into_iter()
+            .map(|scenario| {
+                let w = Workload {
+                    model: zoo::alexnet_cifar(),
+                    device: Platform::Phone,
+                    scenario,
+                };
+                train_scene(&w, &cfg, 1).expect("valid inputs")
+            })
+            .collect();
+        let m = mismatch_matrix(&scenes.iter().collect::<Vec<_>>(), 40, 1);
         assert_eq!(m.scenarios.len(), 2);
         assert_eq!(m.rewards.len(), 2);
         for row in &m.rewards {

@@ -1,15 +1,14 @@
 //! Experiment harnesses reproducing the paper's evaluation (§VII):
 //! Table 3 (offline training reward), Table 4 (emulation), Table 5 (field
 //! test), Fig. 7 (search-method comparison) and Fig. 8 (strategy
-//! illustration). The `cadmc-bench` binaries print these results in the
-//! paper's table layouts.
+//! illustration), plus the extension experiments. The `repro` binary of
+//! `cadmc-bench` prints these results in the paper's table layouts.
 
 mod emulation;
 mod fig7;
 mod fig8;
 mod mismatch;
 mod offline;
-mod report;
 mod sweep;
 
 pub use emulation::{averages, emulation_table, ExecutedRow};
@@ -17,7 +16,6 @@ pub use fig7::{search_comparison, SearchComparison};
 pub use fig8::{strategy_illustration, StrategyIllustration};
 pub use mismatch::{mismatch_matrix, MismatchMatrix};
 pub use offline::{offline_table, OfflineRow};
-pub use report::{executed_markdown, mismatch_markdown, offline_markdown, sweep_markdown};
 pub use sweep::{nk_sweep, SweepPoint};
 
 use cadmc_latency::{Mbps, Platform};
@@ -263,19 +261,10 @@ pub fn train_scene(
     })
 }
 
-/// Trains every paper workload with a shared configuration.
-///
-/// # Errors
-///
-/// Returns [`ValidateError`] when the configuration fails pre-search
-/// validation (the paper workloads themselves are always well formed).
-pub fn train_all(cfg: &SearchConfig, seed: u64) -> Result<Vec<TrainedScene>, ValidateError> {
-    train_all_parallel(cfg, seed)
-}
-
-/// Trains the paper workloads concurrently (scenes are independent; each
-/// gets its own controllers and memo pool). The scene fan-out is bounded
-/// by `cfg.parallelism.workers`; to avoid oversubscription, the inner
+/// Trains every paper workload with a shared configuration, concurrently:
+/// scenes are independent, and each gets its own controllers and memo
+/// pool. The scene fan-out is bounded by `cfg.parallelism.workers`; to
+/// avoid oversubscription, the inner
 /// rollout pools of each scene's searches run serial whenever scenes
 /// themselves run in parallel (harmless: the worker count never affects
 /// results). Results come back in workload order and are bit-identical to
@@ -285,10 +274,7 @@ pub fn train_all(cfg: &SearchConfig, seed: u64) -> Result<Vec<TrainedScene>, Val
 ///
 /// Returns [`ValidateError`] when the configuration fails pre-search
 /// validation (the paper workloads themselves are always well formed).
-pub fn train_all_parallel(
-    cfg: &SearchConfig,
-    seed: u64,
-) -> Result<Vec<TrainedScene>, ValidateError> {
+pub fn train_all(cfg: &SearchConfig, seed: u64) -> Result<Vec<TrainedScene>, ValidateError> {
     let workloads = paper_workloads();
     let scene_cfg = if cfg.parallelism.is_serial() {
         *cfg
