@@ -48,7 +48,10 @@ fn main() {
     for (label, faults) in [
         ("clean", FaultSchedule::none()),
         ("canned outage", FaultSchedule::canned_outage()),
-        ("harsh mix", FaultSchedule::from_preset("harsh").expect("known preset")),
+        (
+            "harsh mix",
+            FaultSchedule::from_preset("harsh").expect("known preset"),
+        ),
     ] {
         let cfg = ExecConfig::emulation(200, 13).with_faults(faults);
         let r = execute(&env, &base, &Policy::Tree(&tree), &trace, &cfg);

@@ -154,9 +154,7 @@ fn run_search(
             delta.set_feature(feature);
             let key = delta.eval_key(bandwidth.0);
             let eval = memo.get_key(key).unwrap_or_else(|| {
-                let candidate = delta
-                    .materialize()
-                    .expect("random plans are applicable");
+                let candidate = delta.materialize().expect("random plans are applicable");
                 let e = env.evaluate(base, &candidate, bandwidth);
                 memo.insert_key(key, e);
                 e
@@ -171,9 +169,7 @@ fn run_search(
                 None => true,
             };
             if replace {
-                let candidate = delta
-                    .materialize()
-                    .expect("random plans are applicable");
+                let candidate = delta.materialize().expect("random plans are applicable");
                 improvers.push((candidate.clone(), eval));
                 best = Some((candidate, eval));
             }
@@ -282,8 +278,8 @@ fn mutate(
             Partition::AfterLayer(i) => i as isize + 1,
             Partition::AllEdge => base.len() as isize,
         };
-        let next = (cur + if rng.random_range(0..2) == 0 { -1 } else { 1 })
-            .clamp(0, base.len() as isize);
+        let next =
+            (cur + if rng.random_range(0..2) == 0 { -1 } else { 1 }).clamp(0, base.len() as isize);
         partition = if next == 0 {
             Partition::AllCloud
         } else if next == base.len() as isize {
@@ -321,8 +317,8 @@ mod tests {
         let env = EvalEnv::phone();
         let memo = MemoPool::new();
         let par = Parallelism::serial();
-        let out = random_search(&base, &env, Mbps(10.0), 40, 1, &memo, par, false)
-            .expect("valid inputs");
+        let out =
+            random_search(&base, &env, Mbps(10.0), 40, 1, &memo, par, false).expect("valid inputs");
         assert_eq!(out.episode_rewards.len(), 40);
         assert!(out.best_eval.reward > 0.0);
     }
@@ -359,7 +355,11 @@ mod tests {
             partitions.insert(format!("{}", c.partition));
             any_compressed |= c.is_compressed();
         }
-        assert!(partitions.len() > 5, "only {} partitions seen", partitions.len());
+        assert!(
+            partitions.len() > 5,
+            "only {} partitions seen",
+            partitions.len()
+        );
         assert!(any_compressed);
     }
 
@@ -408,10 +408,7 @@ mod tests {
         validate::candidate(&base, &out.best).unwrap();
         // Under starved bandwidth, some improver should have shipped a
         // compressed cut tensor (16–32x fewer bytes dominate the reward).
-        let any_feature = out
-            .improvers
-            .iter()
-            .any(|(c, _)| !c.feature.is_identity());
+        let any_feature = out.improvers.iter().any(|(c, _)| !c.feature.is_identity());
         assert!(any_feature, "no feature action ever improved the search");
     }
 

@@ -138,8 +138,7 @@ pub fn sample_delta<'a>(
 const BRANCH_SALT: u64 = 0x6272_616e_6368;
 
 /// Histogram buckets for Eq. 7 episode rewards (they land in 0..400).
-pub(crate) const REWARD_BOUNDS: &[f64] =
-    &[0.0, 25.0, 50.0, 75.0, 100.0, 150.0, 200.0, 300.0];
+pub(crate) const REWARD_BOUNDS: &[f64] = &[0.0, 25.0, 50.0, 75.0, 100.0, 150.0, 200.0, 300.0];
 
 /// Runs Algorithm 1: searches compression + partition for `base` under the
 /// constant bandwidth `bandwidth`, updating `controllers` in place.
@@ -183,38 +182,33 @@ pub fn optimal_branch(
         let rollouts = {
             let shared: &Controllers = controllers;
             let prefixes = &prefixes;
-            par_map_indexed(
-                batch_end - batch_start,
-                cfg.parallelism.workers,
-                |offset| {
-                    let episode = batch_start + offset;
-                    let episode_span = telemetry::span!("branch.episode", episode = episode);
-                    let mut rng =
-                        StdRng::seed_from_u64(cfg.seed ^ BRANCH_SALT ^ episode as u64);
-                    let (tape, delta) = sample_delta(
-                        shared,
-                        base,
-                        prefixes,
-                        bandwidth.0,
-                        &mut rng,
-                        0.0,
-                        cfg.explore_epsilon,
-                    );
-                    // Probe by the delta's key; compose only on a miss.
-                    let key = delta.eval_key(bandwidth.0);
-                    let eval = memo.get_key(key).unwrap_or_else(|| {
-                        let _eval_span = telemetry::span!("eval.candidate");
-                        let candidate = delta
-                            .materialize()
-                            .expect("sampled plans are applicable by construction");
-                        let e = env.evaluate(base, &candidate, bandwidth);
-                        memo.insert_key(key, e);
-                        e
-                    });
-                    episode_span.record("reward", eval.reward);
-                    (tape, delta, eval)
-                },
-            )
+            par_map_indexed(batch_end - batch_start, cfg.parallelism.workers, |offset| {
+                let episode = batch_start + offset;
+                let episode_span = telemetry::span!("branch.episode", episode = episode);
+                let mut rng = StdRng::seed_from_u64(cfg.seed ^ BRANCH_SALT ^ episode as u64);
+                let (tape, delta) = sample_delta(
+                    shared,
+                    base,
+                    prefixes,
+                    bandwidth.0,
+                    &mut rng,
+                    0.0,
+                    cfg.explore_epsilon,
+                );
+                // Probe by the delta's key; compose only on a miss.
+                let key = delta.eval_key(bandwidth.0);
+                let eval = memo.get_key(key).unwrap_or_else(|| {
+                    let _eval_span = telemetry::span!("eval.candidate");
+                    let candidate = delta
+                        .materialize()
+                        .expect("sampled plans are applicable by construction");
+                    let e = env.evaluate(base, &candidate, bandwidth);
+                    memo.insert_key(key, e);
+                    e
+                });
+                episode_span.record("reward", eval.reward);
+                (tape, delta, eval)
+            })
         };
         for (tape, delta, eval) in rollouts {
             episode_rewards.push(eval.reward);
@@ -369,6 +363,9 @@ mod tests {
                 saw_feature = true;
             }
         }
-        assert!(saw_feature, "feature policy never sampled a non-identity action");
+        assert!(
+            saw_feature,
+            "feature policy never sampled a non-identity action"
+        );
     }
 }

@@ -244,7 +244,8 @@ impl Candidate {
         let edge_plan = CompressionPlan::from_actions(plan.actions()[..edge_len].to_vec())
             .sanitized_sequential(&edge_spec);
         let compressed_edge = edge_plan.apply_sequential(&edge_spec)?;
-        let actions: Vec<AppliedAction> = edge_plan.actions()
+        let actions: Vec<AppliedAction> = edge_plan
+            .actions()
             .iter()
             .enumerate()
             .filter_map(|(layer_index, t)| {
@@ -257,8 +258,12 @@ impl Candidate {
         let model = if edge_len == base.len() {
             compressed_edge.clone()
         } else {
-            let cloud = base.slice(edge_len, base.len()).map_err(CompressError::Shape)?;
-            compressed_edge.concat(&cloud).map_err(CompressError::Shape)?
+            let cloud = base
+                .slice(edge_len, base.len())
+                .map_err(CompressError::Shape)?;
+            compressed_edge
+                .concat(&cloud)
+                .map_err(CompressError::Shape)?
         };
         Ok(Candidate {
             model,
@@ -498,7 +503,12 @@ mod tests {
             let c = Candidate::compose(&base, Partition::AfterLayer(cut), &plan).unwrap();
             for f in FeatureAction::ALL {
                 let fc = c.clone().with_feature(f);
-                assert_eq!(fc.transfer_bytes(), fc.transfer_bytes_scalar(), "{}", fc.summary());
+                assert_eq!(
+                    fc.transfer_bytes(),
+                    fc.transfer_bytes_scalar(),
+                    "{}",
+                    fc.summary()
+                );
             }
         }
     }

@@ -99,9 +99,7 @@ fn bandwidth_conditioning_can_separate_policies() {
     };
     let mut c = Controllers::new(&cfg);
     let mut trainer = Reinforce::new(1e-2, 400.0);
-    let base = zoo::tiny_cnn()
-        .slice(0, 1)
-        .expect("single-layer slice");
+    let base = zoo::tiny_cnn().slice(0, 1).expect("single-layer slice");
     let mut rng = StdRng::seed_from_u64(23);
     for i in 0..800 {
         let bw = if i % 2 == 0 { 1.0 } else { 100.0 };

@@ -213,19 +213,14 @@ impl Reinforce {
 
     /// Applies one optimizer step from a batch of `(tape, reward)`
     /// episodes (gradients are accumulated before stepping).
-    pub fn update_batch(
-        &mut self,
-        params: &mut ParamSet,
-        episodes: Vec<(EpisodeTape, f64)>,
-    ) {
+    pub fn update_batch(&mut self, params: &mut ParamSet, episodes: Vec<(EpisodeTape, f64)>) {
         self.epoch += 1;
         // Entropy and reward statistics are only computed when a trace is
         // being collected; the disabled path must stay free.
         if telemetry::enabled() && !episodes.is_empty() {
             let n = episodes.len() as f64;
             let mean_reward = episodes.iter().map(|(_, r)| *r).sum::<f64>() / n;
-            let mean_entropy =
-                episodes.iter().map(|(t, _)| t.mean_entropy()).sum::<f64>() / n;
+            let mean_entropy = episodes.iter().map(|(t, _)| t.mean_entropy()).sum::<f64>() / n;
             telemetry::event!(
                 "controller.epoch",
                 epoch = self.epoch,
@@ -348,7 +343,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut tape = EpisodeTape::new();
         let a = tape.graph.constant(Matrix::row_vector(&[0.3, -1.0, 2.0]));
-        let b = tape.graph.constant(Matrix::row_vector(&[1.0, 1.0, 0.5, -0.25]));
+        let b = tape
+            .graph
+            .constant(Matrix::row_vector(&[1.0, 1.0, 0.5, -0.25]));
         let _ = sample_masked(&mut tape, a, &[true, false, true], &mut rng);
         let _ = sample_masked(&mut tape, b, &[true, true, true, true], &mut rng);
         let nodes: Vec<f64> = tape

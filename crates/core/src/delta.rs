@@ -152,7 +152,10 @@ impl<'a> DeltaState<'a> {
     /// exactly like [`crate::memo::MemoPool::key`] so replayed levels hit
     /// the same entry.
     pub fn eval_key(&self, bandwidth_mbps: f64) -> u64 {
-        mix(self.fingerprint(), (bandwidth_mbps * 100.0).round() as i64 as u64)
+        mix(
+            self.fingerprint(),
+            (bandwidth_mbps * 100.0).round() as i64 as u64,
+        )
     }
 
     /// Composes the decision into a full [`Candidate`] (the expensive
@@ -233,7 +236,12 @@ mod tests {
         let mut pruned = CompressionPlan::identity(base.len());
         pruned.set(0, Some(Technique::W1FilterPrune));
         let d = DeltaState::from_plan(&base, Partition::AllEdge, &pruned);
-        let fps = [a.fingerprint(), b.fingerprint(), c.fingerprint(), d.fingerprint()];
+        let fps = [
+            a.fingerprint(),
+            b.fingerprint(),
+            c.fingerprint(),
+            d.fingerprint(),
+        ];
         for i in 0..fps.len() {
             for j in i + 1..fps.len() {
                 assert_ne!(fps[i], fps[j], "fingerprints {i} and {j} collide");

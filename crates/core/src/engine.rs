@@ -71,11 +71,7 @@ impl DecisionEngine {
         cfg: &SearchConfig,
         seed: u64,
     ) -> Result<Self, ValidateError> {
-        let _train_span = telemetry::span!(
-            "engine.train",
-            episodes = cfg.episodes,
-            seed = seed,
-        );
+        let _train_span = telemetry::span!("engine.train", episodes = cfg.episodes, seed = seed,);
         let ctx = NetworkContext::from_scenario(scenario, 2, seed);
         let memo = MemoPool::new();
         let mut controllers = Controllers::new(cfg);
@@ -186,10 +182,7 @@ mod tests {
         for bw in [0.5, 5.0, 50.0] {
             let (candidate, path) = engine.decide(|_| bw);
             assert!(!path.is_empty());
-            assert_eq!(
-                candidate.model.output_shape(),
-                engine.base().output_shape()
-            );
+            assert_eq!(candidate.model.output_shape(), engine.base().output_shape());
         }
     }
 

@@ -215,12 +215,7 @@ impl ExecReport {
     /// Returns any write failure.
     pub fn write_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(w, "request,latency_ms,accuracy")?;
-        for (i, (l, a)) in self
-            .latencies_ms
-            .iter()
-            .zip(&self.accuracies)
-            .enumerate()
-        {
+        for (i, (l, a)) in self.latencies_ms.iter().zip(&self.accuracies).enumerate() {
             writeln!(w, "{i},{l},{a}")?;
         }
         Ok(())
@@ -1269,11 +1264,14 @@ mod tests {
         let c = crate::surgery::plan(&base, &env, Mbps(10.0)).candidate;
         assert!(c.edge_layers < c.model.len(), "needs a partitioned plan");
         let trace = flat_trace(10.0);
-        let cfg = ExecConfig::emulation(150, 3)
-            .with_faults(FaultSchedule::canned(FaultKind::Collapse));
+        let cfg =
+            ExecConfig::emulation(150, 3).with_faults(FaultSchedule::canned(FaultKind::Collapse));
         let report = execute(&env, &base, &Policy::Static(&c), &trace, &cfg);
         assert_eq!(report.failed_count(), 0, "static always finishes locally");
-        assert!(report.degraded_count() > 0, "collapse must blow the deadline");
+        assert!(
+            report.degraded_count() > 0,
+            "collapse must blow the deadline"
+        );
         // Same model runs either way: accuracy is untouched.
         let clean = execute(
             &env,

@@ -38,7 +38,12 @@ impl ExecutedRow {
 
 /// Executes every scene's three deployments in `mode` and produces the
 /// table rows. `requests` inference requests are streamed per run.
-pub fn emulation_table(scenes: &[TrainedScene], mode: Mode, requests: usize, seed: u64) -> Vec<ExecutedRow> {
+pub fn emulation_table(
+    scenes: &[TrainedScene],
+    mode: Mode,
+    requests: usize,
+    seed: u64,
+) -> Vec<ExecutedRow> {
     scenes
         .iter()
         .map(|s| {
@@ -113,9 +118,7 @@ mod tests {
             .map(|seed| scene(Scenario::FourGOutdoorQuick, seed))
             .collect();
         let rows = emulation_table(&scenes, Mode::Emulation, 60, 1);
-        let mean = |f: fn(&ExecutedRow) -> f64| {
-            rows.iter().map(f).sum::<f64>() / rows.len() as f64
-        };
+        let mean = |f: fn(&ExecutedRow) -> f64| rows.iter().map(f).sum::<f64>() / rows.len() as f64;
         let tree = mean(|r| r.tree.0);
         let surgery = mean(|r| r.surgery.0);
         assert!(

@@ -36,7 +36,11 @@ impl SearchComparison {
     /// Final best rewards `(rl, random, ε-greedy)`.
     pub fn finals(&self) -> (f64, f64, f64) {
         let last = |v: &Vec<f64>| v.last().copied().unwrap_or(0.0);
-        (last(&self.rl), last(&self.random), last(&self.epsilon_greedy))
+        (
+            last(&self.rl),
+            last(&self.random),
+            last(&self.epsilon_greedy),
+        )
     }
 }
 

@@ -161,14 +161,8 @@ pub fn train_scene(
 
     let mut controllers = Controllers::new(cfg);
     let branch_span = telemetry::span!("scene.branch", bandwidth = median.0);
-    let branch_outcome = optimal_branch(
-        &mut controllers,
-        &workload.model,
-        &env,
-        median,
-        cfg,
-        &memo,
-    )?;
+    let branch_outcome =
+        optimal_branch(&mut controllers, &workload.model, &env, median, cfg, &memo)?;
     drop(branch_span);
     // The branch method is static but trained offline with the scene trace
     // available; pick between the RL result and the surgery point (which

@@ -28,10 +28,7 @@ pub fn offline_table(scenes: &[TrainedScene]) -> Vec<OfflineRow> {
     scenes
         .iter()
         .map(|s| {
-            let tree = s
-                .tree
-                .best_branch_reward
-                .max(s.branch_reward); // boosting guarantees tree ≥ branch
+            let tree = s.tree.best_branch_reward.max(s.branch_reward); // boosting guarantees tree ≥ branch
             OfflineRow {
                 label: s.workload.label(),
                 model: s.workload.model.name().to_string(),
@@ -75,7 +72,12 @@ mod tests {
             r.branch,
             r.surgery
         );
-        assert!(r.tree >= r.branch, "tree {:.2} < branch {:.2}", r.tree, r.branch);
+        assert!(
+            r.tree >= r.branch,
+            "tree {:.2} < branch {:.2}",
+            r.tree,
+            r.branch
+        );
         assert!(r.surgery > 200.0, "surgery reward implausibly low");
     }
 }

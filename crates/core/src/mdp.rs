@@ -170,7 +170,10 @@ impl std::fmt::Display for TransitionError {
             TransitionError::Compress(e) => write!(f, "compression failed: {e}"),
             TransitionError::AlreadyPartitioned => write!(f, "state is already partitioned"),
             TransitionError::BeyondCut { layer } => {
-                write!(f, "layer {layer} lies in the cloud part and cannot be compressed")
+                write!(
+                    f,
+                    "layer {layer} lies in the cloud part and cannot be compressed"
+                )
             }
             TransitionError::FeatureWithoutTransfer => write!(
                 f,

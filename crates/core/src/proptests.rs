@@ -25,7 +25,11 @@ use crate::tree::{ModelTree, TreeNode};
 fn random_tree(seed: u64, n_blocks: usize, k: usize) -> ModelTree {
     let base = zoo::vgg11_cifar();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut tree = ModelTree::new(base.clone(), n_blocks, (0..k).map(|i| 2.0 + 4.0 * i as f64).collect());
+    let mut tree = ModelTree::new(
+        base.clone(),
+        n_blocks,
+        (0..k).map(|i| 2.0 + 4.0 * i as f64).collect(),
+    );
     let mut frontier: Vec<Option<usize>> = vec![None];
     while let Some(parent) = frontier.pop() {
         let level = parent.map_or(0, |p| tree.nodes()[p].level + 1);

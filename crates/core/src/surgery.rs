@@ -54,9 +54,7 @@ pub fn optimal_partition_scan(base: &ModelSpec, env: &EvalEnv, bandwidth: Mbps) 
     };
     partition_options(base)
         .into_iter()
-        .min_by(|&a, &b| {
-            latency_at(a.edge_len(len)).total_cmp(&latency_at(b.edge_len(len)))
-        })
+        .min_by(|&a, &b| latency_at(a.edge_len(len)).total_cmp(&latency_at(b.edge_len(len))))
         .expect("at least one partition option")
 }
 
@@ -89,9 +87,7 @@ pub fn optimal_partition_mincut(base: &ModelSpec, env: &EvalEnv, bandwidth: Mbps
         }
         g.add_edge(s, i, to_cloud_cap);
         if i + 1 < l {
-            let tt = env
-                .transfer
-                .latency_ms(base.cut_bytes_after(i), bandwidth);
+            let tt = env.transfer.latency_ms(base.cut_bytes_after(i), bandwidth);
             g.add_edge(i, i + 1, tt);
             g.add_edge(i + 1, i, tt);
         }
@@ -213,10 +209,8 @@ mod tests {
                 &Candidate::compose(&base, scan, &plan_id).unwrap(),
                 Mbps(bw),
             );
-            let l_cut = env.latency_ms(
-                &Candidate::compose(&base, cut, &plan_id).unwrap(),
-                Mbps(bw),
-            );
+            let l_cut =
+                env.latency_ms(&Candidate::compose(&base, cut, &plan_id).unwrap(), Mbps(bw));
             assert!(
                 (l_scan - l_cut).abs() < 1e-6,
                 "bw {bw}: scan {scan} ({l_scan:.3} ms) vs mincut {cut} ({l_cut:.3} ms)"

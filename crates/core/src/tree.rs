@@ -81,7 +81,10 @@ impl ModelTree {
         n_blocks: usize,
         bandwidth_levels: Vec<f64>,
     ) -> Self {
-        assert!(!bandwidth_levels.is_empty(), "need at least one bandwidth level");
+        assert!(
+            !bandwidth_levels.is_empty(),
+            "need at least one bandwidth level"
+        );
         let base = base.into();
         let block_ranges = base.block_ranges(n_blocks);
         Self {
@@ -276,9 +279,7 @@ impl ModelTree {
             let mut p = path[..=i].to_vec();
             let mut cur = low;
             p.push(cur);
-            while self.nodes[cur].partition_abs.is_none()
-                && !self.nodes[cur].children.is_empty()
-            {
+            while self.nodes[cur].partition_abs.is_none() && !self.nodes[cur].children.is_empty() {
                 cur = self.nodes[cur].children[0];
                 p.push(cur);
             }
@@ -404,11 +405,7 @@ impl ModelTree {
             let r = self.nodes[id].reward;
             // Find the parent (children lists are small; a linear scan is
             // fine at N=3, K=2 scale).
-            if let Some(parent) = self
-                .nodes
-                .iter()
-                .position(|n| n.children.contains(&id))
-            {
+            if let Some(parent) = self.nodes.iter().position(|n| n.children.contains(&id)) {
                 match rule {
                     BackwardRule::Mean => self.nodes[parent].reward += r / k,
                     BackwardRule::Max => {

@@ -27,11 +27,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::branch::optimal_branch;
-use crate::executor::{execute, ExecConfig, Policy};
 use crate::candidate::{Candidate, Partition};
 use crate::controller::{EpisodeTape, HeadState, PartitionAction};
 use crate::delta::DeltaState;
 use crate::env::EvalEnv;
+use crate::executor::{execute, ExecConfig, Policy};
 use crate::memo::MemoPool;
 use crate::parallel::{par_map, par_map_indexed};
 use crate::search::{Controllers, SearchConfig};
@@ -108,8 +108,7 @@ pub fn tree_search(
         };
         let mut branch_candidates = Vec::new();
         for &bw in levels {
-            let outcome =
-                optimal_branch(controllers, base, env, Mbps(bw), &branch_cfg, memo)?;
+            let outcome = optimal_branch(controllers, base, env, Mbps(bw), &branch_cfg, memo)?;
             // The surgery deployment (min-cut partition, no compression)
             // is a point inside the branch space; floor each level's
             // candidate with it so the boost tree never starts below the
@@ -148,23 +147,17 @@ pub fn tree_search(
             let shared: &Controllers = controllers;
             let base_arc = &base_arc;
             let slices = &slices;
-            par_map_indexed(
-                batch_end - batch_start,
-                cfg.parallelism.workers,
-                |offset| {
-                    let episode = batch_start + offset;
-                    let episode_span = telemetry::span!("tree.episode", episode = episode);
-                    let mut rng =
-                        StdRng::seed_from_u64(cfg.seed ^ TREE_SALT ^ episode as u64);
-                    let (mut tree, tapes) = generate_tree(
-                        shared, base_arc, slices, env, levels, n_blocks, cfg, episode,
-                        &mut rng, memo,
-                    );
-                    tree.backward_estimate_with(cfg.backward_rule);
-                    episode_span.record("score", tree.mean_branch_reward());
-                    (tree, tapes)
-                },
-            )
+            par_map_indexed(batch_end - batch_start, cfg.parallelism.workers, |offset| {
+                let episode = batch_start + offset;
+                let episode_span = telemetry::span!("tree.episode", episode = episode);
+                let mut rng = StdRng::seed_from_u64(cfg.seed ^ TREE_SALT ^ episode as u64);
+                let (mut tree, tapes) = generate_tree(
+                    shared, base_arc, slices, env, levels, n_blocks, cfg, episode, &mut rng, memo,
+                );
+                tree.backward_estimate_with(cfg.backward_rule);
+                episode_span.record("score", tree.mean_branch_reward());
+                (tree, tapes)
+            })
         };
         for (tree, tapes) in rollouts {
             let episodes: Vec<(EpisodeTape, f64)> = tapes
@@ -334,8 +327,8 @@ fn score_delta_mean(
     let mut sum = 0.0;
     for ((&bw, &key), hit) in levels.iter().zip(&keys).zip(probed) {
         let e = hit.unwrap_or_else(|| {
-            let c = candidate
-                .get_or_insert_with(|| delta.materialize().expect("tree paths compose"));
+            let c =
+                candidate.get_or_insert_with(|| delta.materialize().expect("tree paths compose"));
             let e = env.evaluate(base, c, Mbps(bw));
             memo.insert_key(key, e);
             e
@@ -383,14 +376,10 @@ fn generate_tree(
         let block = slices.block(level);
         let mut tape = EpisodeTape::new();
         let force = cfg.force_no_partition(episode, level + 1, n_blocks);
-        let action = controllers.partition.sample(
-            &mut tape,
-            &controllers.params,
-            block,
-            bw,
-            rng,
-            force,
-        );
+        let action =
+            controllers
+                .partition
+                .sample(&mut tape, &controllers.params, block, bw, rng, force);
         let (partition_abs, compress_len) = match action {
             PartitionAction::NoPartition => (None, block.len()),
             PartitionAction::CutBefore(c) => (Some(range.start + c), c),
@@ -695,9 +684,7 @@ fn complete_tree(tree: &mut ModelTree, env: &EvalEnv, memo: &MemoPool) {
     let mut i = 0;
     while i < tree.nodes().len() {
         let node = &tree.nodes()[i];
-        let needs = node.partition_abs.is_none()
-            && node.level + 1 < n
-            && node.children.len() < k;
+        let needs = node.partition_abs.is_none() && node.level + 1 < n && node.children.len() < k;
         if needs {
             let level = node.level + 1;
             while tree.nodes()[i].children.len() < k {
@@ -726,8 +713,7 @@ fn complete_tree(tree: &mut ModelTree, env: &EvalEnv, memo: &MemoPool) {
         let branches = tree.branches();
         let levels: Vec<f64> = tree.levels().to_vec();
         let base = tree.base();
-        let mut jobs: Vec<(usize, DeltaState<'_>, Vec<f64>)> =
-            Vec::with_capacity(branches.len());
+        let mut jobs: Vec<(usize, DeltaState<'_>, Vec<f64>)> = Vec::with_capacity(branches.len());
         let mut starts: Vec<usize> = Vec::with_capacity(branches.len());
         let mut keys: Vec<u64> = Vec::new();
         for path in &branches {

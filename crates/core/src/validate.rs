@@ -219,9 +219,16 @@ impl std::fmt::Display for ValidateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ValidateError::EmptyModel { name } => {
-                write!(f, "model {name:?} has no layers; add at least one layer before searching")
+                write!(
+                    f,
+                    "model {name:?} has no layers; add at least one layer before searching"
+                )
             }
-            ValidateError::ShapeInconsistent { name, layer, detail } => write!(
+            ValidateError::ShapeInconsistent {
+                name,
+                layer,
+                detail,
+            } => write!(
                 f,
                 "model {name:?} is shape-inconsistent at layer {layer}: {detail}"
             ),
@@ -230,7 +237,10 @@ impl std::fmt::Display for ValidateError {
                 "cannot split {layers} layers into {n_blocks} blocks; use 1..={layers} blocks"
             ),
             ValidateError::NoBandwidthLevels => {
-                write!(f, "no bandwidth levels given; provide at least one level (K >= 1)")
+                write!(
+                    f,
+                    "no bandwidth levels given; provide at least one level (K >= 1)"
+                )
             }
             ValidateError::BadBandwidthLevel { index, value } => write!(
                 f,
@@ -256,12 +266,19 @@ impl std::fmt::Display for ValidateError {
                 f,
                 "compression plan covers {plan} layers but the model has {layers}"
             ),
-            ValidateError::InapplicableAction { technique, layer, detail } => write!(
+            ValidateError::InapplicableAction {
+                technique,
+                layer,
+                detail,
+            } => write!(
                 f,
                 "technique {technique} cannot be applied at layer {layer}: {detail}"
             ),
             ValidateError::EmptyTree => {
-                write!(f, "model tree has no nodes; train it before composing or saving")
+                write!(
+                    f,
+                    "model tree has no nodes; train it before composing or saving"
+                )
             }
             ValidateError::WrongForkCount { node, children, k } => write!(
                 f,
@@ -273,19 +290,37 @@ impl std::fmt::Display for ValidateError {
                 "node {node} partitions to the cloud but has children; partitioned nodes \
                  must be leaves"
             ),
-            ValidateError::BadNodeLevel { node, level, expected } => write!(
+            ValidateError::BadNodeLevel {
+                node,
+                level,
+                expected,
+            } => write!(
                 f,
                 "node {node} records level {level} but its tree position requires {expected}"
             ),
-            ValidateError::BadChildLink { node, child, detail } => {
+            ValidateError::BadChildLink {
+                node,
+                child,
+                detail,
+            } => {
                 write!(f, "node {node} -> child {child}: {detail}")
             }
-            ValidateError::PartitionOutsideBlock { node, abs, start, end } => write!(
+            ValidateError::PartitionOutsideBlock {
+                node,
+                abs,
+                start,
+                end,
+            } => write!(
                 f,
                 "node {node} partitions at layer {abs}, outside its block's legal cut \
                  range {start}..={end}"
             ),
-            ValidateError::ActionOutsideBlock { node, layer, start, end } => write!(
+            ValidateError::ActionOutsideBlock {
+                node,
+                layer,
+                start,
+                end,
+            } => write!(
                 f,
                 "node {node} compresses layer {layer}, outside its block's edge-resident \
                  range {start}..{end}"
@@ -293,14 +328,21 @@ impl std::fmt::Display for ValidateError {
             ValidateError::NonFiniteReward { node, value } => {
                 write!(f, "node {node} has non-finite reward {value}")
             }
-            ValidateError::IncompleteTree { node, level, n_blocks } => write!(
+            ValidateError::IncompleteTree {
+                node,
+                level,
+                n_blocks,
+            } => write!(
                 f,
                 "node {node} at level {level} is an unpartitioned leaf but the tree has \
                  {n_blocks} blocks; every branch must reach level {} or partition",
                 n_blocks - 1
             ),
             ValidateError::BranchComposeMismatch { branch, detail } => {
-                write!(f, "branch {branch} does not compose a valid deployment: {detail}")
+                write!(
+                    f,
+                    "branch {branch} does not compose a valid deployment: {detail}"
+                )
             }
             ValidateError::FeatureWithoutTransfer { feature } => write!(
                 f,
@@ -457,7 +499,10 @@ pub fn search_config(cfg: &SearchConfig) -> Result<(), ValidateError> {
     if !cfg.entropy_beta.is_finite() || cfg.entropy_beta < 0.0 {
         return Err(ValidateError::BadConfig {
             field: "entropy_beta",
-            detail: format!("entropy coefficient {} must be >= 0 and finite", cfg.entropy_beta),
+            detail: format!(
+                "entropy coefficient {} must be >= 0 and finite",
+                cfg.entropy_beta
+            ),
         });
     }
     if cfg.rollout_batch == 0 {
@@ -552,11 +597,7 @@ pub fn candidate(base: &ModelSpec, cand: &Candidate) -> Result<(), ValidateError
 /// # Errors
 ///
 /// The first violated check, in model → bandwidth → config order.
-pub fn branch_inputs(
-    base: &ModelSpec,
-    mbps: f64,
-    cfg: &SearchConfig,
-) -> Result<(), ValidateError> {
+pub fn branch_inputs(base: &ModelSpec, mbps: f64, cfg: &SearchConfig) -> Result<(), ValidateError> {
     model_spec(base)?;
     bandwidth(mbps)?;
     search_config(cfg)
@@ -684,17 +725,16 @@ pub fn model_tree(tree: &ModelTree) -> Result<(), ValidateError> {
         // The feature knob compresses the cut tensor, so only the node
         // that owns a transfer-bearing cut may carry a non-identity one.
         if !node.feature.is_identity()
-            && node.partition_abs.is_none_or(|abs| abs >= tree.base().len())
+            && node
+                .partition_abs
+                .is_none_or(|abs| abs >= tree.base().len())
         {
             return Err(ValidateError::FeatureOnUnpartitionedNode {
                 node: id,
                 feature: node.feature.code(),
             });
         }
-        if node.children.is_empty()
-            && node.partition_abs.is_none()
-            && node.level + 1 < n_blocks
-        {
+        if node.children.is_empty() && node.partition_abs.is_none() && node.level + 1 < n_blocks {
             return Err(ValidateError::IncompleteTree {
                 node: id,
                 level: node.level,
@@ -788,7 +828,10 @@ mod tests {
         };
         assert!(matches!(
             search_config(&bad),
-            Err(ValidateError::BadConfig { field: "episodes", .. })
+            Err(ValidateError::BadConfig {
+                field: "episodes",
+                ..
+            })
         ));
         let bad = SearchConfig {
             lr: -1.0,
@@ -804,7 +847,10 @@ mod tests {
         };
         assert!(matches!(
             search_config(&bad),
-            Err(ValidateError::BadConfig { field: "explore_epsilon", .. })
+            Err(ValidateError::BadConfig {
+                field: "explore_epsilon",
+                ..
+            })
         ));
     }
 
@@ -908,7 +954,11 @@ mod tests {
         // Only one child where K = 2.
         assert!(matches!(
             model_tree(&tree),
-            Err(ValidateError::WrongForkCount { node: 0, children: 1, k: 2 })
+            Err(ValidateError::WrongForkCount {
+                node: 0,
+                children: 1,
+                k: 2
+            })
         ));
     }
 
@@ -936,10 +986,12 @@ mod tests {
     fn action_outside_block_is_rejected() {
         let mut tree = valid_tree();
         let last = tree.base().len() - 1;
-        tree.node_mut(0).actions.push(cadmc_accuracy::AppliedAction {
-            layer_index: last,
-            technique: Technique::F1Svd,
-        });
+        tree.node_mut(0)
+            .actions
+            .push(cadmc_accuracy::AppliedAction {
+                layer_index: last,
+                technique: Technique::F1Svd,
+            });
         assert!(matches!(
             model_tree(&tree),
             Err(ValidateError::ActionOutsideBlock { node: 0, .. })
@@ -990,7 +1042,11 @@ mod tests {
 
     #[test]
     fn diagnostics_are_actionable() {
-        let msg = ValidateError::BadBlockCount { n_blocks: 9, layers: 4 }.to_string();
+        let msg = ValidateError::BadBlockCount {
+            n_blocks: 9,
+            layers: 4,
+        }
+        .to_string();
         assert!(msg.contains("1..=4"), "{msg}");
         let msg = ValidateError::UnsortedBandwidthLevels {
             index: 1,

@@ -117,7 +117,10 @@ fn golden_is_schema_valid_and_contains_fault_events() {
     assert!(names.contains(&"exec.run"));
     assert!(names.contains(&"compose.fork"));
     assert!(names.contains(&"exec.fault"), "no exec.fault in golden");
-    assert!(names.contains(&"exec.fallback"), "no exec.fallback in golden");
+    assert!(
+        names.contains(&"exec.fallback"),
+        "no exec.fallback in golden"
+    );
     // The degradation counters made it into the metrics section.
     let counters: Vec<&str> = report
         .metrics
@@ -130,7 +133,13 @@ fn golden_is_schema_valid_and_contains_fault_events() {
     // Every exec.fault event carries the full field set the property
     // tests and dashboards rely on.
     for e in report.events.iter().filter(|e| e.name == "exec.fault") {
-        for key in ["attempt", "reason", "waited_ms", "deadline_ms", "backoff_ms"] {
+        for key in [
+            "attempt",
+            "reason",
+            "waited_ms",
+            "deadline_ms",
+            "backoff_ms",
+        ] {
             assert!(e.field(key).is_some(), "exec.fault missing field {key}");
         }
     }

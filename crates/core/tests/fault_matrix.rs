@@ -183,7 +183,8 @@ fn fault_cells_differ_from_the_clean_run() {
     for kind in FaultKind::ALL {
         let faulted = run(FaultSchedule::canned(kind));
         assert_ne!(
-            clean, faulted,
+            clean,
+            faulted,
             "{} left no trace in the report",
             kind.name()
         );

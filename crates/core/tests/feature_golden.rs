@@ -106,9 +106,16 @@ fn golden_is_schema_valid_and_contains_feature_events() {
         "no compress.feature event in golden"
     );
     // Every compress.feature event carries the full field set.
-    for e in report.events.iter().filter(|e| e.name == "compress.feature") {
+    for e in report
+        .events
+        .iter()
+        .filter(|e| e.name == "compress.feature")
+    {
         for key in ["action", "raw_bytes"] {
-            assert!(e.field(key).is_some(), "compress.feature missing field {key}");
+            assert!(
+                e.field(key).is_some(),
+                "compress.feature missing field {key}"
+            );
         }
     }
     // The pick counter made it into the metrics section.

@@ -160,7 +160,15 @@ fn hot_key_hammering_is_consistent() {
     for seed in 200..200 + seeds {
         let (pool, observations, total) = run_schedule(seed, workers, ops, 2);
         check_invariants(seed, &pool, &observations, total);
-        assert_eq!(pool.len(), observations.iter().map(|o| o.0).max().map_or(0, |m| m as usize + 1).min(2));
+        assert_eq!(
+            pool.len(),
+            observations
+                .iter()
+                .map(|o| o.0)
+                .max()
+                .map_or(0, |m| m as usize + 1)
+                .min(2)
+        );
         // With only 2 keys and hundreds of ops, almost everything hits.
         assert!(
             pool.hits() > total / 2,
@@ -223,9 +231,8 @@ fn concurrent_batched_probes_match_single_probes() {
                 barrier.wait();
                 for _ in 0..batches {
                     let n = rng.random_range(0..=keys + 4);
-                    let batch: Vec<u64> = (0..n)
-                        .map(|_| rng.random_range(0..keys) as u64)
-                        .collect();
+                    let batch: Vec<u64> =
+                        (0..n).map(|_| rng.random_range(0..keys) as u64).collect();
                     let out = pool.probe_many(&batch);
                     assert_eq!(out.len(), batch.len(), "seed {seed}: result order lost");
                     probes.fetch_add(batch.len(), Ordering::Relaxed);
@@ -249,7 +256,11 @@ fn concurrent_batched_probes_match_single_probes() {
             probes.load(Ordering::Relaxed),
             "seed {seed}: batched counter updates lost"
         );
-        assert_eq!(pool.len(), keys, "seed {seed}: writers must fill the universe");
+        assert_eq!(
+            pool.len(),
+            keys,
+            "seed {seed}: writers must fill the universe"
+        );
         // Quiesced equivalence: one batched probe over the whole universe
         // agrees with per-key single probes, entry for entry.
         let universe: Vec<u64> = (0..keys as u64).collect();
@@ -261,7 +272,10 @@ fn concurrent_batched_probes_match_single_probes() {
                 single.map(|e| e.reward.to_bits()),
                 "seed {seed}: batched and single probe disagree on key {k}"
             );
-            assert!(slot.is_some(), "seed {seed}: key {k} missing after all writers joined");
+            assert!(
+                slot.is_some(),
+                "seed {seed}: key {k} missing after all writers joined"
+            );
         }
     }
 }
@@ -271,7 +285,11 @@ fn schedules_differ_but_results_do_not() {
     // Different seeds produce different interleavings (different
     // hit/miss splits are fine) but the final cache contents must be the
     // same whenever the key universe is fully covered.
-    let (workers, ops, keys) = if light_mode() { (4, 60, 8) } else { (8, 400, 16) };
+    let (workers, ops, keys) = if light_mode() {
+        (4, 60, 8)
+    } else {
+        (8, 400, 16)
+    };
     let base = zoo::tiny_cnn();
     let candidate = Candidate::base_all_edge(&base);
     let mut contents = Vec::new();
@@ -285,7 +303,10 @@ fn schedules_differ_but_results_do_not() {
                 pool.get_key(key).map(|e| e.reward.to_bits())
             })
             .collect();
-        assert!(rewards.iter().all(Option::is_some), "seed {seed}: a key is missing");
+        assert!(
+            rewards.iter().all(Option::is_some),
+            "seed {seed}: a key is missing"
+        );
         contents.push(rewards);
     }
     // Every evaluation is a pure function of its key, so the final

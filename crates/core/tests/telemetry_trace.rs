@@ -100,8 +100,14 @@ fn synthetic_fanout_nests_and_orders_spans() {
             .filter(|e| e.region == 1 && e.stream == i + 1)
             .collect();
         assert_eq!(in_stream.len(), 2, "stream {} should hold item+tick", i + 1);
-        let item = in_stream.iter().find(|e| e.name == "test.item").expect("item span");
-        let tick = in_stream.iter().find(|e| e.name == "test.tick").expect("tick event");
+        let item = in_stream
+            .iter()
+            .find(|e| e.name == "test.item")
+            .expect("item span");
+        let tick = in_stream
+            .iter()
+            .find(|e| e.name == "test.tick")
+            .expect("tick event");
         assert!(item.is_span());
         assert!(!tick.is_span());
         assert_eq!(tick.parent, Some(item.seq), "tick must nest under item");

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use cadmc_accuracy::AppliedAction;
 use cadmc_core::baselines::random_plan;
 use cadmc_core::branch::optimal_branch;
 use cadmc_core::memo::MemoPool;
@@ -15,7 +16,6 @@ use cadmc_core::search::{Controllers, SearchConfig};
 use cadmc_core::tree::{ModelTree, TreeNode};
 use cadmc_core::validate::{self, ValidateError};
 use cadmc_core::{Candidate, EvalEnv, Partition};
-use cadmc_accuracy::AppliedAction;
 use cadmc_latency::Mbps;
 use cadmc_nn::zoo;
 
@@ -296,7 +296,9 @@ fn diagnostics_are_actionable_text() {
     // Every rejection message must name the offending location/value so a
     // user can fix the artifact without reading validator source.
     let base = zoo::tiny_cnn();
-    let msg = validate::block_count(&base, 99).expect_err("invalid").to_string();
+    let msg = validate::block_count(&base, 99)
+        .expect_err("invalid")
+        .to_string();
     assert!(msg.contains("99"), "{msg}");
     let msg = validate::bandwidth(-2.0).expect_err("invalid").to_string();
     assert!(msg.contains("-2"), "{msg}");
