@@ -79,6 +79,9 @@ enum Op {
     Constant,
     /// Leaf bound to a parameter in a [`ParamSet`].
     Param(ParamId),
+    /// Leaf standing for a value computed outside the graph; its
+    /// gradient is handed back to the caller of [`Graph::backward_into`].
+    Input,
     Add(VarId, VarId),
     Sub(VarId, VarId),
     Hadamard(VarId, VarId),
@@ -301,6 +304,21 @@ impl Graph {
     /// Adds a constant leaf (no gradient flows into it).
     pub fn constant(&mut self, value: Matrix) -> VarId {
         self.push(value, Op::Constant)
+    }
+
+    /// Adds an input leaf: a value computed outside this graph (say, the
+    /// output of another graph) whose gradient [`Graph::backward_into`]
+    /// returns to the caller instead of discarding it.
+    pub fn input(&mut self, value: Matrix) -> VarId {
+        self.push(value, Op::Input)
+    }
+
+    /// Parameters bound by this graph's leaves, in tape order.
+    pub fn params(&self) -> impl Iterator<Item = ParamId> + '_ {
+        self.nodes.iter().filter_map(|n| match n.op {
+            Op::Param(p) => Some(p),
+            _ => None,
+        })
     }
 
     /// Adds a leaf bound to `param`, cloning its current value.
@@ -648,13 +666,6 @@ impl Graph {
     /// Runs reverse-mode differentiation from `loss` (which must be `1x1`)
     /// and returns per-parameter gradients.
     ///
-    /// Each node's gradient is the sum of its consumers' contributions
-    /// in reverse tape order, exactly as if every contribution were a
-    /// fresh matrix added with [`Matrix::add_assign`]. The arms do not
-    /// materialize those matrices: they add into the slot in place (or
-    /// write an empty slot directly), and spent gradient storage is
-    /// reused for later slots.
-    ///
     /// # Panics
     ///
     /// Panics if `loss` is not a `1x1` node.
@@ -664,33 +675,101 @@ impl Graph {
             (1, 1),
             "backward expects a scalar (1x1) loss node"
         );
+        let mut out = Gradients::default();
+        self.backward_into(
+            [(loss, Matrix::from_vec(1, 1, vec![1.0]))],
+            &mut Workspace::default(),
+            &mut Transposes::default(),
+            &mut out,
+        );
+        out
+    }
+
+    /// Runs reverse-mode differentiation seeded with the gradient of each
+    /// `(node, gradient)` in `seeds`, adding every parameter's gradient
+    /// into `out`. Returns the gradients that reached [`Graph::input`]
+    /// leaves, in descending node order.
+    ///
+    /// Each node's gradient is the sum of its seed and its consumers'
+    /// contributions in reverse tape order, exactly as if every
+    /// contribution were a fresh matrix added with
+    /// [`Matrix::add_assign`]. The arms do not materialize those
+    /// matrices: they add into the slot in place (or write an empty slot
+    /// directly), and spent gradient storage is reused for later slots —
+    /// and, through `ws`, by later passes. `transposes` caches transposed
+    /// weight blocks of *this* graph; hand the same cache only to passes
+    /// over the same (unchanged) graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seed's shape differs from its node's value.
+    pub fn backward_into(
+        &self,
+        seeds: impl IntoIterator<Item = (VarId, Matrix)>,
+        ws: &mut Workspace,
+        transposes: &mut Transposes,
+        out: &mut Gradients,
+    ) -> Vec<(VarId, Matrix)> {
         let mut pass = Backward {
             slots: Slots {
                 nodes: &self.nodes,
-                grads: vec![None; loss.0 + 1],
-                spare: Vec::new(),
+                grads: std::mem::take(&mut ws.grads),
+                spare: std::mem::take(&mut ws.spare),
             },
-            row: Vec::new(),
-            transposes: Vec::new(),
-            out: Gradients::default(),
+            row: std::mem::take(&mut ws.row),
+            transposes: std::mem::take(&mut transposes.0),
+            out,
         };
-        pass.slots.grads[loss.0] = Some(Matrix::from_vec(1, 1, vec![1.0]));
-        for idx in (0..=loss.0).rev() {
+        pass.slots.grads.clear();
+        for (id, g) in seeds {
+            assert_eq!(g.shape(), self.value(id).shape(), "seed shape mismatch");
+            if pass.slots.grads.len() <= id.0 {
+                pass.slots.grads.resize_with(id.0 + 1, || None);
+            }
+            pass.slots.add_owned(id, g);
+        }
+        let mut inputs = Vec::new();
+        for idx in (0..pass.slots.grads.len()).rev() {
             let Some(g) = pass.slots.grads[idx].take() else {
                 continue;
             };
-            if let Op::Param(p) = self.nodes[idx].op {
-                if let Some(spent) = pass.out.add(p, g) {
-                    pass.slots.recycle(spent);
+            match self.nodes[idx].op {
+                Op::Param(p) => {
+                    if let Some(spent) = pass.out.add(p, g) {
+                        pass.slots.recycle(spent);
+                    }
                 }
-            } else {
-                pass.propagate(idx, &g);
-                pass.slots.recycle(g);
+                Op::Input => inputs.push((VarId(idx), g)),
+                _ => {
+                    pass.propagate(idx, &g);
+                    pass.slots.recycle(g);
+                }
             }
         }
-        pass.out
+        ws.grads = pass.slots.grads;
+        ws.spare = pass.slots.spare;
+        ws.row = pass.row;
+        transposes.0 = pass.transposes;
+        inputs
     }
 }
+
+/// The buffers of a backward pass — per-node gradient slots, spent
+/// gradient storage and a product-row staging area — kept so a sequence
+/// of passes allocates only the gradients it hands out.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    grads: Vec<Option<Matrix>>,
+    spare: Vec<Vec<f32>>,
+    row: Vec<f32>,
+}
+
+/// Transposed row blocks of one graph's matmul right operands, keyed by
+/// node and row range and built on first use: an LSTM weight's recurrent
+/// block serves every step of its sequence, and every backward pass over
+/// the same graph.
+#[derive(Debug, Default)]
+pub struct Transposes(Vec<((usize, usize, usize), Matrix)>);
 
 /// The logistic function, as every sigmoid in the tape computes it.
 fn sigmoid(x: f32) -> f32 {
@@ -829,16 +908,14 @@ impl<'a> Slots<'a> {
     }
 }
 
-/// Working state of one [`Graph::backward`] call.
+/// Working state of one [`Graph::backward_into`] call.
 struct Backward<'a> {
     slots: Slots<'a>,
     /// Staging for one matmul product row (or a few), reused by every arm.
     row: Vec<f32>,
-    /// Transposed row blocks of matmul right operands, keyed by node and
-    /// row range and built on first use: an LSTM weight's recurrent block
-    /// serves every step of its sequence.
+    /// The graph's [`Transposes`].
     transposes: Vec<((usize, usize, usize), Matrix)>,
-    out: Gradients,
+    out: &'a mut Gradients,
 }
 
 impl Backward<'_> {
@@ -867,7 +944,7 @@ impl Backward<'_> {
         let (rows, cols) = g.shape();
         let gd = g.data();
         match &node.op {
-            Op::Constant | Op::Param(_) => {}
+            Op::Constant | Op::Param(_) | Op::Input => {}
             Op::Add(a, b) => {
                 self.slots.add_cols(*a, gd, (rows, cols), 0, cols);
                 self.slots.add_cols(*b, gd, (rows, cols), 0, cols);

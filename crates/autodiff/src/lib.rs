@@ -48,7 +48,7 @@ mod optim;
 mod params;
 mod proptests;
 
-pub use graph::{ConvGeom, Gradients, Graph, VarId};
+pub use graph::{ConvGeom, Gradients, Graph, Transposes, VarId, Workspace};
 pub use lstm::{BiLstm, LstmCell};
 pub use matrix::Matrix;
 pub use optim::{Adam, Sgd};

@@ -44,8 +44,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let budget = match Budget::from_env() {
+        Ok(budget) => budget,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let repro = Repro {
-        budget: Budget::from_env(),
+        budget,
         scenes: OnceCell::new(),
     };
     for section in sections {

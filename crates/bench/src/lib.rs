@@ -164,10 +164,11 @@ pub fn select(args: &[String]) -> Result<Vec<Section>, SelectError> {
 
 /// The run budget every section shares, read once from the environment:
 /// `CADMC_EPISODES` (default 120), `CADMC_REQUESTS` (150), `CADMC_SEED`
-/// (7) and `CADMC_WORKERS` (the machine's available parallelism). A value
-/// that does not parse falls back to its default. Worker count never
-/// affects results, only wall-clock time.
-#[derive(Debug, Clone, Copy)]
+/// (7) and `CADMC_WORKERS` (the machine's available parallelism). An
+/// unset variable takes its default; a set one that does not parse is a
+/// [`BudgetError`]. Worker count never affects results, only wall-clock
+/// time.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Budget {
     /// Search episodes per method and scene.
     pub episodes: usize,
@@ -179,18 +180,65 @@ pub struct Budget {
     pub workers: Parallelism,
 }
 
+/// A budget variable set to a value that does not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BudgetError {
+    /// The variable's name.
+    pub var: &'static str,
+    /// The value it was set to.
+    pub value: String,
+}
+
+impl fmt::Display for BudgetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}={:?} is not a non-negative integer",
+            self.var, self.value
+        )
+    }
+}
+
+impl std::error::Error for BudgetError {}
+
 impl Budget {
     /// Reads the budget from the `CADMC_*` variables.
-    pub fn from_env() -> Self {
-        fn var<T: FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok().and_then(|v| v.parse().ok())
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BudgetError`] for the first variable (in the order
+    /// listed on [`Budget`]) whose value does not parse.
+    pub fn from_env() -> Result<Self, BudgetError> {
+        Self::from_lookup(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// Reads the budget through `lookup`, which maps a variable name to
+    /// its value (`None` when unset).
+    ///
+    /// # Errors
+    ///
+    /// As [`Budget::from_env`].
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, BudgetError> {
+        fn var<T: FromStr>(
+            lookup: &impl Fn(&str) -> Option<String>,
+            name: &'static str,
+        ) -> Result<Option<T>, BudgetError> {
+            lookup(name)
+                .map(|value| {
+                    value.parse().map_err(|_| BudgetError {
+                        var: name,
+                        value: value.clone(),
+                    })
+                })
+                .transpose()
         }
-        Budget {
-            episodes: var("CADMC_EPISODES").unwrap_or(120),
-            requests: var("CADMC_REQUESTS").unwrap_or(150),
-            seed: var("CADMC_SEED").unwrap_or(7),
-            workers: var("CADMC_WORKERS").map_or_else(Parallelism::available, Parallelism::new),
-        }
+        Ok(Budget {
+            episodes: var(&lookup, "CADMC_EPISODES")?.unwrap_or(120),
+            requests: var(&lookup, "CADMC_REQUESTS")?.unwrap_or(150),
+            seed: var(&lookup, "CADMC_SEED")?.unwrap_or(7),
+            workers: var(&lookup, "CADMC_WORKERS")?
+                .map_or_else(Parallelism::available, Parallelism::new),
+        })
     }
 
     /// The search configuration of this budget under `seed`.
@@ -286,6 +334,55 @@ mod tests {
             "TABLE1_LATENCY".parse::<Section>(),
             Err(SelectError::Unknown("TABLE1_LATENCY".to_string()))
         );
+    }
+
+    fn lookup<'a>(vars: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    #[test]
+    fn budget_reads_good_values_and_defaults_missing_ones() {
+        let b = Budget::from_lookup(lookup(&[
+            ("CADMC_EPISODES", "12"),
+            ("CADMC_SEED", "9001"),
+            ("CADMC_WORKERS", "3"),
+        ]))
+        .expect("good values parse");
+        assert_eq!(b.episodes, 12);
+        assert_eq!(b.requests, 150, "a missing value takes its default");
+        assert_eq!(b.seed, 9001);
+        assert_eq!(b.workers, Parallelism::new(3));
+        let defaults = Budget::from_lookup(lookup(&[])).expect("nothing set");
+        assert_eq!((defaults.episodes, defaults.seed), (120, 7));
+    }
+
+    #[test]
+    fn budget_rejects_a_bad_value_naming_the_variable() {
+        for (var, value) in [
+            ("CADMC_EPISODES", "12x"),
+            ("CADMC_REQUESTS", "-1"),
+            ("CADMC_SEED", ""),
+            ("CADMC_WORKERS", "two"),
+        ] {
+            let vars = [(var, value), ("CADMC_EPISODES", "8")];
+            let err = Budget::from_lookup(lookup(&vars)).unwrap_err();
+            assert_eq!(
+                err,
+                BudgetError {
+                    var,
+                    value: value.to_string()
+                }
+            );
+            let msg = err.to_string();
+            assert!(
+                msg.contains(var) && msg.contains(&format!("{value:?}")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

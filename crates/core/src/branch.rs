@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::candidate::Candidate;
-use crate::controller::EpisodeTape;
+use crate::controller::{EpisodeTape, ForwardCache};
 use crate::delta::{DeltaState, EdgePrefixes};
 use crate::env::EvalEnv;
 use crate::memo::MemoPool;
@@ -60,9 +60,16 @@ impl SearchOutcome {
 /// probability `explore_epsilon` the partition is drawn uniformly
 /// (off-policy, no log-probability recorded) instead of from the policy.
 /// `prefixes` supplies the edge prefix specs the compression controller
-/// conditions on (built once per search).
+/// conditions on (built once per search); `forwards` holds the rollout
+/// batch's controller forward passes over `controllers.params`.
+///
+/// # Panics
+///
+/// Panics if `forwards` reads another parameter set than `controllers`.
+#[allow(clippy::too_many_arguments)]
 pub fn sample_delta<'a>(
     controllers: &Controllers,
+    forwards: &ForwardCache<'_>,
     base: &'a ModelSpec,
     prefixes: &EdgePrefixes,
     bandwidth: f64,
@@ -71,13 +78,17 @@ pub fn sample_delta<'a>(
     explore_epsilon: f64,
 ) -> (EpisodeTape, DeltaState<'a>) {
     use rand::RngExt;
+    assert!(
+        std::ptr::eq(forwards.params(), &controllers.params),
+        "forward cache over another parameter set"
+    );
     let mut tape = EpisodeTape::new();
     let partition = if explore_epsilon > 0.0 && rng.random_range(0.0..1.0) < explore_epsilon {
         crate::baselines::random_partition(base, rng)
     } else {
         let action = controllers.partition.sample(
             &mut tape,
-            &controllers.params,
+            forwards,
             base,
             bandwidth,
             rng,
@@ -90,7 +101,7 @@ pub fn sample_delta<'a>(
     if edge_len > 0 {
         let edge_plan = controllers.compression.sample(
             &mut tape,
-            &controllers.params,
+            forwards,
             prefixes.get(edge_len),
             bandwidth,
             rng,
@@ -181,6 +192,7 @@ pub fn optimal_branch(
         let batch_end = (batch_start + batch_size).min(cfg.episodes);
         let rollouts = {
             let shared: &Controllers = controllers;
+            let forwards = &ForwardCache::new(&shared.params);
             let prefixes = &prefixes;
             par_map_indexed(batch_end - batch_start, cfg.parallelism.workers, |offset| {
                 let episode = batch_start + offset;
@@ -188,6 +200,7 @@ pub fn optimal_branch(
                 let mut rng = StdRng::seed_from_u64(cfg.seed ^ BRANCH_SALT ^ episode as u64);
                 let (tape, delta) = sample_delta(
                     shared,
+                    forwards,
                     base,
                     prefixes,
                     bandwidth.0,
@@ -353,7 +366,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut saw_feature = false;
         for _ in 0..60 {
-            let (_, delta) = sample_delta(&controllers, &base, &prefixes, 0.5, &mut rng, 0.0, 0.5);
+            let forwards = ForwardCache::new(&controllers.params);
+            let (_, delta) = sample_delta(
+                &controllers,
+                &forwards,
+                &base,
+                &prefixes,
+                0.5,
+                &mut rng,
+                0.0,
+                0.5,
+            );
             if !delta.feature().is_identity() {
                 assert_ne!(
                     delta.partition().edge_len(base.len()),

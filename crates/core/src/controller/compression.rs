@@ -7,13 +7,15 @@
 //! versus other F-techniques) are excluded during sequential sampling so
 //! every sampled plan is applicable by construction.
 
-use cadmc_autodiff::{BiLstm, Matrix, ParamId, ParamSet, VarId};
+use std::sync::Arc;
+
+use cadmc_autodiff::{BiLstm, Graph, Matrix, ParamId, ParamSet, VarId};
 use cadmc_compress::{CompressionPlan, Technique};
 use cadmc_nn::ModelSpec;
 use rand::rngs::StdRng;
 
 use super::embed::{embed_model, EMBED_DIM};
-use super::policy::{sample_masked, EpisodeTape};
+use super::policy::{sample_masked, EpisodeTape, ForwardCache, SharedForward};
 
 /// Number of options per layer: the seven techniques plus "none".
 pub const NUM_OPTIONS: usize = Technique::ALL.len() + 1;
@@ -57,27 +59,51 @@ impl CompressionController {
         }
     }
 
-    /// Builds per-layer logits (`spec.len()` rows of `1 × NUM_OPTIONS`).
+    /// Records the forward pass over the embedded layer sequence
+    /// `inputs` on `graph`, returning one `1 × NUM_OPTIONS` logits row per
+    /// layer.
+    pub(crate) fn record(
+        &self,
+        graph: &mut Graph,
+        params: &ParamSet,
+        inputs: Vec<Matrix>,
+    ) -> Vec<VarId> {
+        let inputs: Vec<VarId> = inputs.into_iter().map(|m| graph.constant(m)).collect();
+        let hs = self.bilstm.run(graph, params, &inputs);
+        let w = graph.param(params, self.head_w);
+        let b = graph.param(params, self.head_b);
+        hs.into_iter()
+            .map(|h| {
+                let lin = graph.matmul(h, w);
+                graph.add_broadcast_row(lin, b)
+            })
+            .collect()
+    }
+
+    /// The batch's forward pass over the embedded `inputs` at `bandwidth`.
+    pub(crate) fn forward(
+        &self,
+        forwards: &ForwardCache<'_>,
+        inputs: Vec<Matrix>,
+        bandwidth: f64,
+    ) -> Arc<SharedForward> {
+        forwards.forward(self.head_w, bandwidth, inputs, |graph, params, inputs| {
+            self.record(graph, params, inputs)
+        })
+    }
+
+    /// Links the batch's forward pass for `spec` at `bandwidth` into
+    /// `tape`, returning the leaves of its per-layer logits (`spec.len()`
+    /// rows of `1 × NUM_OPTIONS`).
     pub fn layer_logits(
         &self,
         tape: &mut EpisodeTape,
-        params: &ParamSet,
+        forwards: &ForwardCache<'_>,
         spec: &ModelSpec,
         bandwidth: f64,
     ) -> Vec<VarId> {
-        let inputs: Vec<VarId> = embed_model(spec, bandwidth)
-            .into_iter()
-            .map(|m| tape.graph.constant(m))
-            .collect();
-        let hs = self.bilstm.run(&mut tape.graph, params, &inputs);
-        let w = tape.graph.param(params, self.head_w);
-        let b = tape.graph.param(params, self.head_b);
-        hs.into_iter()
-            .map(|h| {
-                let lin = tape.graph.matmul(h, w);
-                tape.graph.add_broadcast_row(lin, b)
-            })
-            .collect()
+        let forward = self.forward(forwards, embed_model(spec, bandwidth), bandwidth);
+        tape.link(&forward)
     }
 
     /// Samples a per-layer compression plan for `spec` (typically the edge
@@ -85,13 +111,13 @@ impl CompressionController {
     pub fn sample(
         &self,
         tape: &mut EpisodeTape,
-        params: &ParamSet,
+        forwards: &ForwardCache<'_>,
         spec: &ModelSpec,
         bandwidth: f64,
         rng: &mut StdRng,
     ) -> CompressionPlan {
         let mut state = HeadState::default();
-        self.sample_with_state(tape, params, spec, bandwidth, rng, &mut state)
+        self.sample_with_state(tape, forwards, spec, bandwidth, rng, &mut state)
     }
 
     /// Like [`sample`], but threading the FC-head conflict state across
@@ -103,13 +129,13 @@ impl CompressionController {
     pub fn sample_with_state(
         &self,
         tape: &mut EpisodeTape,
-        params: &ParamSet,
+        forwards: &ForwardCache<'_>,
         spec: &ModelSpec,
         bandwidth: f64,
         rng: &mut StdRng,
         state: &mut HeadState,
     ) -> CompressionPlan {
-        let logits = self.layer_logits(tape, params, spec, bandwidth);
+        let logits = self.layer_logits(tape, forwards, spec, bandwidth);
         let mut plan = CompressionPlan::identity(spec.len());
         let mut f3_used = state.f3_used;
         let mut f_used = state.f_used;
@@ -152,13 +178,16 @@ impl CompressionController {
 
     /// Greedy (argmax) plan — used at deployment time.
     pub fn best(&self, params: &ParamSet, spec: &ModelSpec, bandwidth: f64) -> CompressionPlan {
-        let mut tape = EpisodeTape::new();
-        let logits = self.layer_logits(&mut tape, params, spec, bandwidth);
+        let forward = self.forward(
+            &ForwardCache::new(params),
+            embed_model(spec, bandwidth),
+            bandwidth,
+        );
         let mut plan = CompressionPlan::identity(spec.len());
         let mut f3_used = false;
         let mut f_used = false;
-        for (i, l) in logits.into_iter().enumerate() {
-            let row = tape.graph.value(l);
+        for i in 0..spec.len() {
+            let row = forward.output(i);
             let mut best_opt = NONE_OPTION;
             let mut best_score = row.at(0, NONE_OPTION);
             for t in Technique::applicable_at(spec, i) {
@@ -200,7 +229,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..20 {
             let mut tape = EpisodeTape::new();
-            let plan = ctl.sample(&mut tape, &params, &base, 10.0, &mut rng);
+            let plan = ctl.sample(
+                &mut tape,
+                &ForwardCache::new(&params),
+                &base,
+                10.0,
+                &mut rng,
+            );
             assert!(
                 plan.apply(&base).is_ok(),
                 "sampled plan {} failed to apply",
@@ -216,7 +251,13 @@ mod tests {
         let base = zoo::tiny_cnn();
         let mut rng = StdRng::seed_from_u64(2);
         let mut tape = EpisodeTape::new();
-        let _ = ctl.sample(&mut tape, &params, &base, 10.0, &mut rng);
+        let _ = ctl.sample(
+            &mut tape,
+            &ForwardCache::new(&params),
+            &base,
+            10.0,
+            &mut rng,
+        );
         assert_eq!(tape.len(), base.len());
     }
 
@@ -229,7 +270,13 @@ mod tests {
         let mut compressed_any = false;
         for _ in 0..10 {
             let mut tape = EpisodeTape::new();
-            let plan = ctl.sample(&mut tape, &params, &base, 10.0, &mut rng);
+            let plan = ctl.sample(
+                &mut tape,
+                &ForwardCache::new(&params),
+                &base,
+                10.0,
+                &mut rng,
+            );
             compressed_any |= !plan.is_identity();
         }
         assert!(compressed_any);
@@ -243,7 +290,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..40 {
             let mut tape = EpisodeTape::new();
-            let plan = ctl.sample(&mut tape, &params, &base, 10.0, &mut rng);
+            let plan = ctl.sample(
+                &mut tape,
+                &ForwardCache::new(&params),
+                &base,
+                10.0,
+                &mut rng,
+            );
             let f3_count = plan
                 .actions()
                 .iter()

@@ -8,7 +8,7 @@ use cadmc_nn::zoo;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::controller::{EpisodeTape, PartitionAction, Reinforce};
+use crate::controller::{EpisodeTape, ForwardCache, PartitionAction, Reinforce};
 use crate::search::{Controllers, SearchConfig};
 
 #[test]
@@ -20,9 +20,14 @@ fn partition_controller_learns_a_preferred_cut() {
     let mut rng = StdRng::seed_from_u64(5);
     for _ in 0..250 {
         let mut tape = EpisodeTape::new();
-        let action = c
-            .partition
-            .sample(&mut tape, &c.params, &base, 10.0, &mut rng, 0.0);
+        let action = c.partition.sample(
+            &mut tape,
+            &ForwardCache::new(&c.params),
+            &base,
+            10.0,
+            &mut rng,
+            0.0,
+        );
         let reward = match action {
             PartitionAction::CutBefore(2) => 380.0,
             _ => 320.0,
@@ -47,9 +52,13 @@ fn compression_controller_learns_to_abstain_when_compression_is_punished() {
     let mut rng = StdRng::seed_from_u64(9);
     for _ in 0..250 {
         let mut tape = EpisodeTape::new();
-        let plan = c
-            .compression
-            .sample(&mut tape, &c.params, &base, 10.0, &mut rng);
+        let plan = c.compression.sample(
+            &mut tape,
+            &ForwardCache::new(&c.params),
+            &base,
+            10.0,
+            &mut rng,
+        );
         let reward = if plan.is_identity() { 380.0 } else { 320.0 };
         c.trainer.update_batch(&mut c.params, vec![(tape, reward)]);
     }
@@ -69,9 +78,13 @@ fn compression_controller_learns_to_compress_when_rewarded() {
     let mut rng = StdRng::seed_from_u64(3);
     for _ in 0..250 {
         let mut tape = EpisodeTape::new();
-        let plan = c
-            .compression
-            .sample(&mut tape, &c.params, &base, 10.0, &mut rng);
+        let plan = c.compression.sample(
+            &mut tape,
+            &ForwardCache::new(&c.params),
+            &base,
+            10.0,
+            &mut rng,
+        );
         // Reward proportional to number of compressed layers.
         let count = plan.actions().iter().filter(|a| a.is_some()).count();
         let reward = 320.0 + 15.0 * count as f64;
@@ -104,9 +117,14 @@ fn bandwidth_conditioning_can_separate_policies() {
     for i in 0..800 {
         let bw = if i % 2 == 0 { 1.0 } else { 100.0 };
         let mut tape = EpisodeTape::new();
-        let action = c
-            .partition
-            .sample(&mut tape, &c.params, &base, bw, &mut rng, 0.0);
+        let action = c.partition.sample(
+            &mut tape,
+            &ForwardCache::new(&c.params),
+            &base,
+            bw,
+            &mut rng,
+            0.0,
+        );
         let good = if bw < 10.0 {
             action == PartitionAction::NoPartition
         } else {
@@ -121,7 +139,9 @@ fn bandwidth_conditioning_can_separate_policies() {
     // bandwidth than vice versa.
     let prob = |bw: f64, want_no_partition: bool| -> f32 {
         let mut tape = EpisodeTape::new();
-        let logits = c.partition.logits(&mut tape, &c.params, &base, bw);
+        let logits = c
+            .partition
+            .logits(&mut tape, &ForwardCache::new(&c.params), &base, bw);
         let sm = tape.graph.value(logits).softmax_rows();
         if want_no_partition {
             sm.at(0, base.len())

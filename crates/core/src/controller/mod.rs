@@ -14,4 +14,4 @@ pub use compression::{CompressionController, HeadState, NONE_OPTION, NUM_OPTIONS
 pub use embed::{embed_layer, embed_model, EMBED_DIM};
 pub use feature::{FeatureController, FEATURE_EMBED_DIM};
 pub use partition::{PartitionAction, PartitionController};
-pub use policy::{sample_masked, EpisodeTape, Reinforce};
+pub use policy::{sample_masked, EpisodeTape, ForwardCache, Reinforce};

@@ -7,13 +7,15 @@
 //! partition policy `π_p`: option `j < L` cuts *before* layer `j` (so
 //! `j = 0` offloads everything), option `L` keeps everything on the edge.
 
-use cadmc_autodiff::{BiLstm, Matrix, ParamId, ParamSet, VarId};
+use std::sync::Arc;
+
+use cadmc_autodiff::{BiLstm, Graph, Matrix, ParamId, ParamSet, VarId};
 use cadmc_nn::ModelSpec;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
 use super::embed::{embed_model, EMBED_DIM};
-use super::policy::{sample_masked, EpisodeTape};
+use super::policy::{sample_masked, EpisodeTape, ForwardCache, SharedForward};
 
 /// The partition decision for one model/block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,37 +62,59 @@ impl PartitionController {
         }
     }
 
-    /// Builds the `1 × (L+1)` partition logits for `spec` at `bandwidth`.
-    pub fn logits(
+    /// Records the forward pass over the embedded layer sequence
+    /// `inputs` on `graph`, returning the `1 × (L+1)` logits.
+    pub(crate) fn record(
         &self,
-        tape: &mut EpisodeTape,
+        graph: &mut Graph,
         params: &ParamSet,
-        spec: &ModelSpec,
-        bandwidth: f64,
+        inputs: Vec<Matrix>,
     ) -> VarId {
-        let inputs: Vec<VarId> = embed_model(spec, bandwidth)
-            .into_iter()
-            .map(|m| tape.graph.constant(m))
-            .collect();
-        let hs = self.bilstm.run(&mut tape.graph, params, &inputs);
-        let w = tape.graph.param(params, self.score_w);
-        let b = tape.graph.param(params, self.score_b);
+        let inputs: Vec<VarId> = inputs.into_iter().map(|m| graph.constant(m)).collect();
+        let hs = self.bilstm.run(graph, params, &inputs);
+        let w = graph.param(params, self.score_w);
+        let b = graph.param(params, self.score_b);
         let mut scores: Option<VarId> = None;
         for h in &hs {
-            let s_lin = tape.graph.matmul(*h, w);
-            let s = tape.graph.add(s_lin, b);
+            let s_lin = graph.matmul(*h, w);
+            let s = graph.add(s_lin, b);
             scores = Some(match scores {
-                Some(acc) => tape.graph.hcat(acc, s),
+                Some(acc) => graph.hcat(acc, s),
                 None => s,
             });
         }
         let summary = *hs.last().expect("non-empty model");
-        let nw = tape.graph.param(params, self.nopart_w);
-        let nb = tape.graph.param(params, self.nopart_b);
-        let np_lin = tape.graph.matmul(summary, nw);
-        let np = tape.graph.add(np_lin, nb);
+        let nw = graph.param(params, self.nopart_w);
+        let nb = graph.param(params, self.nopart_b);
+        let np_lin = graph.matmul(summary, nw);
+        let np = graph.add(np_lin, nb);
         let scores = scores.expect("non-empty model");
-        tape.graph.hcat(scores, np)
+        graph.hcat(scores, np)
+    }
+
+    /// The batch's forward pass over the embedded `inputs` at `bandwidth`.
+    pub(crate) fn forward(
+        &self,
+        forwards: &ForwardCache<'_>,
+        inputs: Vec<Matrix>,
+        bandwidth: f64,
+    ) -> Arc<SharedForward> {
+        forwards.forward(self.score_w, bandwidth, inputs, |graph, params, inputs| {
+            vec![self.record(graph, params, inputs)]
+        })
+    }
+
+    /// Links the batch's forward pass for `spec` at `bandwidth` into
+    /// `tape`, returning the leaf of its `1 × (L+1)` logits.
+    pub fn logits(
+        &self,
+        tape: &mut EpisodeTape,
+        forwards: &ForwardCache<'_>,
+        spec: &ModelSpec,
+        bandwidth: f64,
+    ) -> VarId {
+        let forward = self.forward(forwards, embed_model(spec, bandwidth), bandwidth);
+        tape.link(&forward)[0]
     }
 
     /// Samples a partition action for `spec`. With probability
@@ -104,7 +128,7 @@ impl PartitionController {
     pub fn sample(
         &self,
         tape: &mut EpisodeTape,
-        params: &ParamSet,
+        forwards: &ForwardCache<'_>,
         spec: &ModelSpec,
         bandwidth: f64,
         rng: &mut StdRng,
@@ -113,7 +137,7 @@ impl PartitionController {
         if force_no_partition > 0.0 && rng.random_range(0.0..1.0) < force_no_partition {
             return PartitionAction::NoPartition;
         }
-        let logits = self.logits(tape, params, spec, bandwidth);
+        let logits = self.logits(tape, forwards, spec, bandwidth);
         let width = spec.len() + 1;
         let allowed = vec![true; width];
         let (pick, _) = sample_masked(tape, logits, &allowed, rng);
@@ -126,9 +150,11 @@ impl PartitionController {
 
     /// Greedy (argmax) partition action — used at deployment time.
     pub fn best(&self, params: &ParamSet, spec: &ModelSpec, bandwidth: f64) -> PartitionAction {
-        let mut tape = EpisodeTape::new();
-        let logits = self.logits(&mut tape, params, spec, bandwidth);
-        let pick = tape.graph.value(logits).argmax_row(0);
+        let forwards = ForwardCache::new(params);
+        let pick = self
+            .forward(&forwards, embed_model(spec, bandwidth), bandwidth)
+            .output(0)
+            .argmax_row(0);
         if pick == spec.len() {
             PartitionAction::NoPartition
         } else {
@@ -149,7 +175,7 @@ mod tests {
         let ctl = PartitionController::new(&mut params, "p", 8, 1);
         let base = zoo::vgg11_cifar();
         let mut tape = EpisodeTape::new();
-        let logits = ctl.logits(&mut tape, &params, &base, 10.0);
+        let logits = ctl.logits(&mut tape, &ForwardCache::new(&params), &base, 10.0);
         assert_eq!(tape.graph.value(logits).shape(), (1, base.len() + 1));
     }
 
@@ -159,11 +185,12 @@ mod tests {
         let ctl = PartitionController::new(&mut params, "p", 8, 2);
         let base = zoo::tiny_cnn();
         let mut rng = StdRng::seed_from_u64(5);
+        let forwards = ForwardCache::new(&params);
         let mut saw_cut = false;
         let mut saw_none = false;
         for _ in 0..60 {
             let mut tape = EpisodeTape::new();
-            match ctl.sample(&mut tape, &params, &base, 10.0, &mut rng, 0.0) {
+            match ctl.sample(&mut tape, &forwards, &base, 10.0, &mut rng, 0.0) {
                 PartitionAction::CutBefore(i) => {
                     assert!(i < base.len());
                     saw_cut = true;
@@ -182,7 +209,14 @@ mod tests {
         let base = zoo::tiny_cnn();
         let mut rng = StdRng::seed_from_u64(6);
         let mut tape = EpisodeTape::new();
-        let a = ctl.sample(&mut tape, &params, &base, 10.0, &mut rng, 1.0);
+        let a = ctl.sample(
+            &mut tape,
+            &ForwardCache::new(&params),
+            &base,
+            10.0,
+            &mut rng,
+            1.0,
+        );
         assert_eq!(a, PartitionAction::NoPartition);
         assert!(tape.is_empty());
     }
@@ -205,10 +239,11 @@ mod tests {
         let mut params = ParamSet::new();
         let ctl = PartitionController::new(&mut params, "p", 8, 5);
         let base = zoo::tiny_cnn();
+        let forwards = ForwardCache::new(&params);
         let mut t1 = EpisodeTape::new();
-        let l1 = ctl.logits(&mut t1, &params, &base, 1.0);
+        let l1 = ctl.logits(&mut t1, &forwards, &base, 1.0);
         let mut t2 = EpisodeTape::new();
-        let l2 = ctl.logits(&mut t2, &params, &base, 100.0);
+        let l2 = ctl.logits(&mut t2, &forwards, &base, 100.0);
         assert_ne!(t1.graph.value(l1), t2.graph.value(l2));
     }
 }

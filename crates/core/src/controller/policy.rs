@@ -1,30 +1,179 @@
-//! Shared policy machinery: episode tapes, masked categorical sampling and
-//! the Monte-Carlo policy-gradient (REINFORCE) update with an
-//! exponential-moving-average baseline (§VI-D, Eqs. 8–10).
+//! Shared policy machinery: episode tapes, shared controller forward
+//! passes, masked categorical sampling and the Monte-Carlo
+//! policy-gradient (REINFORCE) update with an exponential-moving-average
+//! baseline (§VI-D, Eqs. 8–10).
 
-use cadmc_autodiff::{Adam, Gradients, Graph, Matrix, ParamSet, VarId};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use cadmc_autodiff::{
+    Adam, Gradients, Graph, Matrix, ParamId, ParamSet, Transposes, VarId, Workspace,
+};
 use cadmc_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::RngExt;
+
+/// One controller forward pass — BiLSTM plus head, up to its logits —
+/// recorded once on its own frozen graph. Every tape that samples from
+/// it *links* it (see [`EpisodeTape::link`]) instead of recording it
+/// again.
+#[derive(Debug)]
+pub(crate) struct SharedForward {
+    graph: Graph,
+    outputs: Vec<VarId>,
+    /// The parameters the pass binds, sorted.
+    params: Vec<ParamId>,
+    /// Transposed weight blocks, built by the first backward pass through
+    /// this forward and reused by every later one.
+    transposes: Mutex<Transposes>,
+}
+
+impl SharedForward {
+    fn new(graph: Graph, outputs: Vec<VarId>) -> Self {
+        let params = distinct(graph.params());
+        Self {
+            graph,
+            outputs,
+            params,
+            transposes: Mutex::default(),
+        }
+    }
+
+    /// The value of output `i` (a logits row).
+    pub(crate) fn output(&self, i: usize) -> &Matrix {
+        self.graph.value(self.outputs[i])
+    }
+}
+
+/// What a forward pass is keyed by: the controller (one of its
+/// parameters), the bandwidth it conditions on, and the exact bits of its
+/// embedded input sequence.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct ForwardKey {
+    owner: ParamId,
+    bandwidth: u64,
+    steps: usize,
+    inputs: Vec<u32>,
+}
+
+/// The forward passes of one rollout batch, one per distinct
+/// [`ForwardKey`]. Every episode of a batch samples from the same frozen
+/// parameters, so equal inputs give bit-equal passes: the first episode
+/// to ask records it and the rest link the same [`SharedForward`]. The
+/// cache borrows the [`ParamSet`], so it cannot outlive a parameter
+/// update; a one-off call uses a fresh cache.
+#[derive(Debug)]
+pub struct ForwardCache<'p> {
+    params: &'p ParamSet,
+    forwards: Mutex<HashMap<ForwardKey, Arc<SharedForward>>>,
+}
+
+impl<'p> ForwardCache<'p> {
+    /// An empty cache over `params`.
+    pub fn new(params: &'p ParamSet) -> Self {
+        Self {
+            params,
+            forwards: Mutex::default(),
+        }
+    }
+
+    /// The parameters every pass of this cache reads.
+    pub fn params(&self) -> &'p ParamSet {
+        self.params
+    }
+
+    /// Number of distinct passes kept.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<ForwardKey, Arc<SharedForward>>> {
+        self.forwards.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The pass of the controller owning `owner` over the embedded
+    /// `inputs` at `bandwidth`, recorded by `record` on a fresh graph if
+    /// no episode of the batch has asked for it yet. `record` returns
+    /// the pass's outputs.
+    pub(crate) fn forward(
+        &self,
+        owner: ParamId,
+        bandwidth: f64,
+        inputs: Vec<Matrix>,
+        record: impl FnOnce(&mut Graph, &ParamSet, Vec<Matrix>) -> Vec<VarId>,
+    ) -> Arc<SharedForward> {
+        let key = ForwardKey {
+            owner,
+            bandwidth: bandwidth.to_bits(),
+            steps: inputs.len(),
+            inputs: inputs
+                .iter()
+                .flat_map(|m| m.data().iter().map(|v| v.to_bits()))
+                .collect(),
+        };
+        if let Some(hit) = self.lock().get(&key) {
+            return Arc::clone(hit);
+        }
+        let mut graph = Graph::new();
+        let outputs = record(&mut graph, self.params, inputs);
+        let fresh = Arc::new(SharedForward::new(graph, outputs));
+        // Racing workers may both record a key: keep the first, so every
+        // tape of the batch links the same pass.
+        Arc::clone(self.lock().entry(key).or_insert(fresh))
+    }
+}
+
+/// A forward pass linked into a tape, with the tape's input leaves that
+/// stand for its outputs (one per output, in output order).
+#[derive(Debug)]
+struct Link {
+    forward: Arc<SharedForward>,
+    leaves: Vec<VarId>,
+}
 
 /// Records the sampled actions' log-probabilities of one episode so the
 /// surrogate loss `-(G - b) · Σ log π(a|s)` can be built once the reward
 /// is known.
 #[derive(Debug, Default)]
 pub struct EpisodeTape {
-    /// The autodiff graph the episode's policy passes were recorded on.
+    /// The episode's own graph: linked forwards' outputs as input leaves,
+    /// the decisions sampled from them (masks, picks) and the loss.
     pub graph: Graph,
     logps: Vec<VarId>,
     /// The masked logits of each sampled decision. Their entropy nodes
     /// are recorded only when a loss uses them (a non-zero entropy
     /// bonus); until then the tape carries no entropy work.
     decisions: Vec<VarId>,
+    /// Linked forward passes, in link order.
+    links: Vec<Link>,
 }
 
 impl EpisodeTape {
     /// An empty tape.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Links a shared forward pass: its outputs become input leaves of
+    /// this tape's graph, returned in output order. The backward pass of
+    /// [`EpisodeTape::into_gradients_with_entropy`] continues through the
+    /// linked pass.
+    pub(crate) fn link(&mut self, forward: &Arc<SharedForward>) -> Vec<VarId> {
+        let leaves: Vec<VarId> = (0..forward.outputs.len())
+            .map(|i| self.graph.input(forward.output(i).clone()))
+            .collect();
+        self.links.push(Link {
+            forward: Arc::clone(forward),
+            leaves: leaves.clone(),
+        });
+        leaves
+    }
+
+    /// The linked forward passes, in link order.
+    #[cfg(test)]
+    pub(crate) fn linked(&self) -> impl Iterator<Item = &Arc<SharedForward>> {
+        self.links.iter().map(|l| &l.forward)
     }
 
     /// Registers the log-probability node of a sampled action.
@@ -71,17 +220,27 @@ impl EpisodeTape {
     /// Gradient of `-advantage · Σ log π` equals the Eq. 10 estimator
     /// `-∇ log π (G - b)` (minimizing the loss ascends the objective).
     pub fn into_gradients(self, advantage: f32) -> Gradients {
-        self.into_gradients_with_entropy(advantage, 0.0)
+        self.into_gradients_with_entropy(advantage, 0.0, &mut Workspace::default())
     }
 
     /// Like [`into_gradients`], with an entropy bonus: the loss becomes
     /// `-advantage · Σ log π − β · Σ H(π)`, discouraging premature policy
     /// collapse (a standard regularized policy-gradient objective; the
     /// paper's engine needs its ad-hoc fair-chance trick for the same
-    /// reason).
+    /// reason). The backward passes run in `ws`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parameter is bound by more than one of the tape's
+    /// graph and its linked forwards.
     ///
     /// [`into_gradients`]: EpisodeTape::into_gradients
-    pub fn into_gradients_with_entropy(mut self, advantage: f32, beta: f32) -> Gradients {
+    pub fn into_gradients_with_entropy(
+        mut self,
+        advantage: f32,
+        beta: f32,
+        ws: &mut Workspace,
+    ) -> Gradients {
         if self.logps.is_empty() || (advantage == 0.0 && beta == 0.0) {
             return Gradients::default();
         }
@@ -107,8 +266,70 @@ impl EpisodeTape {
             let bonus = self.graph.scale(h, -beta);
             loss = self.graph.add(loss, bonus);
         }
-        self.graph.backward(loss)
+        self.assert_disjoint_params();
+        let mut out = Gradients::default();
+        let seed = Matrix::from_vec(1, 1, vec![1.0]);
+        let reached =
+            self.graph
+                .backward_into([(loss, seed)], ws, &mut Transposes::default(), &mut out);
+        // The linked passes continue the backward, in reverse link order,
+        // each seeded with the gradients that reached its leaves. The
+        // result is bit-identical to one backward over a graph that
+        // recorded every pass inline where it was linked:
+        // - each pass is a closed subgraph whose only outside consumers
+        //   are this tape's decision nodes on its outputs, so an output's
+        //   gradient is its leaf's — the same consumers, summed in the
+        //   same reverse order — and every node inside the pass sums the
+        //   same contributions in the same order;
+        // - each parameter is bound by at most one of the tape's graph and
+        //   its passes (checked above), so every `Gradients` slot receives
+        //   one sum and no cross-pass addition can be reordered;
+        // - reverse link order is the order an inline backward reaches the
+        //   passes in, and all of them write into the one `out`.
+        let mut seeds: Vec<Vec<(VarId, Matrix)>> = self.links.iter().map(|_| Vec::new()).collect();
+        for (leaf, g) in reached {
+            for (link, seeds) in self.links.iter().zip(&mut seeds) {
+                if let Some(i) = link.leaves.iter().position(|&l| l == leaf) {
+                    seeds.push((link.forward.outputs[i], g));
+                    break;
+                }
+            }
+        }
+        for (link, seeds) in self.links.iter().zip(seeds).rev() {
+            let forward = &link.forward;
+            let mut transposes = forward
+                .transposes
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            forward
+                .graph
+                .backward_into(seeds, ws, &mut transposes, &mut out);
+        }
+        out
     }
+
+    /// Checks the precondition of the linked backward: no parameter is
+    /// bound by two of {the tape's graph, each linked pass}.
+    fn assert_disjoint_params(&self) {
+        let mut all: Vec<ParamId> = distinct(self.graph.params());
+        all.extend(self.links.iter().flat_map(|l| l.forward.params.iter()));
+        let bound = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(
+            all.len(),
+            bound,
+            "a parameter is bound by two graphs of one tape"
+        );
+    }
+}
+
+/// The distinct parameters of `params`, sorted.
+fn distinct(params: impl Iterator<Item = ParamId>) -> Vec<ParamId> {
+    let mut v: Vec<ParamId> = params.collect();
+    v.sort_unstable();
+    v.dedup();
+    v
 }
 
 /// Samples from the softmax of a masked logits row and records the log
@@ -160,6 +381,8 @@ fn sample_categorical(probs: &[f32], rng: &mut StdRng) -> usize {
 #[derive(Debug)]
 pub struct Reinforce {
     opt: Adam,
+    /// Backward-pass buffers, kept across every tape of every update.
+    workspace: Workspace,
     baseline: f64,
     baseline_beta: f64,
     reward_scale: f64,
@@ -177,6 +400,7 @@ impl Reinforce {
         assert!(reward_scale > 0.0, "reward scale must be positive");
         Self {
             opt: Adam::new(lr),
+            workspace: Workspace::default(),
             baseline: 0.0,
             baseline_beta: 0.8,
             reward_scale,
@@ -236,7 +460,8 @@ impl Reinforce {
             if adv == 0.0 && self.entropy_beta == 0.0 {
                 continue;
             }
-            let grads = tape.into_gradients_with_entropy(adv, self.entropy_beta);
+            let grads =
+                tape.into_gradients_with_entropy(adv, self.entropy_beta, &mut self.workspace);
             match &mut acc {
                 Some(a) => a.merge(grads),
                 slot @ None => *slot = Some(grads),

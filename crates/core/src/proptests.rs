@@ -14,10 +14,14 @@ use cadmc_netsim::{BandwidthTrace, FaultProcessConfig, FaultSchedule};
 use cadmc_nn::zoo;
 use cadmc_telemetry as telemetry;
 
+use cadmc_autodiff::{Gradients, Matrix, VarId, Workspace};
+
 use crate::baselines::{random_feature, random_partition, random_plan};
 use crate::candidate::{Candidate, Partition};
+use crate::controller::{sample_masked, EpisodeTape, ForwardCache, EMBED_DIM};
 use crate::env::EvalEnv;
 use crate::executor::{execute, ExecConfig, Mode, Policy, RequestOutcome};
+use crate::search::{Controllers, SearchConfig};
 use crate::surgery;
 use crate::tree::{ModelTree, TreeNode};
 
@@ -209,7 +213,9 @@ proptest! {
     /// No transfer attempt ever waits past its deadline by more than one
     /// backoff quantum: every `exec.fault` event records a wait equal to
     /// the deadline it was given and a backoff bounded by the policy's
-    /// exponential schedule.
+    /// exponential schedule. The collector is process-wide, so events of
+    /// executions in concurrently running tests land in it too; only the
+    /// events carrying this case's deadline are this execution's.
     #[test]
     fn deadline_overrun_is_bounded_by_one_backoff_quantum(
         fault_seed in 0u64..300,
@@ -230,7 +236,11 @@ proptest! {
         let (_, report) = telemetry::testing::with_collector(|| {
             execute(&env, &base, &Policy::Static(&c), &trace, &ecfg);
         });
-        for e in report.events.iter().filter(|e| e.name == "exec.fault") {
+        let ours = report.events.iter().filter(|e| {
+            e.name == "exec.fault"
+                && e.field_f64("deadline_ms").map(f64::to_bits) == Some(deadline.to_bits())
+        });
+        for e in ours {
             let waited = e.field_f64("waited_ms").expect("exec.fault carries waited_ms");
             let backoff = e.field_f64("backoff_ms").expect("exec.fault carries backoff_ms");
             prop_assert!(waited <= deadline + 1e-9, "waited {waited} past deadline {deadline}");
@@ -369,5 +379,112 @@ proptest! {
         prop_assert!((0.0..=400.0).contains(&e.reward));
         prop_assert!(e.latency_ms > 0.0 && e.latency_ms.is_finite());
         prop_assert!((0.5..=1.0).contains(&e.accuracy));
+    }
+}
+
+/// Samples one decision from each of `logits` under a random mask drawn
+/// from `rng`.
+fn sample_all(tape: &mut EpisodeTape, logits: &[VarId], rng: &mut StdRng) {
+    use rand::RngExt;
+    for &l in logits {
+        let width = tape.graph.value(l).cols();
+        let mut allowed: Vec<bool> = (0..width).map(|_| rng.random_bool(0.7)).collect();
+        let keep = rng.random_range(0..width);
+        allowed[keep] = true;
+        sample_masked(tape, l, &allowed, rng);
+    }
+}
+
+/// An episode over the embedded sequence `inputs` at `bw`: a partition
+/// decision, then (if `compress`) one compression decision per step.
+/// With `forwards` the tape links the batch's shared passes; without, it
+/// records both passes inline on its own graph.
+fn episode(
+    c: &Controllers,
+    forwards: Option<&ForwardCache<'_>>,
+    inputs: &[Matrix],
+    bw: f64,
+    compress: bool,
+    seed: u64,
+) -> EpisodeTape {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tape = EpisodeTape::new();
+    let partition = match forwards {
+        Some(f) => tape.link(&c.partition.forward(f, inputs.to_vec(), bw)),
+        None => vec![c
+            .partition
+            .record(&mut tape.graph, &c.params, inputs.to_vec())],
+    };
+    sample_all(&mut tape, &partition, &mut rng);
+    if compress {
+        let layers = match forwards {
+            Some(f) => tape.link(&c.compression.forward(f, inputs.to_vec(), bw)),
+            None => c
+                .compression
+                .record(&mut tape.graph, &c.params, inputs.to_vec()),
+        };
+        sample_all(&mut tape, &layers, &mut rng);
+    }
+    tape
+}
+
+fn assert_same_bits(a: &Gradients, b: &Gradients) {
+    prop_assert_eq!(a.len(), b.len());
+    for ((pa, ga), (pb, gb)) in a.iter().zip(b.iter()) {
+        prop_assert_eq!(pa, pb);
+        prop_assert_eq!(ga.shape(), gb.shape());
+        for (x, y) in ga.data().iter().zip(gb.data()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "parameter {:?}", pa);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Tapes that link one shared pass per controller give the same
+    /// gradient bits as tapes that record the same passes inline: two
+    /// episodes share the passes of one batch and backpropagate through
+    /// one reused workspace.
+    #[test]
+    fn linked_forwards_give_the_gradients_of_inline_ones(
+        wide in proptest::bool::ANY,
+        steps in 1usize..=12,
+        input_seed in 0u64..1 << 48,
+        bw in 0.1f64..200.0,
+        pick_seed in 0u64..1 << 48,
+        adv_a in -2.0f32..2.0,
+        adv_b in -2.0f32..2.0,
+        compress_a in proptest::bool::ANY,
+        compress_b in proptest::bool::ANY,
+        entropy in proptest::bool::ANY,
+    ) {
+        use rand::RngExt;
+        let cfg = SearchConfig {
+            hidden: if wide { 16 } else { 8 },
+            ..SearchConfig::quick(input_seed)
+        };
+        let c = Controllers::new(&cfg);
+        let mut rng = StdRng::seed_from_u64(input_seed);
+        let inputs: Vec<Matrix> = (0..steps)
+            .map(|_| {
+                let row: Vec<f32> = (0..EMBED_DIM).map(|_| rng.random_range(-1.0..1.0)).collect();
+                Matrix::from_vec(1, EMBED_DIM, row)
+            })
+            .collect();
+        let beta = if entropy { 0.01 } else { 0.0 };
+        let forwards = ForwardCache::new(&c.params);
+        let mut ws = Workspace::default();
+        for (k, (adv, compress)) in [(adv_a, compress_a), (adv_b, compress_b)].into_iter().enumerate() {
+            let seed = pick_seed + k as u64;
+            let linked = episode(&c, Some(&forwards), &inputs, bw, compress, seed);
+            let inline = episode(&c, None, &inputs, bw, compress, seed);
+            prop_assert_eq!(linked.linked().count(), 1 + usize::from(compress));
+            let got = linked.into_gradients_with_entropy(adv, beta, &mut ws);
+            let want = inline.into_gradients_with_entropy(adv, beta, &mut Workspace::default());
+            prop_assert!(!want.is_empty());
+            assert_same_bits(&got, &want);
+        }
+        prop_assert_eq!(forwards.len(), 1 + usize::from(compress_a || compress_b));
     }
 }

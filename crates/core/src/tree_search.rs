@@ -28,7 +28,7 @@ use rand::SeedableRng;
 
 use crate::branch::optimal_branch;
 use crate::candidate::{Candidate, Partition};
-use crate::controller::{EpisodeTape, HeadState, PartitionAction};
+use crate::controller::{EpisodeTape, ForwardCache, HeadState, PartitionAction};
 use crate::delta::DeltaState;
 use crate::env::EvalEnv;
 use crate::executor::{execute, ExecConfig, Policy};
@@ -145,6 +145,7 @@ pub fn tree_search(
         let batch_end = (batch_start + batch_size).min(cfg.episodes);
         let rollouts = {
             let shared: &Controllers = controllers;
+            let forwards = &ForwardCache::new(&shared.params);
             let base_arc = &base_arc;
             let slices = &slices;
             par_map_indexed(batch_end - batch_start, cfg.parallelism.workers, |offset| {
@@ -152,7 +153,8 @@ pub fn tree_search(
                 let episode_span = telemetry::span!("tree.episode", episode = episode);
                 let mut rng = StdRng::seed_from_u64(cfg.seed ^ TREE_SALT ^ episode as u64);
                 let (mut tree, tapes) = generate_tree(
-                    shared, base_arc, slices, env, levels, n_blocks, cfg, episode, &mut rng, memo,
+                    shared, forwards, base_arc, slices, env, levels, n_blocks, cfg, episode,
+                    &mut rng, memo,
                 );
                 tree.backward_estimate_with(cfg.backward_rule);
                 episode_span.record("score", tree.mean_branch_reward());
@@ -340,10 +342,12 @@ fn score_delta_mean(
 
 /// Forward generation of one episode's tree. Returns the tree (leaf
 /// rewards filled in, interior rewards zero) and one tape per node,
-/// indexed by node id.
+/// indexed by node id. `forwards` is the rollout batch's forward cache
+/// over `controllers.params`.
 #[allow(clippy::too_many_arguments)]
 fn generate_tree(
     controllers: &Controllers,
+    forwards: &ForwardCache<'_>,
     base: &Arc<ModelSpec>,
     slices: &BlockSlices,
     env: &EvalEnv,
@@ -376,10 +380,9 @@ fn generate_tree(
         let block = slices.block(level);
         let mut tape = EpisodeTape::new();
         let force = cfg.force_no_partition(episode, level + 1, n_blocks);
-        let action =
-            controllers
-                .partition
-                .sample(&mut tape, &controllers.params, block, bw, rng, force);
+        let action = controllers
+            .partition
+            .sample(&mut tape, forwards, block, bw, rng, force);
         let (partition_abs, compress_len) = match action {
             PartitionAction::NoPartition => (None, block.len()),
             PartitionAction::CutBefore(c) => (Some(range.start + c), c),
@@ -390,7 +393,7 @@ fn generate_tree(
             let edge_block = slices.edge(level, compress_len);
             let plan = controllers.compression.sample_with_state(
                 &mut tape,
-                &controllers.params,
+                forwards,
                 edge_block,
                 bw,
                 rng,
@@ -844,6 +847,72 @@ mod tests {
         // found a bandwidth-insensitive optimum).
         assert_eq!(poor.model.output_shape(), tree.base().output_shape());
         assert_eq!(good.model.output_shape(), tree.base().output_shape());
+    }
+
+    #[test]
+    fn a_rollout_batch_records_one_forward_per_distinct_key() {
+        use std::collections::BTreeSet;
+        let base = Arc::new(zoo::vgg11_cifar());
+        let env = EvalEnv::phone();
+        let levels = [2.0, 8.0];
+        let n_blocks = 3;
+        let slices = BlockSlices::new(&base, n_blocks);
+        for workers in [1, 2, 8] {
+            // α = 0: every node samples its partition from the policy.
+            let cfg = SearchConfig {
+                alpha: 0.0,
+                parallelism: crate::parallel::Parallelism::new(workers),
+                ..SearchConfig::quick(7)
+            };
+            let controllers = Controllers::new(&cfg);
+            let memo = MemoPool::new();
+            let forwards = ForwardCache::new(&controllers.params);
+            let rollouts = par_map_indexed(cfg.rollout_batch, workers, |episode| {
+                let mut rng = StdRng::seed_from_u64(cfg.seed ^ TREE_SALT ^ episode as u64);
+                generate_tree(
+                    &controllers,
+                    &forwards,
+                    &base,
+                    &slices,
+                    &env,
+                    &levels,
+                    n_blocks,
+                    &cfg,
+                    episode,
+                    &mut rng,
+                    &memo,
+                )
+            });
+            // The keys the batch asked for, rebuilt from the trees:
+            // (controller, level, edge length, bandwidth bits) per node.
+            let mut keys = BTreeSet::new();
+            let mut passes = BTreeSet::new();
+            let mut links = 0;
+            for (tree, tapes) in &rollouts {
+                let mut bw = vec![levels.iter().sum::<f64>() / 2.0; tree.nodes().len()];
+                for node in tree.nodes() {
+                    for (k, &child) in node.children.iter().enumerate() {
+                        bw[child] = levels[k];
+                    }
+                }
+                for ((node, tape), bw) in tree.nodes().iter().zip(tapes).zip(bw) {
+                    let range = tree.block_range(node.level);
+                    keys.insert(("partition", node.level, range.len(), bw.to_bits()));
+                    let edge = node
+                        .partition_abs
+                        .map_or(range.len(), |abs| abs - range.start);
+                    if edge > 0 {
+                        keys.insert(("compression", node.level, edge, bw.to_bits()));
+                    }
+                    assert_eq!(tape.linked().count(), 1 + usize::from(edge > 0));
+                    links += tape.linked().count();
+                    passes.extend(tape.linked().map(|f| Arc::as_ptr(f) as usize));
+                }
+            }
+            assert_eq!(forwards.len(), keys.len(), "{workers} workers");
+            assert_eq!(passes.len(), keys.len(), "{workers} workers");
+            assert!(links > keys.len(), "episodes of a batch share passes");
+        }
     }
 
     #[test]
