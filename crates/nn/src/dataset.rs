@@ -151,16 +151,16 @@ fn render_class(class: usize, shape: Shape, rng: &mut StdRng, sigma: f32) -> Vec
             let cx = fx - 0.5;
             let r2 = cx * cx + cy * cy;
             let base = match class {
-                0 => ((y + phase) / 2 % 2) as f32,                      // horizontal stripes
-                1 => ((x + phase) / 2 % 2) as f32,                      // vertical stripes
-                2 => (((x + phase) / 2 + (y + phase) / 2) % 2) as f32,  // checkerboard
-                3 => f32::from(r2 < 0.09),                              // disk
-                4 => f32::from(cx.abs() < 0.12 || cy.abs() < 0.12),     // cross
-                5 => f32::from((fx - fy).abs() < 0.18),                 // main diagonal
-                6 => f32::from(r2 > 0.16),                              // corners
-                7 => f32::from((0.05..0.14).contains(&r2)),             // ring
-                8 => fx,                                                // gradient
-                _ => 0.6,                                               // solid
+                0 => ((y + phase) / 2 % 2) as f32, // horizontal stripes
+                1 => ((x + phase) / 2 % 2) as f32, // vertical stripes
+                2 => (((x + phase) / 2 + (y + phase) / 2) % 2) as f32, // checkerboard
+                3 => f32::from(r2 < 0.09),         // disk
+                4 => f32::from(cx.abs() < 0.12 || cy.abs() < 0.12), // cross
+                5 => f32::from((fx - fy).abs() < 0.18), // main diagonal
+                6 => f32::from(r2 > 0.16),         // corners
+                7 => f32::from((0.05..0.14).contains(&r2)), // ring
+                8 => fx,                           // gradient
+                _ => 0.6,                          // solid
             };
             for c in 0..3 {
                 let noise: f32 = approx_gauss(rng) * sigma;
@@ -251,7 +251,11 @@ mod tests {
                     .zip(&means[b])
                     .map(|(x, y)| (x - y) * (x - y))
                     .sum();
-                assert!(d2.sqrt() > 0.5, "classes {a} and {b} too similar: {}", d2.sqrt());
+                assert!(
+                    d2.sqrt() > 0.5,
+                    "classes {a} and {b} too similar: {}",
+                    d2.sqrt()
+                );
             }
         }
     }

@@ -70,9 +70,7 @@ impl ModelDag {
         let mut shape = spec.input_shape();
         for layer in spec.layers() {
             frontier = Some(dag.expand_layer(layer, frontier, shape));
-            shape = layer
-                .output_shape(shape)
-                .expect("validated shapes");
+            shape = layer.output_shape(shape).expect("validated shapes");
         }
         if let Some(f) = frontier {
             dag.outputs = vec![f];
@@ -293,11 +291,7 @@ mod tests {
         let dag = ModelDag::from_spec(&spec);
         assert_eq!(dag.total_maccs(), spec.total_maccs());
         // Residual adds have two predecessors.
-        let adds: Vec<&DagNode> = dag
-            .nodes()
-            .iter()
-            .filter(|n| n.op == DagOp::Add)
-            .collect();
+        let adds: Vec<&DagNode> = dag.nodes().iter().filter(|n| n.op == DagOp::Add).collect();
         assert_eq!(adds.len(), 16, "ResNet50 has 16 bottleneck blocks");
         for add in adds {
             assert_eq!(add.preds.len(), 2);

@@ -95,7 +95,10 @@ impl std::fmt::Display for ShapeError {
                 write!(f, "{layer} expects flat features, got {input}")
             }
             ShapeError::ResidualMismatch { input, body } => {
-                write!(f, "residual body output {body} does not match input {input}")
+                write!(
+                    f,
+                    "residual body output {body} does not match input {input}"
+                )
             }
         }
     }
@@ -250,9 +253,11 @@ impl LayerSpec {
                 pad,
                 out_channels,
             } => (self.kind_id(), kernel, stride, pad, out_channels),
-            LayerSpec::DepthwiseConv2d { kernel, stride, pad } => {
-                (self.kind_id(), kernel, stride, pad, 0)
-            }
+            LayerSpec::DepthwiseConv2d {
+                kernel,
+                stride,
+                pad,
+            } => (self.kind_id(), kernel, stride, pad, 0),
             LayerSpec::MaxPool2d { kernel, stride } => (self.kind_id(), kernel, stride, 0, 0),
             LayerSpec::GlobalAvgPool
             | LayerSpec::Flatten
@@ -271,7 +276,13 @@ impl LayerSpec {
                 expansion,
                 stride,
                 out_channels,
-            } => (self.kind_id(), 3, stride, 1, out_channels * expansion / expansion.max(1)),
+            } => (
+                self.kind_id(),
+                3,
+                stride,
+                1,
+                out_channels * expansion / expansion.max(1),
+            ),
             LayerSpec::Residual { ref body, .. } => {
                 // Report the first conv in the body as the representative.
                 for l in body {
@@ -305,13 +316,17 @@ impl LayerSpec {
                 pad,
                 out_channels,
             } => {
-                let (h, w) = conv_out(input, kernel, stride, pad)
-                    .ok_or_else(|| self.kernel_err(input))?;
+                let (h, w) =
+                    conv_out(input, kernel, stride, pad).ok_or_else(|| self.kernel_err(input))?;
                 Ok(Shape::new(out_channels, h, w))
             }
-            LayerSpec::DepthwiseConv2d { kernel, stride, pad } => {
-                let (h, w) = conv_out(input, kernel, stride, pad)
-                    .ok_or_else(|| self.kernel_err(input))?;
+            LayerSpec::DepthwiseConv2d {
+                kernel,
+                stride,
+                pad,
+            } => {
+                let (h, w) =
+                    conv_out(input, kernel, stride, pad).ok_or_else(|| self.kernel_err(input))?;
                 Ok(Shape::new(input.c, h, w))
             }
             LayerSpec::MaxPool2d { kernel, stride } => {
@@ -342,8 +357,7 @@ impl LayerSpec {
                 out_channels,
                 ..
             } => {
-                let (h, w) =
-                    conv_out(input, 3, stride, 1).ok_or_else(|| self.kernel_err(input))?;
+                let (h, w) = conv_out(input, 3, stride, 1).ok_or_else(|| self.kernel_err(input))?;
                 Ok(Shape::new(out_channels, h, w))
             }
             LayerSpec::Residual {
@@ -356,8 +370,8 @@ impl LayerSpec {
                 }
                 match projection {
                     Some((out_c, stride)) => {
-                        let (h, w) = conv_out(input, 1, stride, 0)
-                            .ok_or_else(|| self.kernel_err(input))?;
+                        let (h, w) =
+                            conv_out(input, 1, stride, 0).ok_or_else(|| self.kernel_err(input))?;
                         let proj = Shape::new(out_c, h, w);
                         if proj != s {
                             return Err(ShapeError::ResidualMismatch { input, body: s });
@@ -394,14 +408,14 @@ impl LayerSpec {
                 }
                 None => 0,
             },
-            LayerSpec::DepthwiseConv2d { kernel, stride, pad } => {
-                match conv_out(input, kernel, stride, pad) {
-                    Some((h, w)) => {
-                        (kernel * kernel) as u64 * input.c as u64 * h as u64 * w as u64
-                    }
-                    None => 0,
-                }
-            }
+            LayerSpec::DepthwiseConv2d {
+                kernel,
+                stride,
+                pad,
+            } => match conv_out(input, kernel, stride, pad) {
+                Some((h, w)) => (kernel * kernel) as u64 * input.c as u64 * h as u64 * w as u64,
+                None => 0,
+            },
             LayerSpec::Fc { out_features } => input.len() as u64 * out_features as u64,
             LayerSpec::MaxPool2d { .. }
             | LayerSpec::GlobalAvgPool
@@ -772,6 +786,9 @@ mod tests {
     #[test]
     fn param_count_conv() {
         let layer = LayerSpec::conv(3, 1, 1, 64);
-        assert_eq!(layer.param_count(Shape::new(3, 32, 32)), 3 * 3 * 3 * 64 + 64);
+        assert_eq!(
+            layer.param_count(Shape::new(3, 32, 32)),
+            3 * 3 * 3 * 64 + 64
+        );
     }
 }

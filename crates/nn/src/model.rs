@@ -261,7 +261,10 @@ impl ModelSpec {
     ///
     /// Panics if `start > end` or `end > len()`.
     pub fn class_sums(&self, start: usize, end: usize) -> ClassSums {
-        assert!(start <= end && end <= self.layers.len(), "bad class-sum range");
+        assert!(
+            start <= end && end <= self.layers.len(),
+            "bad class-sum range"
+        );
         let prefix = self.class_prefix();
         prefix[end].minus(&prefix[start])
     }
@@ -274,7 +277,10 @@ impl ModelSpec {
     ///
     /// Panics if `start > end` or `end > len()`.
     pub fn class_sums_scalar(&self, start: usize, end: usize) -> ClassSums {
-        assert!(start <= end && end <= self.layers.len(), "bad class-sum range");
+        assert!(
+            start <= end && end <= self.layers.len(),
+            "bad class-sum range"
+        );
         let mut acc = ClassSums::default();
         for i in start..end {
             acc.add_layer(self.layers[i].cost_class(), self.layer_maccs(i));
@@ -424,10 +430,7 @@ impl ModelSpec {
     pub fn blocks(&self, n: usize) -> Vec<ModelSpec> {
         self.block_ranges(n)
             .into_iter()
-            .map(|r| {
-                self.slice(r.start, r.end)
-                    .expect("valid block slice")
-            })
+            .map(|r| self.slice(r.start, r.end).expect("valid block slice"))
             .collect()
     }
 }
@@ -562,7 +565,9 @@ mod tests {
     #[test]
     fn structural_hash_distinguishes_models() {
         let m = toy();
-        let other = m.replace_layer(0, vec![LayerSpec::conv(3, 1, 1, 8)]).unwrap();
+        let other = m
+            .replace_layer(0, vec![LayerSpec::conv(3, 1, 1, 8)])
+            .unwrap();
         assert_ne!(m.structural_hash(), other.structural_hash());
         assert_eq!(m.structural_hash(), toy().structural_hash());
     }

@@ -132,14 +132,24 @@ impl Compiler<'_> {
         let fan_in = shape.c * kernel * kernel;
         let name = format!("conv{}", self.counter);
         let seed = self.next_seed();
-        let w = self
+        let w = self.params.insert(
+            format!("{name}.w"),
+            Matrix::seeded_xavier(fan_in, out_ch, seed),
+        );
+        let b = self
             .params
-            .insert(format!("{name}.w"), Matrix::seeded_xavier(fan_in, out_ch, seed));
-        let b = self.params.insert(format!("{name}.b"), Matrix::zeros(1, out_ch));
+            .insert(format!("{name}.b"), Matrix::zeros(1, out_ch));
         RtOp::Conv { geom, w, b, relu }
     }
 
-    fn dwconv(&mut self, shape: Shape, kernel: usize, stride: usize, pad: usize, relu: bool) -> RtOp {
+    fn dwconv(
+        &mut self,
+        shape: Shape,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        relu: bool,
+    ) -> RtOp {
         let geom = ConvGeom {
             channels: shape.c,
             height: shape.h,
@@ -154,7 +164,9 @@ impl Compiler<'_> {
             format!("{name}.w"),
             Matrix::seeded_xavier(kernel * kernel, shape.c, seed),
         );
-        let b = self.params.insert(format!("{name}.b"), Matrix::zeros(1, shape.c));
+        let b = self
+            .params
+            .insert(format!("{name}.b"), Matrix::zeros(1, shape.c));
         RtOp::DwConv { geom, w, b, relu }
     }
 
@@ -172,7 +184,12 @@ impl Compiler<'_> {
     }
 
     /// Lowers one spec layer at `shape`; `relu` applies to its output.
-    fn lower(&mut self, layer: &LayerSpec, shape: Shape, relu: bool) -> Result<Vec<RtOp>, CompileError> {
+    fn lower(
+        &mut self,
+        layer: &LayerSpec,
+        shape: Shape,
+        relu: bool,
+    ) -> Result<Vec<RtOp>, CompileError> {
         Ok(match *layer {
             LayerSpec::Conv2d {
                 kernel,
@@ -180,7 +197,11 @@ impl Compiler<'_> {
                 pad,
                 out_channels,
             } => vec![self.conv(shape, kernel, stride, pad, out_channels, relu)],
-            LayerSpec::DepthwiseConv2d { kernel, stride, pad } => {
+            LayerSpec::DepthwiseConv2d {
+                kernel,
+                stride,
+                pad,
+            } => {
                 vec![self.dwconv(shape, kernel, stride, pad, relu)]
             }
             LayerSpec::MaxPool2d { kernel, stride } => vec![RtOp::MaxPool {
@@ -364,11 +385,7 @@ impl RuntimeModel {
             return 0.0;
         }
         let preds = self.predict(images);
-        let correct = preds
-            .iter()
-            .zip(labels)
-            .filter(|(p, l)| p == l)
-            .count();
+        let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
         correct as f32 / labels.len() as f32
     }
 }

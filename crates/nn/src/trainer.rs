@@ -74,8 +74,7 @@ fn shuffled_indices(n: usize, rng: &mut StdRng) -> Vec<usize> {
 fn gather_rows(images: &Matrix, idx: &[usize]) -> Matrix {
     let mut out = Matrix::zeros(idx.len(), images.cols());
     for (r, &i) in idx.iter().enumerate() {
-        out.data_mut()[r * images.cols()..(r + 1) * images.cols()]
-            .copy_from_slice(images.row(i));
+        out.data_mut()[r * images.cols()..(r + 1) * images.cols()].copy_from_slice(images.row(i));
     }
     out
 }

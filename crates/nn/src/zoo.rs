@@ -160,8 +160,7 @@ pub fn resnet_imagenet(depth: ResNetDepth) -> ModelSpec {
     layers.push(LayerSpec::GlobalAvgPool);
     layers.push(LayerSpec::Flatten);
     layers.push(LayerSpec::fc(1000));
-    ModelSpec::new(depth.name(), imagenet_input(), layers)
-        .expect("ResNet spec is shape-consistent")
+    ModelSpec::new(depth.name(), imagenet_input(), layers).expect("ResNet spec is shape-consistent")
 }
 
 /// VGG16 (configuration D) adapted to CIFAR10 — a heavier target for
@@ -249,7 +248,10 @@ pub fn squeezenet_cifar() -> ModelSpec {
 /// ResNet basic block (two 3×3 convs) for CIFAR-scale residual nets.
 fn basic_block(out: usize, stride: usize, project: bool) -> LayerSpec {
     LayerSpec::Residual {
-        body: vec![LayerSpec::conv(3, stride, 1, out), LayerSpec::conv(3, 1, 1, out)],
+        body: vec![
+            LayerSpec::conv(3, stride, 1, out),
+            LayerSpec::conv(3, 1, 1, out),
+        ],
         projection: if project { Some((out, stride)) } else { None },
     }
 }

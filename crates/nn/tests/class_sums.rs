@@ -13,7 +13,11 @@ use cadmc_nn::ModelSpec;
 fn models() -> Vec<ModelSpec> {
     // Squeezenet brings Fire modules (nested convs), mobilenet brings
     // depthwise layers — both exercise nonzero classes beyond plain conv.
-    vec![zoo::tiny_cnn(), zoo::squeezenet_cifar(), zoo::mobilenet_cifar()]
+    vec![
+        zoo::tiny_cnn(),
+        zoo::squeezenet_cifar(),
+        zoo::mobilenet_cifar(),
+    ]
 }
 
 #[test]

@@ -297,9 +297,7 @@ impl Span {
         let Some(tok) = self.token else { return };
         let value = value.into();
         let _ = with_state(move |ts| {
-            if ts.generation != tok.generation
-                || ts.region != tok.region
-                || ts.stream != tok.stream
+            if ts.generation != tok.generation || ts.region != tok.region || ts.stream != tok.stream
             {
                 return;
             }
@@ -314,9 +312,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(tok) = self.token.take() else { return };
         let _ = with_state(|ts| {
-            if ts.generation != tok.generation
-                || ts.region != tok.region
-                || ts.stream != tok.stream
+            if ts.generation != tok.generation || ts.region != tok.region || ts.stream != tok.stream
             {
                 return; // span already auto-closed at a stream/session boundary
             }
@@ -464,7 +460,9 @@ impl StreamGuard {
 
 impl Drop for StreamGuard {
     fn drop(&mut self) {
-        let Some(saved) = self.saved.take() else { return };
+        let Some(saved) = self.saved.take() else {
+            return;
+        };
         let _ = with_state(|ts| {
             ts.close_all(); // spans opened inside the stream close with it
             ts.region = saved.region;
@@ -761,10 +759,7 @@ pub mod testing {
     }
 
     /// [`with_collector`] with run metadata attached.
-    pub fn with_collector_meta<R>(
-        meta: &[(&str, &str)],
-        f: impl FnOnce() -> R,
-    ) -> (R, RunReport) {
+    pub fn with_collector_meta<R>(meta: &[(&str, &str)], f: impl FnOnce() -> R) -> (R, RunReport) {
         with_gate(|| {
             let mut builder = Telemetry::builder();
             for (k, v) in meta {

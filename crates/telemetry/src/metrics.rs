@@ -131,10 +131,7 @@ impl MetricsSnapshot {
 
     /// Gauge lookup by name.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
+        self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
     }
 
     /// Histogram lookup by name.

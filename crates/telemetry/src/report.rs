@@ -219,7 +219,10 @@ impl LineCx {
         match v {
             Value::U64(n) => Ok(*n),
             Value::I64(n) if *n >= 0 => Ok(*n as u64),
-            other => self.err(format!("{what}: expected unsigned integer, got {}", other.kind())),
+            other => self.err(format!(
+                "{what}: expected unsigned integer, got {}",
+                other.kind()
+            )),
         }
     }
 
@@ -277,8 +280,10 @@ impl LineCx {
                     // Non-finite floats serialize as null.
                     Value::Null => FieldValue::F64(f64::NAN),
                     other => {
-                        return self
-                            .err(format!("field `{k}`: expected scalar, got {}", other.kind()))
+                        return self.err(format!(
+                            "field `{k}`: expected scalar, got {}",
+                            other.kind()
+                        ))
                     }
                 };
                 Ok((k.clone(), fv))
@@ -286,15 +291,15 @@ impl LineCx {
             .collect()
     }
 
-    fn parse_event(
-        &self,
-        pairs: &[(String, Value)],
-        is_span: bool,
-    ) -> Result<Event, SchemaError> {
+    fn parse_event(&self, pairs: &[(String, Value)], is_span: bool) -> Result<Event, SchemaError> {
         let keys: &[&str] = if is_span {
-            &["type", "name", "region", "stream", "seq", "parent", "t_ns", "dur_ns", "fields"]
+            &[
+                "type", "name", "region", "stream", "seq", "parent", "t_ns", "dur_ns", "fields",
+            ]
         } else {
-            &["type", "name", "region", "stream", "seq", "parent", "t_ns", "fields"]
+            &[
+                "type", "name", "region", "stream", "seq", "parent", "t_ns", "fields",
+            ]
         };
         let vals = self.exact_keys(pairs, keys)?;
         let name = self.as_str(vals[1], "name")?.to_string();
@@ -536,8 +541,7 @@ pub fn render_summary(report: &RunReport) -> String {
                     *child_total.entry(p).or_insert(0) += u128::from(s.dur_ns.unwrap_or(0));
                 }
             }
-            let by_seq: BTreeMap<u64, &Event> =
-                group.iter().map(|s| (s.seq, *s)).collect();
+            let by_seq: BTreeMap<u64, &Event> = group.iter().map(|s| (s.seq, *s)).collect();
             for s in group {
                 // Name-path from the stream root down to this span.
                 let mut path = vec![s.name.as_str()];
@@ -859,12 +863,13 @@ pub fn render_analytics(report: &RunReport, top: usize) -> String {
     let mut by_name: BTreeMap<&str, (u64, u128)> = BTreeMap::new();
     let rows = span_rows(report);
     for row in &rows {
-        let slot = by_name.entry(row.path.last().map(String::as_str).unwrap_or("")).or_insert((0, 0));
+        let slot = by_name
+            .entry(row.path.last().map(String::as_str).unwrap_or(""))
+            .or_insert((0, 0));
         slot.0 += 1;
         slot.1 += row.self_ns;
     }
-    let mut hot: Vec<(&str, u64, u128)> =
-        by_name.iter().map(|(n, (c, s))| (*n, *c, *s)).collect();
+    let mut hot: Vec<(&str, u64, u128)> = by_name.iter().map(|(n, (c, s))| (*n, *c, *s)).collect();
     hot.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
     if !hot.is_empty() && top > 0 {
         out.push_str(&format!("\nhotspots (top {top} by aggregate self time):\n"));
@@ -967,12 +972,12 @@ mod tests {
         let good = to_jsonl(&sample_report());
         let cases: Vec<(String, &str)> = vec![
             ("not json\n".to_string(), "invalid JSON"),
-            ("{\"type\":\"meta\",\"version\":1,\"info\":{}}\nnull\n".to_string(), "expected object"),
-            ("{\"type\":\"bogus\"}\n".to_string(), "unknown record type"),
             (
-                good.replace("\"seq\":0,", ""),
-                "missing key `seq`",
+                "{\"type\":\"meta\",\"version\":1,\"info\":{}}\nnull\n".to_string(),
+                "expected object",
             ),
+            ("{\"type\":\"bogus\"}\n".to_string(), "unknown record type"),
+            (good.replace("\"seq\":0,", ""), "missing key `seq`"),
             (
                 good.replace("\"t_ns\":20,", "\"t_ns\":20,\"extra\":1,"),
                 "unknown key `extra`",

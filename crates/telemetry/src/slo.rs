@@ -156,7 +156,13 @@ impl SloTracker {
     /// outcome), `latency_ms` the latency half (observations slower
     /// than the p99 target consume budget too). Returns a breach record
     /// when this observation *transitions* the tenant into breach.
-    pub fn record(&mut self, t_ms: f64, tenant: &str, latency_ms: f64, ok: bool) -> Option<SloBreach> {
+    pub fn record(
+        &mut self,
+        t_ms: f64,
+        tenant: &str,
+        latency_ms: f64,
+        ok: bool,
+    ) -> Option<SloBreach> {
         let bad = !ok || latency_ms > self.cfg.p99_latency_ms;
         let window_ms = self.cfg.window_ms;
         let state = self.tenants.entry(tenant.to_string()).or_default();

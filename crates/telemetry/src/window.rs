@@ -129,7 +129,9 @@ impl WindowHist {
         }
         self.counts[idx] += 1;
         self.count += 1;
-        self.sum_micros = self.sum_micros.saturating_add((value * SCALE).round() as u64);
+        self.sum_micros = self
+            .sum_micros
+            .saturating_add((value * SCALE).round() as u64);
     }
 
     fn merge_from(&mut self, other: &WindowHist) {
@@ -262,7 +264,11 @@ impl WindowAggregator {
         self.advance(t_ms);
         let idx = self.cfg.slice_of(t_ms);
         let cfg = self.cfg.clone();
-        let cell = self.slices.entry(idx).or_default().cell(tenant, outcome, &cfg);
+        let cell = self
+            .slices
+            .entry(idx)
+            .or_default()
+            .cell(tenant, outcome, &cfg);
         cell.count += 1;
         cell.latency.record(&cfg.latency_bounds_ms, latency_ms);
     }
