@@ -66,18 +66,6 @@ impl ValidationReport {
             (concordant - discordant) as f64 / total as f64
         }
     }
-
-    /// Mean absolute error between predicted and measured accuracy.
-    pub fn mean_abs_error(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points
-            .iter()
-            .map(|p| (p.predicted - p.measured).abs())
-            .sum::<f64>()
-            / self.points.len() as f64
-    }
 }
 
 /// Runs the validation sweep: distills each plan's student for real and

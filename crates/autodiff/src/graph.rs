@@ -86,7 +86,6 @@ enum Op {
     Sub(VarId, VarId),
     Hadamard(VarId, VarId),
     Scale(VarId, f32),
-    AddScalar(VarId),
     MatMul(VarId, VarId),
     Transpose(VarId),
     Sigmoid(VarId),
@@ -348,12 +347,6 @@ impl Graph {
     pub fn scale(&mut self, a: VarId, s: f32) -> VarId {
         let v = self.value(a).scale(s);
         self.push(v, Op::Scale(a, s))
-    }
-
-    /// Adds a scalar to every element.
-    pub fn add_scalar(&mut self, a: VarId, s: f32) -> VarId {
-        let v = self.value(a).map(|x| x + s);
-        self.push(v, Op::AddScalar(a))
     }
 
     /// Matrix product.
@@ -962,7 +955,6 @@ impl Backward<'_> {
                 self.slots.add_from(*b, rows, cols, |e| gd[e] * ad[e]);
             }
             Op::Scale(a, s) => self.slots.add_from(*a, rows, cols, |e| gd[e] * s),
-            Op::AddScalar(a) => self.slots.add_cols(*a, gd, (rows, cols), 0, cols),
             Op::MatMul(a, b) => {
                 let (av, bv) = (self.slots.value(*a), self.slots.value(*b));
                 if self.slots.needs(*a) {

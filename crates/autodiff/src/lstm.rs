@@ -164,11 +164,6 @@ impl BiLstm {
         self.forward.hidden()
     }
 
-    /// Output feature width per step (`2 * hidden`).
-    pub fn output_size(&self) -> usize {
-        2 * self.forward.hidden()
-    }
-
     /// Runs the sequence through both directions; element `t` of the result
     /// is `[h_fwd_t | h_bwd_t]` for input step `t`.
     pub fn run(&self, graph: &mut Graph, params: &ParamSet, inputs: &[VarId]) -> Vec<VarId> {

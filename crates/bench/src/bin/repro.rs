@@ -8,7 +8,9 @@
 //! (see [`Budget`]).
 
 use std::cell::OnceCell;
-use std::process::ExitCode;
+use std::fmt;
+use std::io::{self, Write};
+use std::process::{self, ExitCode};
 
 use cadmc_bench::{downsample, rule, select, sparkline, triple, Budget, Section};
 use cadmc_compress::{CompressionPlan, Technique};
@@ -28,6 +30,23 @@ use cadmc_latency::calibrate::{conv_sweep, fc_sweep, fit_linear, transfer_sweep}
 use cadmc_latency::{DeviceProfile, EnergyProfile, Mbps, Platform, Radio, TransferModel};
 use cadmc_netsim::Scenario;
 use cadmc_nn::zoo::{self, ResNetDepth};
+
+/// Stdout for `write!`/`writeln!`. Where `print!` would panic on a
+/// closed stdout (`repro | head`), a closed pipe ends the run quietly
+/// with success and any other write error ends it with failure.
+struct Out;
+
+impl Out {
+    fn write_fmt(&self, args: fmt::Arguments<'_>) {
+        if let Err(e) = io::stdout().lock().write_fmt(args) {
+            if e.kind() == io::ErrorKind::BrokenPipe {
+                process::exit(0);
+            }
+            eprintln!("error: writing stdout: {e}");
+            process::exit(1);
+        }
+    }
+}
 
 /// The bandwidth of the per-layer breakdown's transfers.
 const BREAKDOWN_MBPS: f64 = 10.0;
@@ -56,7 +75,7 @@ fn main() -> ExitCode {
         scenes: OnceCell::new(),
     };
     for section in sections {
-        println!("== {section} ==");
+        writeln!(Out, "== {section} ==");
         match section {
             Section::Table1Latency => table1_latency(),
             Section::Fig1Traces => fig1_traces(repro.budget.seed),
@@ -84,7 +103,7 @@ fn main() -> ExitCode {
             Section::LatencyBreakdown => latency_breakdown(),
             Section::SeedVariance => seed_variance(&repro),
         }
-        println!();
+        writeln!(Out);
     }
     ExitCode::SUCCESS
 }
@@ -139,15 +158,20 @@ fn table1_latency() {
             3729.10,
         ),
     ];
-    println!("Table 1: inference latencies on Xiaomi MI 6X (1x224x224x3)");
-    println!(
+    writeln!(
+        Out,
+        "Table 1: inference latencies on Xiaomi MI 6X (1x224x224x3)"
+    );
+    writeln!(
+        Out,
         "{:<12} {:>12} {:>14} {:>14} {:>8}",
         "Model", "GMACCs", "paper (ms)", "ours (ms)", "diff"
     );
-    rule(64);
+    writeln!(Out, "{}", rule(64));
     for (name, model, paper) in rows {
         let ours = phone.model_latency_ms(&model);
-        println!(
+        writeln!(
+            Out,
             "{:<12} {:>12.2} {:>14.2} {:>14.2} {:>7.1}%",
             name,
             model.total_maccs() as f64 / 1e9,
@@ -159,7 +183,10 @@ fn table1_latency() {
 }
 
 fn fig1_traces(seed: u64) {
-    println!("Fig. 1: real-world network contexts (synthesized, 60 s @ 10 Hz)\n");
+    writeln!(
+        Out,
+        "Fig. 1: real-world network contexts (synthesized, 60 s @ 10 Hz)\n"
+    );
     for scenario in [Scenario::FourGOutdoorQuick, Scenario::WifiWeakIndoor] {
         let trace = scenario.trace(seed);
         let (poor, good) = trace.quartile_levels();
@@ -170,9 +197,10 @@ fn fig1_traces(seed: u64) {
             let hi = w.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             jump.max(hi - lo)
         });
-        println!("{}", scenario.name());
-        println!("  {}", sparkline(&downsample(s, 100)));
-        println!(
+        writeln!(Out, "{}", scenario.name());
+        writeln!(Out, "  {}", sparkline(&downsample(s, 100)));
+        writeln!(
+            Out,
             "  mean {:.2} Mbps | std {:.2} | quartiles (poor/good) {:.2}/{:.2} | max 1s swing {:.2} Mbps",
             trace.mean(),
             trace.std_dev(),
@@ -180,14 +208,15 @@ fn fig1_traces(seed: u64) {
             good,
             max_1s_jump
         );
-        println!();
+        writeln!(Out);
     }
 }
 
 fn table2_compression() {
     let base = zoo::vgg11_cifar();
     let row = |technique: &str, layer: &str, idx: &str, maccs: u64, params: u64| {
-        println!(
+        writeln!(
+            Out,
             "{:<22} {:<22} {:>10} {:>11.1}M {:>11.2}M",
             technique,
             layer,
@@ -196,16 +225,21 @@ fn table2_compression() {
             params as f64 / 1e6
         );
     };
-    println!("Table 2: compression techniques applied to VGG11 (first applicable layer)");
-    println!(
+    writeln!(
+        Out,
+        "Table 2: compression techniques applied to VGG11 (first applicable layer)"
+    );
+    writeln!(
+        Out,
         "{:<22} {:<22} {:>10} {:>12} {:>12}",
         "Technique", "Target layer", "layer idx", "MACCs", "params"
     );
-    rule(84);
+    writeln!(Out, "{}", rule(84));
     row("(base)", "-", "-", base.total_maccs(), base.total_params());
     for t in Technique::ALL {
         let Some(idx) = (0..base.len()).find(|&i| t.applicable(&base, i)) else {
-            println!(
+            writeln!(
+                Out,
                 "{:<22} {:<22} {:>10}",
                 t.to_string(),
                 "(not applicable)",
@@ -225,12 +259,16 @@ fn table2_compression() {
 }
 
 fn fig5_latency_model(seed: u64) {
-    println!("Fig. 5: latency estimation model fits (slope/intercept/R²)\n");
-    println!(
+    writeln!(
+        Out,
+        "Fig. 5: latency estimation model fits (slope/intercept/R²)\n"
+    );
+    writeln!(
+        Out,
         "{:<10} {:<14} {:>14} {:>12} {:>8}",
         "Platform", "Panel", "slope (ms/MACC)", "intercept", "R²"
     );
-    rule(64);
+    writeln!(Out, "{}", rule(64));
     for platform in [Platform::Phone, Platform::Tx2, Platform::CloudServer] {
         let profile = DeviceProfile::for_platform(platform);
         let panels = [1usize, 3, 5]
@@ -239,7 +277,8 @@ fn fig5_latency_model(seed: u64) {
             .chain([("FC".to_string(), fc_sweep(&profile, seed))]);
         for (panel, sweep) in panels {
             let fit = fit_linear(&sweep);
-            println!(
+            writeln!(
+                Out,
                 "{:<10} {:<14} {:>14.3e} {:>12.3} {:>8.3}",
                 platform.name(),
                 panel,
@@ -250,12 +289,19 @@ fn fig5_latency_model(seed: u64) {
         }
     }
     let fit = fit_linear(&transfer_sweep(&TransferModel::default(), seed));
-    println!(
+    writeln!(
+        Out,
         "{:<10} {:<14} {:>14.3} {:>12.3} {:>8.3}   (x = transmission ms = S/W)",
         "-", "transfer", fit.slope, fit.intercept, fit.r2
     );
-    println!("\nNote: GPU platforms (TX2/cloud) show lower R² — the paper observes the");
-    println!("same: parallel execution obscures the MACC-linearity on GPUs.");
+    writeln!(
+        Out,
+        "\nNote: GPU platforms (TX2/cloud) show lower R² — the paper observes the"
+    );
+    writeln!(
+        Out,
+        "same: parallel execution obscures the MACC-linearity on GPUs."
+    );
 }
 
 fn fig7_search_comparison(budget: &Budget) {
@@ -266,16 +312,20 @@ fn fig7_search_comparison(budget: &Budget) {
         ..
     } = *budget;
     let curve_line = |name: &str, curve: &[f64]| {
-        println!(
+        writeln!(
+            Out,
             "  {:<10} best {:>7.2}  {}",
             name,
             curve.last().copied().unwrap_or(0.0),
             sparkline(&downsample(curve, 60))
         );
     };
-    println!("Fig. 7: search method comparison (VGG11, Phone; {episodes} episodes per method)\n");
+    writeln!(
+        Out,
+        "Fig. 7: search method comparison (VGG11, Phone; {episodes} episodes per method)\n"
+    );
     for scenario in [Scenario::FourGIndoorStatic, Scenario::WifiWeakIndoor] {
-        println!("context: {}", scenario.name());
+        writeln!(Out, "context: {}", scenario.name());
         let cmp = search_comparison(
             &zoo::vgg11_cifar(),
             Platform::Phone,
@@ -288,11 +338,14 @@ fn fig7_search_comparison(budget: &Budget) {
         curve_line("RL (ours)", &cmp.rl);
         curve_line("random", &cmp.random);
         curve_line("e-greedy", &cmp.epsilon_greedy);
-        println!();
+        writeln!(Out);
     }
     // Second panel: the same comparison on the Alg. 1 (single-branch)
     // space at the weak-WiFi median bandwidth.
-    println!("branch-space comparison (Alg. 1, WiFi (weak) indoor median):");
+    writeln!(
+        Out,
+        "branch-space comparison (Alg. 1, WiFi (weak) indoor median):"
+    );
     let env = EvalEnv::phone();
     let base = zoo::vgg11_cifar();
     let ctx = NetworkContext::from_scenario(Scenario::WifiWeakIndoor, 2, seed);
@@ -327,30 +380,44 @@ fn fig7_search_comparison(budget: &Budget) {
     for (name, out) in [("RL (ours)", &rl), ("random", &rnd), ("e-greedy", &eg)] {
         curve_line(name, &out.best_so_far());
     }
-    println!();
-    println!("paper (4G indoor static): RL 367.70 > e-greedy 358.90 ~ random 358.77");
-    println!("(best reward so far per episode; in these spaces the methods mostly reach");
-    println!(" the same optimum, so best reward rarely separates them)");
+    writeln!(Out);
+    writeln!(
+        Out,
+        "paper (4G indoor static): RL 367.70 > e-greedy 358.90 ~ random 358.77"
+    );
+    writeln!(
+        Out,
+        "(best reward so far per episode; in these spaces the methods mostly reach"
+    );
+    writeln!(
+        Out,
+        " the same optimum, so best reward rarely separates them)"
+    );
 }
 
 fn fig8_branch_example(repro: &Repro) {
     for scenario in [Scenario::FourGIndoorStatic, Scenario::FourGOutdoorQuick] {
         let ill = strategy_illustration(repro.vgg11_phone(scenario), repro.budget.seed);
-        println!("Fig. 8: strategies under '{}'", ill.scenario);
-        println!(
+        writeln!(Out, "Fig. 8: strategies under '{}'", ill.scenario);
+        writeln!(
+            Out,
             "bandwidth levels (poor/good): {:.2} / {:.2} Mbps\n",
             ill.levels[0], ill.levels[1]
         );
-        println!(
+        writeln!(
+            Out,
             "{:<22} {:<54} {:>9} {:>9}",
             "Strategy", "Deployment", "planned", "executed"
         );
-        rule(97);
+        writeln!(Out, "{}", rule(97));
         for (name, (summary, planned, executed)) in [
             ("Dynamic DNN surgery", &ill.surgery),
             ("Optimal branch", &ill.branch),
         ] {
-            println!("{name:<22} {summary:<54} {planned:>9.2} {executed:>9.2}");
+            writeln!(
+                Out,
+                "{name:<22} {summary:<54} {planned:>9.2} {executed:>9.2}"
+            );
         }
         for (i, (summary, reward)) in ill.tree_branches.iter().enumerate() {
             let exec = if i == 0 {
@@ -358,28 +425,36 @@ fn fig8_branch_example(repro: &Repro) {
             } else {
                 format!("{:>9}", "\"")
             };
-            println!(
+            writeln!(
+                Out,
                 "{:<22} {:<54} {:>9.2} {exec}",
                 format!("Model tree branch {i}"),
                 summary,
                 reward
             );
         }
-        println!("\n(planned = at the context median; executed = Alg. 2 over a held-out trace)\n");
+        writeln!(
+            Out,
+            "\n(planned = at the context median; executed = Alg. 2 over a held-out trace)\n"
+        );
     }
 }
 
 fn table3_offline(scenes: &[TrainedScene]) {
     let rows = offline_table(scenes);
     let line = |model: &str, device: &str, scenario: &str, [s, b, t]: [f64; 3]| {
-        println!("{model:<10} {device:<8} {scenario:<22} {s:>9.2} {b:>9.2} {t:>9.2}");
+        writeln!(
+            Out,
+            "{model:<10} {device:<8} {scenario:<22} {s:>9.2} {b:>9.2} {t:>9.2}"
+        );
     };
-    println!("Table 3: offline training reward");
-    println!(
+    writeln!(Out, "Table 3: offline training reward");
+    writeln!(
+        Out,
         "{:<10} {:<8} {:<22} {:>9} {:>9} {:>9}",
         "Model", "Device", "Environment", "Surgery", "Branch", "Tree"
     );
-    rule(72);
+    writeln!(Out, "{}", rule(72));
     for r in &rows {
         line(
             &r.model,
@@ -388,13 +463,14 @@ fn table3_offline(scenes: &[TrainedScene]) {
             [r.surgery, r.branch, r.tree],
         );
     }
-    rule(72);
+    writeln!(Out, "{}", rule(72));
     for group in rows.chunk_by(|a, b| a.model == b.model) {
         let mean = |f: fn(&_) -> f64| group.iter().map(f).sum::<f64>() / group.len() as f64;
         let avg = [mean(|r| r.surgery), mean(|r| r.branch), mean(|r| r.tree)];
         line(&group[0].model, "-", "Average", avg);
     }
-    println!(
+    writeln!(
+        Out,
         "\npaper averages (VGG11): 352.14 / 355.92 / 359.57; (AlexNet): 347.05 / 357.64 / 359.56"
     );
 }
@@ -405,7 +481,8 @@ fn executed_table(repro: &Repro, mode: Mode, title: &str, paper: &str) {
     let Budget { requests, seed, .. } = repro.budget;
     let rows = emulation_table(repro.scenes(), mode, requests, seed);
     let line = |model: &str, device: &str, scenario: &str, cells: [(f64, f64, f64); 3]| {
-        println!(
+        writeln!(
+            Out,
             "{:<10} {:<8} {:<22} | {} | {} | {}",
             model,
             device,
@@ -415,12 +492,13 @@ fn executed_table(repro: &Repro, mode: Mode, title: &str, paper: &str) {
             triple(cells[2])
         );
     };
-    println!("{title} ({requests} requests per run)");
-    println!(
+    writeln!(Out, "{title} ({requests} requests per run)");
+    writeln!(
+        Out,
         "{:<10} {:<8} {:<22} | {:^26} | {:^26} | {:^26}",
         "Model", "Device", "Environment", "Surgery (R/ms/%)", "Branch (R/ms/%)", "Tree (R/ms/%)"
     );
-    rule(128);
+    writeln!(Out, "{}", rule(128));
     for r in &rows {
         line(
             &r.model,
@@ -429,17 +507,18 @@ fn executed_table(repro: &Repro, mode: Mode, title: &str, paper: &str) {
             [r.surgery, r.branch, r.tree],
         );
     }
-    rule(128);
+    writeln!(Out, "{}", rule(128));
     for group in rows.chunk_by(|a, b| a.model == b.model) {
         let avg = averages(group);
         line(&group[0].model, "-", "Average", avg);
         let (cut, loss) = tree_vs_surgery(&avg);
-        println!(
+        writeln!(
+            Out,
             "{:<42} tree vs surgery: {:.1}% latency reduction, {:.2} pp accuracy loss",
             "", cut, loss
         );
     }
-    println!("\n{paper}");
+    writeln!(Out, "\n{paper}");
 }
 
 /// The tree's latency cut versus surgery (percent) and its accuracy loss
@@ -454,12 +533,16 @@ fn tree_vs_surgery(avg: &[(f64, f64, f64); 3]) -> (f64, f64) {
 
 fn sweep_nk(budget: &Budget) {
     let episodes = budget.episodes;
-    println!("N/K sweep: VGG11, Phone, WiFi (weak) indoor ({episodes} episodes per cell)\n");
-    println!(
+    writeln!(
+        Out,
+        "N/K sweep: VGG11, Phone, WiFi (weak) indoor ({episodes} episodes per cell)\n"
+    );
+    writeln!(
+        Out,
         "{:>3} {:>3} {:>10} {:>12} {:>14} {:>8}",
         "N", "K", "reward", "latency ms", "storage MB", "nodes"
     );
-    rule(56);
+    writeln!(Out, "{}", rule(56));
     let points = nk_sweep(
         &zoo::vgg11_cifar(),
         Platform::Phone,
@@ -471,7 +554,8 @@ fn sweep_nk(budget: &Budget) {
     )
     .expect("valid inputs");
     for p in &points {
-        println!(
+        writeln!(
+            Out,
             "{:>3} {:>3} {:>10.2} {:>12.2} {:>14.2} {:>8}",
             p.n,
             p.k,
@@ -482,20 +566,25 @@ fn sweep_nk(budget: &Budget) {
         );
     }
     let base = zoo::vgg11_cifar();
-    println!(
+    writeln!(
+        Out,
         "\nsingle base model storage: {:.2} MB",
         base.param_bytes() as f64 / 1e6
     );
-    println!("paper setting: N = 3, K = 2.");
+    writeln!(Out, "paper setting: N = 3, K = 2.");
 }
 
 fn energy_report(repro: &Repro) {
-    println!("Per-inference device energy (VGG11, Phone; mJ at the context median)\n");
-    println!(
+    writeln!(
+        Out,
+        "Per-inference device energy (VGG11, Phone; mJ at the context median)\n"
+    );
+    writeln!(
+        Out,
         "{:<22} {:>10} | {:>9} {:>9} {:>9}",
         "Environment", "median bw", "Surgery", "Branch", "Tree"
     );
-    rule(66);
+    writeln!(Out, "{}", rule(66));
     let device = DeviceProfile::phone();
     let transfer = TransferModel::default();
     for scenario in [
@@ -524,7 +613,8 @@ fn energy_report(repro: &Repro) {
         };
         // The tree's energy at the median: compose for that bandwidth.
         let (_, tree_cand) = scene.tree.tree.compose(|_| bw.0);
-        println!(
+        writeln!(
+            Out,
             "{:<22} {:>7.2} Mb | {:>9.2} {:>9.2} {:>9.2}",
             scenario.name(),
             bw.0,
@@ -533,19 +623,26 @@ fn energy_report(repro: &Repro) {
             of(&tree_cand)
         );
     }
-    println!("\nCompression cuts compute energy; offloading trades compute joules for");
-    println!("radio joules — on 4G the radio premium is substantial.");
+    writeln!(
+        Out,
+        "\nCompression cuts compute energy; offloading trades compute joules for"
+    );
+    writeln!(
+        Out,
+        "radio joules — on 4G the radio premium is substantial."
+    );
 }
 
 fn ablation_quality(budget: &Budget) {
     let episodes = budget.episodes;
     let seeds = [7u64, 17, 27];
-    println!(
+    writeln!(
+        Out,
         "Quality ablations (VGG11, Phone, WiFi (weak) indoor, {episodes} episodes, {} seeds)\n",
         seeds.len()
     );
-    println!("{:<34} {:>12}", "Variant", "mean reward");
-    rule(48);
+    writeln!(Out, "{:<34} {:>12}", "Variant", "mean reward");
+    writeln!(Out, "{}", rule(48));
     // (name, change to the paper configuration, branch boosting)
     type Variant = (&'static str, fn(&mut SearchConfig), bool);
     let variants: [Variant; 6] = [
@@ -584,7 +681,7 @@ fn ablation_quality(budget: &Budget) {
             .mean_branch_reward()
         };
         let mean = seeds.iter().map(|&s| reward(s)).sum::<f64>() / seeds.len() as f64;
-        println!("{:<34} {:>12.2}", name, mean);
+        writeln!(Out, "{:<34} {:>12.2}", name, mean);
     }
 }
 
@@ -596,25 +693,27 @@ fn mismatch(repro: &Repro) {
         Scenario::WifiOutdoorSlow,
     ]
     .map(|s| repro.vgg11_phone(s));
-    println!(
+    writeln!(
+        Out,
         "Context mismatch (VGG11, Phone): executed reward of tree trained on row, run in column\n"
     );
     let m = mismatch_matrix(&scenes, MISMATCH_REQUESTS, repro.budget.seed);
-    print!("{:<22}", "trained \\ executed");
+    write!(Out, "{:<22}", "trained \\ executed");
     for s in &m.scenarios {
-        print!(" {:>20}", s);
+        write!(Out, " {:>20}", s);
     }
-    println!();
-    rule(22 + 21 * m.scenarios.len());
+    writeln!(Out);
+    writeln!(Out, "{}", rule(22 + 21 * m.scenarios.len()));
     for (i, row) in m.rewards.iter().enumerate() {
-        print!("{:<22}", m.scenarios[i]);
+        write!(Out, "{:<22}", m.scenarios[i]);
         for (j, r) in row.iter().enumerate() {
             let marker = if i == j { "*" } else { " " };
-            print!(" {:>19.2}{marker}", r);
+            write!(Out, " {:>19.2}{marker}", r);
         }
-        println!();
+        writeln!(Out);
     }
-    println!(
+    writeln!(
+        Out,
         "\n(* = matched context) mean diagonal advantage: {:.2} reward",
         m.mean_diagonal_advantage()
     );
@@ -624,14 +723,19 @@ fn latency_breakdown() {
     let bw = BREAKDOWN_MBPS;
     let base = zoo::vgg11_cifar();
     let env = EvalEnv::phone();
-    println!("Per-layer breakdown: VGG11 on Phone, transfers at {bw} Mbps\n");
-    println!(
+    writeln!(
+        Out,
+        "Per-layer breakdown: VGG11 on Phone, transfers at {bw} Mbps\n"
+    );
+    writeln!(
+        Out,
         "{:>3} {:<20} {:>12} {:>10} {:>12}",
         "i", "layer", "MACCs", "edge ms", "out bytes"
     );
-    rule(62);
+    writeln!(Out, "{}", rule(62));
     for (i, layer) in base.layers().iter().enumerate() {
-        println!(
+        writeln!(
+            Out,
             "{:>3} {:<20} {:>12} {:>10.2} {:>12}",
             i,
             layer.encode(),
@@ -641,12 +745,13 @@ fn latency_breakdown() {
         );
     }
 
-    println!("\nCut-point table (edge + transfer + cloud = total):");
-    println!(
+    writeln!(Out, "\nCut-point table (edge + transfer + cloud = total):");
+    writeln!(
+        Out,
         "{:<12} {:>9} {:>9} {:>9} {:>9}",
         "cut", "edge ms", "xfer ms", "cloud ms", "total"
     );
-    rule(52);
+    writeln!(Out, "{}", rule(52));
     let plan = CompressionPlan::identity(base.len());
     let options = std::iter::once(Partition::AllCloud)
         .chain((0..base.len() - 1).map(Partition::AfterLayer))
@@ -662,7 +767,8 @@ fn latency_breakdown() {
             .range_latency_ms(m, c.edge_layers, m.len())
             .max(0.0);
         let total = te + tt + tc;
-        println!(
+        writeln!(
+            Out,
             "{:<12} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
             p.to_string(),
             te,
@@ -675,7 +781,10 @@ fn latency_breakdown() {
         }
     }
     let (cut, total) = best.expect("options non-empty");
-    println!("\noptimal static cut at {bw} Mbps: {cut} ({total:.2} ms)");
+    writeln!(
+        Out,
+        "\noptimal static cut at {bw} Mbps: {cut} ({total:.2} ms)"
+    );
 }
 
 /// The seeds of the seed-variance section.
@@ -688,19 +797,23 @@ fn seed_variance(repro: &Repro) {
         episodes, requests, ..
     } = repro.budget;
     let claims = ["T4 VGG11", "T4 AlexNet", "T5 VGG11", "T5 AlexNet"];
-    println!(
+    writeln!(
+        Out,
         "Shape claims over seeds {}-{} ({episodes} episodes, {requests} requests)",
         SEEDS.start(),
         SEEDS.end()
     );
-    println!("T3 = Table 3 rows with Surgery <= Branch <= Tree;");
-    println!("T4/T5 = tree vs surgery latency cut and accuracy loss of the averages\n");
-    print!("{:>4} | {:>10}", "seed", "T3 S<=B<=T");
+    writeln!(Out, "T3 = Table 3 rows with Surgery <= Branch <= Tree;");
+    writeln!(
+        Out,
+        "T4/T5 = tree vs surgery latency cut and accuracy loss of the averages\n"
+    );
+    write!(Out, "{:>4} | {:>10}", "seed", "T3 S<=B<=T");
     for claim in claims {
-        print!(" | {claim:>15}");
+        write!(Out, " | {claim:>15}");
     }
-    println!();
-    rule(87);
+    writeln!(Out);
+    writeln!(Out, "{}", rule(87));
     let (mut ordered, mut row_count) = (Vec::new(), 0);
     let mut cuts = vec![Vec::new(); claims.len()];
     for seed in SEEDS {
@@ -717,7 +830,7 @@ fn seed_variance(repro: &Repro) {
             .filter(|r| r.surgery <= r.branch && r.branch <= r.tree)
             .count();
         row_count = rows.len();
-        print!("{seed:>4} | {holds:>7}/{row_count}");
+        write!(Out, "{seed:>4} | {holds:>7}/{row_count}");
         ordered.push(holds as f64);
         let executed = [Mode::Emulation, Mode::Field]
             .map(|mode| emulation_table(scenes, mode, requests, seed));
@@ -726,27 +839,30 @@ fn seed_variance(repro: &Repro) {
             .flat_map(|rows| rows.chunk_by(|a, b| a.model == b.model));
         for (claim, group) in cuts.iter_mut().zip(groups) {
             let (cut, loss) = tree_vs_surgery(&averages(group));
-            print!(" | {cut:>6.1}% {loss:>5.2}pp");
+            write!(Out, " | {cut:>6.1}% {loss:>5.2}pp");
             claim.push((cut, loss));
         }
-        println!();
+        writeln!(Out);
     }
-    rule(87);
-    println!("median [quartiles] over {} seeds:", ordered.len());
-    println!(
+    writeln!(Out, "{}", rule(87));
+    writeln!(Out, "median [quartiles] over {} seeds:", ordered.len());
+    writeln!(
+        Out,
         "{:<11} {} of {row_count} rows",
         "T3",
         quartiles(&ordered, 1)
     );
     for (name, claim) in claims.iter().zip(&cuts) {
         let (cut, loss): (Vec<f64>, Vec<f64>) = claim.iter().copied().unzip();
-        println!(
+        writeln!(
+            Out,
             "{name:<11} cut {} % | loss {} pp",
             quartiles(&cut, 1),
             quartiles(&loss, 2)
         );
     }
-    println!(
+    writeln!(
+        Out,
         "\npaper: Surgery < Branch < Tree in every Table 3 row; a 30-50% latency cut at ~1 pp"
     );
 }

@@ -252,9 +252,10 @@ impl Budget {
     }
 }
 
-/// Prints a horizontal rule of the given width.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
+/// A horizontal rule of the given width.
+#[must_use]
+pub fn rule(width: usize) -> String {
+    "-".repeat(width)
 }
 
 /// Formats a `(reward, latency, accuracy)` triple as table cells.

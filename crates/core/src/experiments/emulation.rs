@@ -25,11 +25,6 @@ pub struct ExecutedRow {
 }
 
 impl ExecutedRow {
-    /// Latency reduction of the tree versus surgery, in percent.
-    pub fn tree_latency_reduction_pct(&self) -> f64 {
-        100.0 * (self.surgery.1 - self.tree.1) / self.surgery.1
-    }
-
     /// Accuracy loss of the tree versus surgery, in percentage points.
     pub fn tree_accuracy_loss_pp(&self) -> f64 {
         100.0 * (self.surgery.2 - self.tree.2)

@@ -110,7 +110,7 @@ pub struct TrainedScene {
     pub ctx: NetworkContext,
     /// The evaluation environment.
     pub env: EvalEnv,
-    /// The dynamic-DNN-surgery deployment (min-cut at the median
+    /// The dynamic-DNN-surgery deployment (optimal cut at the median
     /// bandwidth, no compression).
     pub surgery: surgery::SurgeryResult,
     /// The Alg. 1 optimal-branch deployment (searched at the median

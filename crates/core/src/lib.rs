@@ -11,13 +11,13 @@
 //!
 //! | Paper | Module |
 //! |---|---|
-//! | MDP formulation (§V-A) | [`mdp`] |
+//! | MDP formulation (§V-A) | [`delta::DeltaState`], [`controller`], [`RewardSpec`] |
 //! | Reward function Eq. 7 (§V-B) | [`RewardSpec`] |
 //! | LSTM controllers (§VI-C, Fig. 6) | [`controller`] |
 //! | Alg. 1 optimal branch search | [`branch`] |
 //! | Model tree + Alg. 2 composition (§VI-A) | [`tree`] |
 //! | Alg. 3 tree search (§VI-B) | [`tree_search`] |
-//! | Dynamic DNN surgery baseline | [`surgery`] (min-cut in [`mincut`]) |
+//! | Dynamic DNN surgery baseline | [`surgery`] (exact cut scan) |
 //! | Random / ε-greedy baselines (Fig. 7) | [`baselines`] |
 //! | Memo pool (§VII-A) | [`memo`] |
 //! | Emulation & field harnesses (§VII-B) | [`executor`], [`experiments`] |
@@ -36,9 +36,7 @@ pub mod engine;
 mod env;
 pub mod executor;
 pub mod experiments;
-pub mod mdp;
 pub mod memo;
-pub mod mincut;
 pub mod parallel;
 pub mod persist;
 mod proptests;

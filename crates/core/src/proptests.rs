@@ -1,5 +1,5 @@
 //! Property-based tests of the deployment algebra: random trees compose
-//! into valid deployments, rewards stay bounded, the surgery min-cut
+//! into valid deployments, rewards stay bounded, the surgery cut
 //! is never beaten by any chain cut, and the executor's degradation
 //! policy survives arbitrary seeded fault schedules.
 
@@ -146,13 +146,13 @@ proptest! {
         }
     }
 
-    /// The min-cut surgery partition is optimal: no chain cut beats it.
+    /// The surgery partition is optimal: no chain cut beats it.
     #[test]
     fn mincut_dominates_every_chain_cut(bw in 0.2f64..200.0) {
         let base = zoo::alexnet_cifar();
         let env = EvalEnv::phone();
         let plan = cadmc_compress::CompressionPlan::identity(base.len());
-        let chosen = surgery::optimal_partition_mincut(&base, &env, Mbps(bw));
+        let chosen = surgery::optimal_partition_scan(&base, &env, Mbps(bw));
         let chosen_lat = env.latency_ms(
             &Candidate::compose(&base, chosen, &plan).expect("identity composes"),
             Mbps(bw),
@@ -164,7 +164,7 @@ proptest! {
             );
             prop_assert!(
                 chosen_lat <= lat + 1e-6,
-                "cut {p} ({lat:.3} ms) beats min-cut {chosen} ({chosen_lat:.3} ms) at {bw} Mbps"
+                "cut {p} ({lat:.3} ms) beats surgery's {chosen} ({chosen_lat:.3} ms) at {bw} Mbps"
             );
         }
     }

@@ -109,7 +109,7 @@ pub fn tree_search(
         let mut branch_candidates = Vec::new();
         for &bw in levels {
             let outcome = optimal_branch(controllers, base, env, Mbps(bw), &branch_cfg, memo)?;
-            // The surgery deployment (min-cut partition, no compression)
+            // The surgery deployment (optimal cut, no compression)
             // is a point inside the branch space; floor each level's
             // candidate with it so the boost tree never starts below the
             // static baseline.

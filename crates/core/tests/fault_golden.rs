@@ -7,7 +7,7 @@
 //! must stay valid under the strict schema-v1 parser.
 //!
 //! Regenerate intentionally with:
-//! `UPDATE_FAULT_GOLDEN=1 cargo test -p cadmc-core --test fault_golden`
+//! `UPDATE_GOLDEN=1 cargo test -p cadmc-core --test fault_golden`
 
 use cadmc_core::executor::{execute, ExecConfig, Policy};
 use cadmc_core::tree::{ModelTree, TreeNode};
@@ -15,27 +15,13 @@ use cadmc_core::EvalEnv;
 use cadmc_netsim::{BandwidthTrace, FaultSchedule};
 use cadmc_nn::{zoo, ModelSpec};
 use cadmc_telemetry::report::{parse_jsonl, to_jsonl};
+use cadmc_telemetry::testing::{assert_golden, mask_times};
 use cadmc_telemetry::{self as telemetry};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/fault_outage_trace.jsonl"
 );
-
-/// Masks the two wall-clock fields (`"t_ns":N`, `"dur_ns":N`) so traces
-/// can be compared byte-for-byte across runs.
-fn mask_times(jsonl: &str) -> String {
-    let mut out = String::with_capacity(jsonl.len());
-    let mut rest = jsonl;
-    while let Some(pos) = rest.find("_ns\":") {
-        let cut = pos + "_ns\":".len();
-        out.push_str(&rest[..cut]);
-        out.push('0');
-        rest = rest[cut..].trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
 
 fn two_fork_tree(base: &ModelSpec) -> ModelTree {
     let mut tree = ModelTree::new(base.clone(), 2, vec![1.0, 30.0]);
@@ -95,18 +81,7 @@ fn outage_trace_jsonl() -> String {
 
 #[test]
 fn canned_outage_trace_matches_checked_in_golden() {
-    let produced = outage_trace_jsonl();
-    if std::env::var("UPDATE_FAULT_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN, &produced).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN)
-        .expect("golden trace must be checked in (UPDATE_FAULT_GOLDEN=1 to create)");
-    assert_eq!(
-        produced, golden,
-        "fault telemetry trace drifted from the checked-in golden; if the \
-         change is intentional regenerate with UPDATE_FAULT_GOLDEN=1"
-    );
+    assert_golden(GOLDEN, &outage_trace_jsonl());
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! actions enabled.
 //!
 //! Regenerate intentionally with:
-//! `UPDATE_FEATURE_GOLDEN=1 cargo test -p cadmc-core --test feature_golden`
+//! `UPDATE_GOLDEN=1 cargo test -p cadmc-core --test feature_golden`
 
 use cadmc_core::branch::optimal_branch;
 use cadmc_core::memo::MemoPool;
@@ -20,27 +20,13 @@ use cadmc_core::EvalEnv;
 use cadmc_latency::Mbps;
 use cadmc_nn::zoo;
 use cadmc_telemetry::report::{parse_jsonl, to_jsonl};
+use cadmc_telemetry::testing::{assert_golden, mask_times};
 use cadmc_telemetry::{self as telemetry, RunReport};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/feature_search_trace.jsonl"
 );
-
-/// Masks the two wall-clock fields (`"t_ns":N`, `"dur_ns":N`) so traces
-/// can be compared byte-for-byte across runs.
-fn mask_times(jsonl: &str) -> String {
-    let mut out = String::with_capacity(jsonl.len());
-    let mut rest = jsonl;
-    while let Some(pos) = rest.find("_ns\":") {
-        let cut = pos + "_ns\":".len();
-        out.push_str(&rest[..cut]);
-        out.push('0');
-        rest = rest[cut..].trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
 
 /// Keeps only the schedule-independent span/event records (same filter
 /// as `telemetry_trace.rs`): metric totals and `eval.candidate` spans
@@ -80,18 +66,7 @@ fn feature_search_trace(workers: usize) -> RunReport {
 
 #[test]
 fn feature_search_trace_matches_checked_in_golden() {
-    let produced = mask_times(&to_jsonl(&feature_search_trace(1)));
-    if std::env::var("UPDATE_FEATURE_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN, &produced).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN)
-        .expect("golden trace must be checked in (UPDATE_FEATURE_GOLDEN=1 to create)");
-    assert_eq!(
-        produced, golden,
-        "feature-search telemetry trace drifted from the checked-in golden; \
-         if the change is intentional regenerate with UPDATE_FEATURE_GOLDEN=1"
-    );
+    assert_golden(GOLDEN, &mask_times(&to_jsonl(&feature_search_trace(1))));
 }
 
 #[test]

@@ -18,22 +18,8 @@ use cadmc_core::EvalEnv;
 use cadmc_latency::Mbps;
 use cadmc_nn::zoo;
 use cadmc_telemetry::report::to_jsonl;
+use cadmc_telemetry::testing::mask_times;
 use cadmc_telemetry::{self as telemetry, RunReport};
-
-/// Masks the two wall-clock fields (`"t_ns":N`, `"dur_ns":N`) so traces
-/// can be compared byte-for-byte across runs.
-fn mask_times(jsonl: &str) -> String {
-    let mut out = String::with_capacity(jsonl.len());
-    let mut rest = jsonl;
-    while let Some(pos) = rest.find("_ns\":") {
-        let cut = pos + "_ns\":".len();
-        out.push_str(&rest[..cut]);
-        out.push('0');
-        rest = rest[cut..].trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
 
 /// Keeps only the schedule-independent span/event records. Dropped:
 /// metric lines (memo-pool counters are updated under real contention,

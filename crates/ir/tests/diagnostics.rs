@@ -3,7 +3,7 @@
 //! in a sibling `.expected` file.
 //!
 //! Regenerate after an intentional format change with:
-//! `IR_BLESS=1 cargo test -p cadmc-ir --test diagnostics`
+//! `UPDATE_GOLDEN=1 cargo test -p cadmc-ir --test diagnostics`
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -11,6 +11,7 @@ use std::path::PathBuf;
 
 use cadmc_ir::diag::ALL_CODES;
 use cadmc_ir::{check_source, Code};
+use cadmc_telemetry::testing::assert_golden;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/diagnostics")
@@ -41,7 +42,6 @@ fn golden_corpus_is_pinned_and_covers_every_code() {
         fixtures.len()
     );
 
-    let bless = std::env::var_os("IR_BLESS").is_some();
     let mut covered: BTreeSet<Code> = BTreeSet::new();
     for path in &fixtures {
         let stem = path
@@ -62,18 +62,7 @@ fn golden_corpus_is_pinned_and_covers_every_code() {
         );
         covered.extend(out.diagnostics.iter().map(|d| d.code));
 
-        let expected_path = path.with_extension("expected");
-        if bless {
-            fs::write(&expected_path, &rendered).expect("write blessed output");
-            continue;
-        }
-        let expected = fs::read_to_string(&expected_path).unwrap_or_else(|_| {
-            panic!("missing {}; run with IR_BLESS=1 to create", expected_path.display())
-        });
-        assert_eq!(
-            rendered, expected,
-            "rendering drift for {stem}.ir (IR_BLESS=1 to re-pin after an intentional change)"
-        );
+        assert_golden(path.with_extension("expected"), &rendered);
     }
 
     for code in ALL_CODES {

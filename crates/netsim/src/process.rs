@@ -32,13 +32,6 @@ pub struct ProcessConfig {
     pub floor: f64,
 }
 
-impl ProcessConfig {
-    /// Midpoint of the two regime means.
-    pub fn center(&self) -> f64 {
-        0.5 * (self.mean_low + self.mean_high)
-    }
-}
-
 /// A running instance of the bandwidth process.
 #[derive(Debug)]
 pub struct BandwidthProcess {

@@ -66,12 +66,6 @@ impl Scenario {
         )
     }
 
-    /// Whether the environment is stable (static, strong signal) — where
-    /// the paper concedes its advantage over fixed partitioning shrinks.
-    pub fn is_stable(self) -> bool {
-        matches!(self, Scenario::FourGIndoorStatic)
-    }
-
     /// Bandwidth-process parameters for this context.
     pub fn process_config(self) -> ProcessConfig {
         match self {

@@ -1,12 +1,11 @@
 //! Explicit DAG form of a model.
 //!
-//! The dynamic-DNN-surgery baseline (Hu et al., INFOCOM'19) formulates
-//! partitioning as a min-cut over the DNN's *dataflow graph*, which for
-//! networks with skip connections is a genuine DAG rather than a chain.
-//! [`ModelDag::from_spec`] expands a [`ModelSpec`] — including its
-//! composite residual / Fire / inverted-residual blocks — into primitive
-//! dataflow nodes with explicit predecessor edges, per-node MACC counts
-//! and per-edge feature sizes, ready for min-cut construction.
+//! For networks with skip connections the *dataflow graph* is a genuine
+//! DAG rather than a chain. [`ModelDag::from_spec`] expands a
+//! [`ModelSpec`] — including its composite residual / Fire /
+//! inverted-residual blocks — into primitive dataflow nodes with explicit
+//! predecessor edges and per-node MACC counts. Its MACC total is an
+//! independent check of the chain form's accounting.
 
 use crate::layer::{LayerSpec, Shape};
 use crate::model::ModelSpec;
@@ -50,7 +49,6 @@ pub struct DagNode {
 /// predecessor index is smaller than the node's own index).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelDag {
-    input: Shape,
     nodes: Vec<DagNode>,
     /// Indices of nodes whose output feeds the final result.
     outputs: Vec<usize>,
@@ -60,7 +58,6 @@ impl ModelDag {
     /// Expands `spec` into its primitive dataflow DAG.
     pub fn from_spec(spec: &ModelSpec) -> Self {
         let mut dag = ModelDag {
-            input: spec.input_shape(),
             nodes: Vec::new(),
             outputs: Vec::new(),
         };
@@ -76,11 +73,6 @@ impl ModelDag {
             dag.outputs = vec![f];
         }
         dag
-    }
-
-    /// Input shape of the network.
-    pub fn input(&self) -> Shape {
-        self.input
     }
 
     /// The nodes, topologically ordered.
@@ -106,22 +98,6 @@ impl ModelDag {
     /// Total MACCs (equals the spec's total).
     pub fn total_maccs(&self) -> u64 {
         self.nodes.iter().map(|n| n.maccs).sum()
-    }
-
-    /// All dataflow edges as `(from, to, bytes)`; `from == None` denotes
-    /// the network input.
-    pub fn edges(&self) -> Vec<(Option<usize>, usize, u64)> {
-        let mut out = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.preds.is_empty() {
-                out.push((None, i, self.input.transfer_bytes()));
-            } else {
-                for &p in &n.preds {
-                    out.push((Some(p), i, self.nodes[p].output.transfer_bytes()));
-                }
-            }
-        }
-        out
     }
 
     fn push(&mut self, op: DagOp, preds: Vec<usize>, input: Shape) -> usize {
@@ -305,23 +281,6 @@ mod tests {
         for (i, n) in dag.nodes().iter().enumerate() {
             for &p in &n.preds {
                 assert!(p < i, "edge {p} -> {i} violates topological order");
-            }
-        }
-    }
-
-    #[test]
-    fn edges_carry_feature_bytes() {
-        let spec = zoo::tiny_cnn();
-        let dag = ModelDag::from_spec(&spec);
-        let edges = dag.edges();
-        // The input edge carries the raw input size.
-        let input_edges: Vec<_> = edges.iter().filter(|(f, _, _)| f.is_none()).collect();
-        assert_eq!(input_edges.len(), 1);
-        assert_eq!(input_edges[0].2, spec.input_bytes());
-        // All internal edges carry the producer's output bytes.
-        for (from, _, bytes) in edges {
-            if let Some(f) = from {
-                assert_eq!(bytes, dag.nodes()[f].output.transfer_bytes());
             }
         }
     }

@@ -5,9 +5,10 @@
 //! golden proves the replay agrees with the one that produced the file.
 //!
 //! Regenerate intentionally with:
-//! `UPDATE_CHAOS_GOLDEN=1 cargo test -p cadmc-serve --test chaos_golden`
+//! `UPDATE_GOLDEN=1 cargo test -p cadmc-serve --test chaos_golden`
 
 use cadmc_serve::{chaos_arrivals, ChaosConfig, Server, ServerConfig};
+use cadmc_telemetry::testing::assert_golden;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chaos_log.txt");
 
@@ -31,16 +32,5 @@ fn produced() -> String {
 
 #[test]
 fn chaos_log_matches_checked_in_golden() {
-    let produced = produced();
-    if std::env::var("UPDATE_CHAOS_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN, &produced).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN)
-        .expect("golden log must be checked in (UPDATE_CHAOS_GOLDEN=1 to create)");
-    assert_eq!(
-        produced, golden,
-        "chaos replay log drifted from the checked-in golden; if the change \
-         is intentional regenerate with UPDATE_CHAOS_GOLDEN=1"
-    );
+    assert_golden(GOLDEN, &produced());
 }

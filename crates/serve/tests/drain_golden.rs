@@ -4,32 +4,17 @@
 //! open spans and every in-flight session ending in a terminal outcome.
 //!
 //! Regenerate intentionally with:
-//! `UPDATE_DRAIN_GOLDEN=1 cargo test -p cadmc-serve --test drain_golden`
+//! `UPDATE_GOLDEN=1 cargo test -p cadmc-serve --test drain_golden`
 
 use cadmc_serve::{chaos_arrivals, ChaosConfig, Decision, Server, ServerConfig};
 use cadmc_telemetry::report::{parse_jsonl, to_jsonl};
+use cadmc_telemetry::testing::{assert_golden, mask_times};
 use cadmc_telemetry::{self as telemetry, FieldValue};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/drain_trace.jsonl"
 );
-
-/// Masks the wall-clock fields (`"t_ns":N`, `"dur_ns":N`) so traces
-/// compare byte-for-byte across runs (same scheme as the executor's
-/// fault golden).
-fn mask_times(jsonl: &str) -> String {
-    let mut out = String::with_capacity(jsonl.len());
-    let mut rest = jsonl;
-    while let Some(pos) = rest.find("_ns\":") {
-        let cut = pos + "_ns\":".len();
-        out.push_str(&rest[..cut]);
-        out.push('0');
-        rest = rest[cut..].trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
 
 /// The canonical drained run: a small overload burst, zero faults (the
 /// fault ladder has its own golden), drain landing mid-burst so some
@@ -55,17 +40,7 @@ fn drained_run() -> (cadmc_serve::ScheduleReport, String) {
 #[test]
 fn drain_trace_matches_checked_in_golden() {
     let (_, produced) = drained_run();
-    if std::env::var("UPDATE_DRAIN_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN, &produced).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN)
-        .expect("golden trace must be checked in (UPDATE_DRAIN_GOLDEN=1 to create)");
-    assert_eq!(
-        produced, golden,
-        "drain telemetry trace drifted from the checked-in golden; if the \
-         change is intentional regenerate with UPDATE_DRAIN_GOLDEN=1"
-    );
+    assert_golden(GOLDEN, &produced);
 }
 
 #[test]

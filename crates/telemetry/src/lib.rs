@@ -777,6 +777,48 @@ pub mod testing {
             (result, report)
         })
     }
+
+    /// Masks the wall-clock fields (`"t_ns":N`, `"dur_ns":N`) to `0` so
+    /// traces compare byte-for-byte across runs.
+    pub fn mask_times(jsonl: &str) -> String {
+        let mut out = String::with_capacity(jsonl.len());
+        let mut rest = jsonl;
+        while let Some(pos) = rest.find("_ns\":") {
+            let cut = pos + "_ns\":".len();
+            out.push_str(&rest[..cut]);
+            out.push('0');
+            rest = rest[cut..].trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// Asserts that `produced` equals the checked-in golden file at
+    /// `path`. With `UPDATE_GOLDEN` set in the environment it writes
+    /// `produced` to `path` instead, to re-pin an intentional change.
+    pub fn assert_golden(path: impl AsRef<std::path::Path>, produced: &str) {
+        let path = path.as_ref();
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            if let Err(e) = std::fs::write(path, produced) {
+                panic!("write golden {}: {e}", path.display());
+            }
+            return;
+        }
+        let golden = match std::fs::read_to_string(path) {
+            Ok(g) => g,
+            Err(e) => panic!(
+                "golden {} must be checked in (UPDATE_GOLDEN=1 to create): {e}",
+                path.display()
+            ),
+        };
+        assert_eq!(
+            produced,
+            golden,
+            "output drifted from the golden {}; if the change is intentional \
+             re-pin it with UPDATE_GOLDEN=1",
+            path.display()
+        );
+    }
 }
 
 #[cfg(test)]

@@ -490,14 +490,13 @@ const L1_CRATES: [&str; 8] = [
 /// results: the searches themselves, reward/eval, the memo pool, the
 /// controllers, and the autodiff tape and optimizers that train them (a
 /// gradient norm summed in hash order changes the clipped Adam step).
-const L2_HOT_PATHS: [&str; 13] = [
+const L2_HOT_PATHS: [&str; 12] = [
     "crates/core/src/search.rs",
     "crates/core/src/tree_search.rs",
     "crates/core/src/branch.rs",
     "crates/core/src/reward.rs",
     "crates/core/src/baselines.rs",
     "crates/core/src/engine.rs",
-    "crates/core/src/mdp.rs",
     "crates/core/src/executor.rs",
     "crates/core/src/memo.rs",
     "crates/core/src/parallel.rs",

@@ -255,7 +255,7 @@ fn l6_fires_on_tree_constructor_binding_and_field_forms() {
                    let b = s.model.clone();\n\
                    let c = s.base.clone();\n\
                }\n";
-    let found = lints_of("crates/core/src/mdp.rs", src);
+    let found = lints_of("crates/core/src/branch.rs", src);
     assert_eq!(
         found.iter().filter(|&&l| l == Lint::L6HotClone).count(),
         3,
