@@ -77,7 +77,10 @@ impl TrainedEvaluator {
 
     /// The trained teacher's test accuracy.
     pub fn teacher_accuracy(&self) -> f64 {
-        f64::from(self.teacher.accuracy(self.test.images(), self.test.labels()))
+        f64::from(
+            self.teacher
+                .accuracy(self.test.images(), self.test.labels()),
+        )
     }
 
     /// Distills a compressed candidate and returns its test accuracy.

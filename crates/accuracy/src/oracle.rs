@@ -190,8 +190,7 @@ impl AccuracyOracle {
         }
         // Variable damage saturates; each action also pays a flat cost.
         let cap = self.cfg.saturation_pp.max(1e-9);
-        let mut total_pp =
-            cap * (raw_pp / cap).tanh() + self.cfg.flat_pp * losses.len() as f64;
+        let mut total_pp = cap * (raw_pp / cap).tanh() + self.cfg.flat_pp * losses.len() as f64;
         // Distillation recovers a calibrated fraction of the loss.
         total_pp *= 1.0 - self.cfg.distill_recovery;
         // Deterministic jitter so distinct plans with equal structure
@@ -290,7 +289,10 @@ mod tests {
         let base = zoo::vgg11_cifar();
         let early = o.evaluate(&base, &[act(0, Technique::W1FilterPrune)]);
         let late = o.evaluate(&base, &[act(10, Technique::W1FilterPrune)]);
-        assert!(early < late, "early {early} should lose more than late {late}");
+        assert!(
+            early < late,
+            "early {early} should lose more than late {late}"
+        );
     }
 
     #[test]
@@ -309,7 +311,10 @@ mod tests {
         let one = o.evaluate(&base, &[act(4, Technique::C1MobileNet)]);
         let two = o.evaluate(
             &base,
-            &[act(4, Technique::C1MobileNet), act(5, Technique::C1MobileNet)],
+            &[
+                act(4, Technique::C1MobileNet),
+                act(5, Technique::C1MobileNet),
+            ],
         );
         let four = o.evaluate(
             &base,

@@ -41,8 +41,11 @@ pub enum BottleneckKnob {
 
 impl BottleneckKnob {
     /// All knob settings, mildest first.
-    pub const ALL: [BottleneckKnob; 3] =
-        [BottleneckKnob::Off, BottleneckKnob::Half, BottleneckKnob::Quarter];
+    pub const ALL: [BottleneckKnob; 3] = [
+        BottleneckKnob::Off,
+        BottleneckKnob::Half,
+        BottleneckKnob::Quarter,
+    ];
 
     /// Element-count divisor (`1`, `2` or `4`).
     pub fn divisor(self) -> u64 {
@@ -148,15 +151,42 @@ impl FeatureAction {
 
     /// All actions in `index` order (bottleneck-major).
     pub const ALL: [FeatureAction; FeatureAction::COUNT] = [
-        FeatureAction { bottleneck: BottleneckKnob::Off, quant: QuantKnob::F32 },
-        FeatureAction { bottleneck: BottleneckKnob::Off, quant: QuantKnob::Int8 },
-        FeatureAction { bottleneck: BottleneckKnob::Off, quant: QuantKnob::Int4 },
-        FeatureAction { bottleneck: BottleneckKnob::Half, quant: QuantKnob::F32 },
-        FeatureAction { bottleneck: BottleneckKnob::Half, quant: QuantKnob::Int8 },
-        FeatureAction { bottleneck: BottleneckKnob::Half, quant: QuantKnob::Int4 },
-        FeatureAction { bottleneck: BottleneckKnob::Quarter, quant: QuantKnob::F32 },
-        FeatureAction { bottleneck: BottleneckKnob::Quarter, quant: QuantKnob::Int8 },
-        FeatureAction { bottleneck: BottleneckKnob::Quarter, quant: QuantKnob::Int4 },
+        FeatureAction {
+            bottleneck: BottleneckKnob::Off,
+            quant: QuantKnob::F32,
+        },
+        FeatureAction {
+            bottleneck: BottleneckKnob::Off,
+            quant: QuantKnob::Int8,
+        },
+        FeatureAction {
+            bottleneck: BottleneckKnob::Off,
+            quant: QuantKnob::Int4,
+        },
+        FeatureAction {
+            bottleneck: BottleneckKnob::Half,
+            quant: QuantKnob::F32,
+        },
+        FeatureAction {
+            bottleneck: BottleneckKnob::Half,
+            quant: QuantKnob::Int8,
+        },
+        FeatureAction {
+            bottleneck: BottleneckKnob::Half,
+            quant: QuantKnob::Int4,
+        },
+        FeatureAction {
+            bottleneck: BottleneckKnob::Quarter,
+            quant: QuantKnob::F32,
+        },
+        FeatureAction {
+            bottleneck: BottleneckKnob::Quarter,
+            quant: QuantKnob::Int8,
+        },
+        FeatureAction {
+            bottleneck: BottleneckKnob::Quarter,
+            quant: QuantKnob::Int4,
+        },
     ];
 
     /// Whether this is the identity (no feature compression).
@@ -296,16 +326,34 @@ mod tests {
     fn stronger_knobs_never_transfer_more() {
         let raw = 12_345_678u64;
         for q in QuantKnob::ALL {
-            let off = FeatureAction { bottleneck: BottleneckKnob::Off, quant: q };
-            let half = FeatureAction { bottleneck: BottleneckKnob::Half, quant: q };
-            let quarter = FeatureAction { bottleneck: BottleneckKnob::Quarter, quant: q };
+            let off = FeatureAction {
+                bottleneck: BottleneckKnob::Off,
+                quant: q,
+            };
+            let half = FeatureAction {
+                bottleneck: BottleneckKnob::Half,
+                quant: q,
+            };
+            let quarter = FeatureAction {
+                bottleneck: BottleneckKnob::Quarter,
+                quant: q,
+            };
             assert!(half.compressed_bytes(raw) <= off.compressed_bytes(raw));
             assert!(quarter.compressed_bytes(raw) <= half.compressed_bytes(raw));
         }
         for b in BottleneckKnob::ALL {
-            let f32_ = FeatureAction { bottleneck: b, quant: QuantKnob::F32 };
-            let i8_ = FeatureAction { bottleneck: b, quant: QuantKnob::Int8 };
-            let i4_ = FeatureAction { bottleneck: b, quant: QuantKnob::Int4 };
+            let f32_ = FeatureAction {
+                bottleneck: b,
+                quant: QuantKnob::F32,
+            };
+            let i8_ = FeatureAction {
+                bottleneck: b,
+                quant: QuantKnob::Int8,
+            };
+            let i4_ = FeatureAction {
+                bottleneck: b,
+                quant: QuantKnob::Int4,
+            };
             assert!(i8_.compressed_bytes(raw) <= f32_.compressed_bytes(raw));
             assert!(i4_.compressed_bytes(raw) <= i8_.compressed_bytes(raw));
         }

@@ -99,7 +99,11 @@ pub fn svd(a: &Matrix) -> Svd {
         sigma_sorted[new_j] = sigma[old_j];
         let s = sigma[old_j];
         for i in 0..m {
-            *u.at_mut(i, new_j) = if s > 1e-20 { work.at(i, old_j) / s } else { 0.0 };
+            *u.at_mut(i, new_j) = if s > 1e-20 {
+                work.at(i, old_j) / s
+            } else {
+                0.0
+            };
         }
         for i in 0..n {
             *v_sorted.at_mut(i, new_j) = v.at(i, old_j);
@@ -178,7 +182,10 @@ pub fn low_rank_factors(a: &Matrix, k: usize) -> (Matrix, Matrix) {
 ///
 /// Panics if `k == 0` or `threshold` is not in `[0, 1)`.
 pub fn sparse_low_rank_factors(a: &Matrix, k: usize, threshold: f32) -> (Matrix, Matrix, f32) {
-    assert!((0.0..1.0).contains(&threshold), "threshold must be in [0,1)");
+    assert!(
+        (0.0..1.0).contains(&threshold),
+        "threshold must be in [0,1)"
+    );
     let (mut p, mut q) = low_rank_factors(a, k);
     let mut nnz = 0usize;
     let mut total = 0usize;

@@ -188,7 +188,11 @@ impl Technique {
             }
             Technique::C2MobileNetV2 => matches!(
                 layer,
-                LayerSpec::Conv2d { kernel: 3, pad: 1, .. }
+                LayerSpec::Conv2d {
+                    kernel: 3,
+                    pad: 1,
+                    ..
+                }
             ),
             Technique::C3SqueezeNet => {
                 // A Fire module only saves MACCs when the input is already
@@ -352,11 +356,7 @@ fn apply_gap(spec: &ModelSpec, idx: usize) -> Result<ModelSpec, CompressError> {
     layers.push(LayerSpec::conv(1, 1, 0, classes));
     layers.push(LayerSpec::GlobalAvgPool);
     layers.push(LayerSpec::Flatten);
-    let mut out = ModelSpec::new(
-        format!("{}+F3", spec.name()),
-        spec.input_shape(),
-        layers,
-    )?;
+    let mut out = ModelSpec::new(format!("{}+F3", spec.name()), spec.input_shape(), layers)?;
     out.set_name(format!("{}+F3@{idx}", spec.name()));
     Ok(out)
 }
@@ -380,7 +380,11 @@ mod tests {
                 base.total_maccs(),
                 out.total_maccs()
             );
-            assert_eq!(out.output_shape(), base.output_shape(), "{t} changed output");
+            assert_eq!(
+                out.output_shape(),
+                base.output_shape(),
+                "{t} changed output"
+            );
         }
     }
 
