@@ -8,35 +8,38 @@ use cadmc_latency::Mbps;
 use cadmc_nn::ModelSpec;
 use cadmc_telemetry as telemetry;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 
 use crate::branch::SearchOutcome;
 use crate::candidate::{Candidate, Partition};
 use crate::delta::DeltaState;
 use crate::env::EvalEnv;
 use crate::memo::MemoPool;
-use crate::parallel::{par_map_indexed, Parallelism};
+use crate::parallel::{episode_stream, par_map_indexed, Parallelism, BASELINE_SALT};
 use crate::reward::Evaluation;
 use crate::validate::{self, ValidateError};
 
 /// Episodes per proposal batch: within a batch, proposals are generated in
-/// parallel from the best candidate *at batch start* (each episode on its
-/// own `seed ^ episode` RNG stream); best-so-far tracking is then applied
-/// sequentially in episode order. Fixed — independent of worker count — so
-/// results are bit-identical for any [`Parallelism`].
+/// parallel from the best *at batch start* (each episode on its own
+/// [`episode_stream`]); best-so-far tracking is then applied sequentially
+/// in episode order. Fixed — independent of worker count — so results are
+/// bit-identical for any [`Parallelism`].
 const BASELINE_BATCH: usize = 8;
+
+/// The partition that runs the first `edge_len` of `base`'s layers on
+/// the edge (the inverse of [`Partition::edge_len`]).
+fn partition_with_edge_len(base: &ModelSpec, edge_len: usize) -> Partition {
+    if edge_len == base.len() {
+        Partition::AllEdge
+    } else {
+        Partition::from_cut_index(Some(edge_len))
+    }
+}
 
 /// Samples a uniformly random partition for `base`.
 pub fn random_partition(base: &ModelSpec, rng: &mut StdRng) -> Partition {
     // Options: all-cloud, interior cuts, all-edge — uniform over L+1.
-    let pick = rng.random_range(0..=base.len());
-    if pick == 0 {
-        Partition::AllCloud
-    } else if pick == base.len() {
-        Partition::AllEdge
-    } else {
-        Partition::AfterLayer(pick - 1)
-    }
+    partition_with_edge_len(base, rng.random_range(0..=base.len()))
 }
 
 /// Samples a uniformly random applicable compression plan for the first
@@ -70,14 +73,6 @@ pub fn random_plan(base: &ModelSpec, edge_len: usize, rng: &mut StdRng) -> Compr
     plan
 }
 
-fn edge_len_of(base: &ModelSpec, p: Partition) -> usize {
-    match p {
-        Partition::AllEdge => base.len(),
-        Partition::AllCloud => 0,
-        Partition::AfterLayer(i) => i + 1,
-    }
-}
-
 /// Samples a uniform (partition, plan) proposal. With `feature_actions`
 /// a transfer-bearing cut also draws a uniform feature action, so the
 /// plain path draws exactly the partition and plan samples.
@@ -87,8 +82,9 @@ fn random_proposal(
     feature_actions: bool,
 ) -> (Partition, CompressionPlan, FeatureAction) {
     let partition = random_partition(base, rng);
-    let plan = random_plan(base, edge_len_of(base, partition), rng);
-    let feature = if feature_actions && edge_len_of(base, partition) < base.len() {
+    let edge_len = partition.edge_len(base.len());
+    let plan = random_plan(base, edge_len, rng);
+    let feature = if feature_actions && edge_len < base.len() {
         random_feature(rng)
     } else {
         FeatureAction::IDENTITY
@@ -109,11 +105,48 @@ fn random_candidate(base: &ModelSpec, rng: &mut StdRng) -> Candidate {
     Candidate::compose(base, partition, &plan).expect("random plans are applicable")
 }
 
-/// Proposals stay as (partition, plan) decisions so the episode loop can
-/// probe the memo by delta key and only compose candidates on misses or
+/// The batched episode loop of every baseline, in the branch space and
+/// in Fig. 7's tree space. Batches of [`BASELINE_BATCH`] episodes roll
+/// out in parallel, episode `e` on `episode_stream(seed, salt, e)`:
+/// `rollout` proposes from the best at batch start and scores the
+/// proposal. A strictly better score then becomes the new best, in
+/// episode order, through `improve`. Returns every episode's score and
+/// the improvers in order, ending with the best.
+pub(crate) fn run_search<T: Send, A: Sync>(
+    episodes: usize,
+    seed: u64,
+    salt: u64,
+    par: Parallelism,
+    rollout: impl Fn(usize, &mut StdRng, Option<&A>) -> (T, f64) + Sync,
+    mut improve: impl FnMut(T) -> A,
+) -> (Vec<f64>, Vec<A>) {
+    let mut scores = Vec::with_capacity(episodes);
+    let mut improvers: Vec<A> = Vec::new();
+    let mut best: Option<f64> = None;
+    for batch_start in (0..episodes).step_by(BASELINE_BATCH) {
+        let batch_len = BASELINE_BATCH.min(episodes - batch_start);
+        let rollouts = par_map_indexed(batch_len, par.workers, |offset| {
+            let episode = batch_start + offset;
+            let mut rng = episode_stream(seed, salt, episode);
+            rollout(episode, &mut rng, improvers.last())
+        });
+        for (proposal, score) in rollouts {
+            scores.push(score);
+            if best.is_none_or(|b| score > b) {
+                best = Some(score);
+                improvers.push(improve(proposal));
+            }
+        }
+    }
+    (scores, improvers)
+}
+
+/// Runs a baseline over the (partition × compression) space. Proposals
+/// stay as (partition, plan) decisions so the episode loop can probe the
+/// memo by delta key and only compose candidates on misses or
 /// improvements — the same deferral the RL hot path uses.
 #[allow(clippy::too_many_arguments)]
-fn run_search(
+fn search_branch_space(
     base: &ModelSpec,
     env: &EvalEnv,
     bandwidth: Mbps,
@@ -138,45 +171,32 @@ fn run_search(
         bandwidth = bandwidth.0,
         workers = par.workers,
     );
-    let mut episode_rewards = Vec::with_capacity(episodes);
-    let mut best: Option<(Candidate, Evaluation)> = None;
-    let mut improvers: Vec<(Candidate, Evaluation)> = Vec::new();
-    let mut batch_start = 0;
-    while batch_start < episodes {
-        let batch_end = (batch_start + BASELINE_BATCH).min(episodes);
-        let anchor = best.as_ref().map(|(c, _)| c.clone());
-        let rollouts = par_map_indexed(batch_end - batch_start, par.workers, |offset| {
-            let episode = batch_start + offset;
+    let (episode_rewards, improvers) = run_search(
+        episodes,
+        seed,
+        BASELINE_SALT,
+        par,
+        |episode, rng, best: Option<&(Candidate, Evaluation)>| {
             let episode_span = telemetry::span!("baseline.episode", episode = episode);
-            let mut rng = StdRng::seed_from_u64(seed ^ episode as u64);
-            let (partition, plan, feature) = propose(&mut rng, anchor.as_ref());
+            let (partition, plan, feature) = propose(rng, best.map(|(c, _)| c));
             let mut delta = DeltaState::from_plan(base, partition, &plan);
             delta.set_feature(feature);
-            let key = delta.eval_key(bandwidth.0);
-            let eval = memo.get_key(key).unwrap_or_else(|| {
+            let eval = memo.get_or_insert_key_with(delta.eval_key(bandwidth.0), || {
                 let candidate = delta.materialize().expect("random plans are applicable");
-                let e = env.evaluate(base, &candidate, bandwidth);
-                memo.insert_key(key, e);
-                e
+                env.evaluate(base, &candidate, bandwidth)
             });
             episode_span.record("reward", eval.reward);
-            (delta, eval)
-        });
-        for (delta, eval) in rollouts {
-            episode_rewards.push(eval.reward);
-            let replace = match &best {
-                Some((_, be)) => eval.reward > be.reward,
-                None => true,
-            };
-            if replace {
-                let candidate = delta.materialize().expect("random plans are applicable");
-                improvers.push((candidate.clone(), eval));
-                best = Some((candidate, eval));
-            }
-        }
-        batch_start = batch_end;
-    }
-    let (best, best_eval) = best.expect("episodes >= 1 was validated");
+            ((delta, eval), eval.reward)
+        },
+        |(delta, eval)| {
+            let candidate = delta.materialize().expect("random plans are applicable");
+            (candidate, eval)
+        },
+    );
+    let (best, best_eval) = improvers
+        .last()
+        .cloned()
+        .expect("episodes >= 1 was validated");
     search_span.record("best_reward", best_eval.reward);
     Ok(SearchOutcome {
         best,
@@ -207,7 +227,7 @@ pub fn random_search(
     par: Parallelism,
     feature_actions: bool,
 ) -> Result<SearchOutcome, ValidateError> {
-    run_search(base, env, bandwidth, episodes, seed, memo, par, |rng, _| {
+    search_branch_space(base, env, bandwidth, episodes, seed, memo, par, |rng, _| {
         random_proposal(base, rng, feature_actions)
     })
 }
@@ -242,7 +262,7 @@ pub fn epsilon_greedy_search(
             detail: format!("probability {epsilon} must be in [0, 1]"),
         });
     }
-    run_search(
+    search_branch_space(
         base,
         env,
         bandwidth,
@@ -273,23 +293,16 @@ fn mutate(
     }
     if rng.random_range(0.0..1.0) < 0.5 {
         // Nudge the partition point by one layer.
-        let cur = match partition {
-            Partition::AllCloud => 0isize,
-            Partition::AfterLayer(i) => i as isize + 1,
-            Partition::AllEdge => base.len() as isize,
-        };
-        let next =
-            (cur + if rng.random_range(0..2) == 0 { -1 } else { 1 }).clamp(0, base.len() as isize);
-        partition = if next == 0 {
-            Partition::AllCloud
-        } else if next == base.len() as isize {
-            Partition::AllEdge
+        let cur = partition.edge_len(base.len());
+        let next = if rng.random_range(0..2) == 0 {
+            cur.saturating_sub(1)
         } else {
-            Partition::AfterLayer(next as usize - 1)
+            (cur + 1).min(base.len())
         };
+        partition = partition_with_edge_len(base, next);
     } else {
         // Re-randomize one layer's action within the edge region.
-        let edge_len = edge_len_of(base, partition);
+        let edge_len = partition.edge_len(base.len());
         if edge_len > 0 {
             let i = rng.random_range(0..edge_len);
             let fresh = random_plan(base, edge_len, rng);
@@ -299,8 +312,7 @@ fn mutate(
     // Clamp the plan to the edge region; conflicts the mutation may have
     // introduced (e.g. a second F3) are dropped when the plan composes —
     // `Candidate::compose` sanitizes, so proposals stay total.
-    let edge_len = edge_len_of(base, partition);
-    for i in edge_len..base.len() {
+    for i in partition.edge_len(base.len())..base.len() {
         plan.set(i, None);
     }
     (partition, plan, current.feature)
@@ -310,6 +322,7 @@ fn mutate(
 mod tests {
     use super::*;
     use cadmc_nn::zoo;
+    use rand::SeedableRng;
 
     #[test]
     fn random_search_finds_valid_candidates() {

@@ -12,14 +12,13 @@ use cadmc_latency::Mbps;
 use cadmc_nn::ModelSpec;
 use cadmc_telemetry as telemetry;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::candidate::Candidate;
 use crate::controller::{EpisodeTape, ForwardCache};
 use crate::delta::{DeltaState, EdgePrefixes};
 use crate::env::EvalEnv;
 use crate::memo::MemoPool;
-use crate::parallel::par_map_indexed;
+use crate::parallel::{episode_stream, par_map_indexed, BRANCH_SALT};
 use crate::reward::Evaluation;
 use crate::search::{to_partition, Controllers, SearchConfig};
 use crate::validate::{self, ValidateError};
@@ -145,9 +144,6 @@ pub fn sample_delta<'a>(
     (tape, delta)
 }
 
-/// RNG stream salt for the branch search (`"branch"`).
-const BRANCH_SALT: u64 = 0x6272_616e_6368;
-
 /// Histogram buckets for Eq. 7 episode rewards (they land in 0..400).
 pub(crate) const REWARD_BOUNDS: &[f64] = &[0.0, 25.0, 50.0, 75.0, 100.0, 150.0, 200.0, 300.0];
 
@@ -156,7 +152,7 @@ pub(crate) const REWARD_BOUNDS: &[f64] = &[0.0, 25.0, 50.0, 75.0, 100.0, 150.0, 
 ///
 /// Episodes are rolled out in batches of `cfg.rollout_batch` from frozen
 /// controller parameters — in parallel across `cfg.parallelism.workers`
-/// threads, each episode on its own `seed ^ episode` RNG stream — and the
+/// threads, each episode on its own [`episode_stream`] — and the
 /// policy updates are then applied sequentially in episode order, so the
 /// result is bit-identical for any worker count.
 ///
@@ -197,7 +193,7 @@ pub fn optimal_branch(
             par_map_indexed(batch_end - batch_start, cfg.parallelism.workers, |offset| {
                 let episode = batch_start + offset;
                 let episode_span = telemetry::span!("branch.episode", episode = episode);
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ BRANCH_SALT ^ episode as u64);
+                let mut rng = episode_stream(cfg.seed, BRANCH_SALT, episode);
                 let (tape, delta) = sample_delta(
                     shared,
                     forwards,
@@ -209,15 +205,12 @@ pub fn optimal_branch(
                     cfg.explore_epsilon,
                 );
                 // Probe by the delta's key; compose only on a miss.
-                let key = delta.eval_key(bandwidth.0);
-                let eval = memo.get_key(key).unwrap_or_else(|| {
+                let eval = memo.get_or_insert_key_with(delta.eval_key(bandwidth.0), || {
                     let _eval_span = telemetry::span!("eval.candidate");
                     let candidate = delta
                         .materialize()
                         .expect("sampled plans are applicable by construction");
-                    let e = env.evaluate(base, &candidate, bandwidth);
-                    memo.insert_key(key, e);
-                    e
+                    env.evaluate(base, &candidate, bandwidth)
                 });
                 episode_span.record("reward", eval.reward);
                 (tape, delta, eval)
@@ -261,6 +254,7 @@ pub fn optimal_branch(
 mod tests {
     use super::*;
     use cadmc_nn::zoo;
+    use rand::SeedableRng;
 
     #[test]
     fn branch_search_beats_or_matches_surgery() {

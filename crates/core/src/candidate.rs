@@ -38,6 +38,25 @@ impl Partition {
             }
         }
     }
+
+    /// The base-layer index of the first cloud layer, as tree nodes
+    /// record a cut (`None` when nothing runs on the cloud).
+    pub fn cut_index(self) -> Option<usize> {
+        match self {
+            Partition::AllEdge => None,
+            Partition::AllCloud => Some(0),
+            Partition::AfterLayer(i) => Some(i + 1),
+        }
+    }
+
+    /// Inverse of [`Partition::cut_index`].
+    pub fn from_cut_index(cut: Option<usize>) -> Self {
+        match cut {
+            None => Partition::AllEdge,
+            Some(0) => Partition::AllCloud,
+            Some(abs) => Partition::AfterLayer(abs - 1),
+        }
+    }
 }
 
 impl std::fmt::Display for Partition {

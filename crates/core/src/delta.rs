@@ -149,8 +149,7 @@ impl<'a> DeltaState<'a> {
     }
 
     /// Memo key for this decision at a bandwidth, quantized to 0.01 Mbps
-    /// exactly like [`crate::memo::MemoPool::key`] so replayed levels hit
-    /// the same entry.
+    /// so replayed levels hit the same entry.
     pub fn eval_key(&self, bandwidth_mbps: f64) -> u64 {
         mix(
             self.fingerprint(),

@@ -3,20 +3,24 @@
 //! the same episode budget (the paper uses the "4G indoor static"
 //! context; exhaustive search is ruled out by the exponential space).
 
-use cadmc_latency::{Mbps, Platform};
+use std::ops::Range;
+
+use cadmc_accuracy::AppliedAction;
+use cadmc_compress::FeatureAction;
+use cadmc_latency::Platform;
 use cadmc_netsim::Scenario;
 use cadmc_nn::ModelSpec;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 
-use crate::baselines::random_plan;
+use crate::baselines::{random_plan, run_search};
 use crate::context::NetworkContext;
 use crate::env::EvalEnv;
 use crate::memo::MemoPool;
-use crate::parallel::{par_map_indexed, Parallelism};
+use crate::parallel::{Parallelism, EGREEDY_TREE_SALT, RANDOM_TREE_SALT};
 use crate::search::{Controllers, SearchConfig};
 use crate::tree::{ModelTree, TreeNode};
-use crate::tree_search::tree_search;
+use crate::tree_search::{score_leaves, tree_search};
 use crate::validate::ValidateError;
 
 use super::{K_LEVELS, N_BLOCKS};
@@ -55,6 +59,41 @@ fn best_so_far(scores: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// Draws a uniform cut for the block `range`: before one of its layers,
+/// or none.
+fn random_cut(range: &Range<usize>, rng: &mut StdRng) -> Option<usize> {
+    let pick = rng.random_range(0..=range.len());
+    (pick < range.len()).then_some(range.start + pick)
+}
+
+/// Draws a uniform compression plan for the layers of the block `range`
+/// before `cut`.
+fn random_actions(
+    base: &ModelSpec,
+    range: &Range<usize>,
+    cut: Option<usize>,
+    rng: &mut StdRng,
+) -> Vec<AppliedAction> {
+    let compress_len = cut.map_or(range.len(), |c| c - range.start);
+    if compress_len == 0 {
+        return Vec::new();
+    }
+    let block = base
+        .slice(range.start, range.start + compress_len)
+        .expect("valid block slice");
+    let plan = random_plan(&block, compress_len, rng);
+    plan.actions()
+        .iter()
+        .enumerate()
+        .filter_map(|(local, a)| {
+            a.map(|technique| AppliedAction {
+                layer_index: range.start + local,
+                technique,
+            })
+        })
+        .collect()
+}
+
 /// Generates a uniformly random model tree (the random-search proposal).
 fn random_tree(base: &ModelSpec, levels: &[f64], rng: &mut StdRng) -> ModelTree {
     let mut tree = ModelTree::new(base.clone(), N_BLOCKS, levels.to_vec());
@@ -62,36 +101,15 @@ fn random_tree(base: &ModelSpec, levels: &[f64], rng: &mut StdRng) -> ModelTree 
     while let Some(parent) = frontier.pop() {
         let level = parent.map_or(0, |p| tree.nodes()[p].level + 1);
         let range = tree.block_range(level);
-        let block_len = range.len();
-        // Uniform over: cut before each local layer, or no partition.
-        let pick = rng.random_range(0..=block_len);
-        let (partition_abs, compress_len) = if pick == block_len {
-            (None, block_len)
-        } else {
-            (Some(range.start + pick), pick)
-        };
-        let mut actions = Vec::new();
-        if compress_len > 0 {
-            let block = base
-                .slice(range.start, range.start + compress_len)
-                .expect("valid block slice");
-            let plan = random_plan(&block, compress_len, rng);
-            for (local, a) in plan.actions().iter().enumerate() {
-                if let Some(t) = a {
-                    actions.push(cadmc_accuracy::AppliedAction {
-                        layer_index: range.start + local,
-                        technique: *t,
-                    });
-                }
-            }
-        }
+        let partition_abs = random_cut(&range, rng);
+        let actions = random_actions(base, &range, partition_abs, rng);
         let id = tree.push_node(
             parent,
             TreeNode {
                 level,
                 partition_abs,
                 actions,
-                feature: cadmc_compress::FeatureAction::IDENTITY,
+                feature: FeatureAction::IDENTITY,
                 children: Vec::new(),
                 reward: 0.0,
             },
@@ -105,90 +123,35 @@ fn random_tree(base: &ModelSpec, levels: &[f64], rng: &mut StdRng) -> ModelTree 
     tree
 }
 
-/// Scores a tree by its mean branch reward (leaves evaluated at the level
-/// of the fork that reaches them).
-fn score_tree(tree: &mut ModelTree, base: &ModelSpec, env: &EvalEnv, memo: &MemoPool) -> f64 {
-    let branches = tree.branches();
-    for path in &branches {
-        let leaf = *path.last().expect("non-empty branch");
-        let candidate = tree.compose_path(path);
-        let reward = if path.len() >= 2 {
-            let parent = path[path.len() - 2];
-            let fork = tree.nodes()[parent]
-                .children
-                .iter()
-                .position(|&c| c == leaf)
-                .expect("leaf is its parent's child");
-            let bw = tree.levels()[fork];
-            memo.get_or_insert_with(&candidate, bw, || env.evaluate(base, &candidate, Mbps(bw)))
-                .reward
-        } else {
-            // Root-only trees are judged across all levels.
-            let levels = tree.levels().to_vec();
-            levels
-                .iter()
-                .map(|&bw| {
-                    memo.get_or_insert_with(&candidate, bw, || {
-                        env.evaluate(base, &candidate, Mbps(bw))
-                    })
-                    .reward
-                })
-                .sum::<f64>()
-                / levels.len() as f64
-        };
-        tree.node_mut(leaf).reward = reward;
-    }
-    tree.mean_branch_reward()
-}
-
-/// Mutates one random node of a tree: re-randomizes its partition and
-/// compression actions (the ε-greedy "exploit" move).
+/// Mutates one random node of a tree: re-randomizes its compression
+/// actions, and its partition too if it is a last-level leaf (the
+/// ε-greedy "exploit" move). The tree's shape stays intact.
 fn mutate_tree(tree: &ModelTree, base: &ModelSpec, rng: &mut StdRng) -> ModelTree {
     let mut out = tree.clone();
     if out.nodes().is_empty() {
         return out;
     }
     let id = rng.random_range(0..out.nodes().len());
-    let level = out.nodes()[id].level;
-    let range = out.block_range(level);
-    // Only mutate non-partitioning content to keep the tree shape intact:
-    // re-randomize compression, and toggle partition only for leaves.
-    let is_leafish = out.nodes()[id].children.is_empty();
-    let block_len = range.len();
-    let (partition_abs, compress_len) = if is_leafish && level + 1 == N_BLOCKS {
-        let pick = rng.random_range(0..=block_len);
-        if pick == block_len {
-            (None, block_len)
-        } else {
-            (Some(range.start + pick), pick)
-        }
+    let node = &out.nodes()[id];
+    let range = out.block_range(node.level);
+    let partition_abs = if node.children.is_empty() && node.level + 1 == N_BLOCKS {
+        random_cut(&range, rng)
     } else {
-        (out.nodes()[id].partition_abs, {
-            let cut = out.nodes()[id].partition_abs;
-            cut.map_or(block_len, |c| c - range.start)
-        })
+        node.partition_abs
     };
-    let mut actions = Vec::new();
-    if compress_len > 0 {
-        let block = base
-            .slice(range.start, range.start + compress_len)
-            .expect("valid block slice");
-        let plan = random_plan(&block, compress_len, rng);
-        for (local, a) in plan.actions().iter().enumerate() {
-            if let Some(t) = a {
-                actions.push(cadmc_accuracy::AppliedAction {
-                    layer_index: range.start + local,
-                    technique: *t,
-                });
-            }
-        }
-    }
-    {
-        let node = out.node_mut(id);
-        node.partition_abs = partition_abs;
-        node.actions = actions;
-    }
+    let actions = random_actions(base, &range, partition_abs, rng);
+    let node = out.node_mut(id);
+    node.partition_abs = partition_abs;
+    node.actions = actions;
     out
+}
+
+/// Scores a proposed tree by its mean branch reward, through the tree
+/// search's leaf scoring.
+fn scored(mut tree: ModelTree, env: &EvalEnv, memo: &MemoPool) -> (ModelTree, f64) {
+    score_leaves(&mut tree, env, memo);
+    let score = tree.mean_branch_reward();
+    (tree, score)
 }
 
 /// Runs the three searches with equal episode budgets and returns their
@@ -233,46 +196,34 @@ pub fn search_comparison(
     )?;
     let rl = best_so_far(&rl_result.episode_scores);
 
-    // Random search: every episode is independent, so the whole budget
-    // fans out at once — each episode on its own `seed ^ episode` stream.
+    // The tree-space baselines run the branch-space baselines' episode
+    // loop; ε-greedy (ε = 0.3) mutates the best tree at batch start.
     let memo_r = MemoPool::new();
-    let random_scores = par_map_indexed(episodes, par.workers, |episode| {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x72616e64 ^ episode as u64);
-        let mut t = random_tree(base, &levels, &mut rng);
-        score_tree(&mut t, base, &env, &memo_r)
-    });
+    let (random_scores, _) = run_search(
+        episodes,
+        seed,
+        RANDOM_TREE_SALT,
+        par,
+        |_, rng, _: Option<&ModelTree>| scored(random_tree(base, &levels, rng), &env, &memo_r),
+        |tree| tree,
+    );
     let random = best_so_far(&random_scores);
 
-    // ε-greedy search (ε = 0.3), batched like the baselines: proposals in
-    // a batch mutate the best tree at batch start, then best-tracking is
-    // applied sequentially in episode order (bit-identical for any worker
-    // count).
     let memo_e = MemoPool::new();
-    let mut best_tree: Option<(ModelTree, f64)> = None;
-    let mut eg_scores = Vec::with_capacity(episodes);
-    let mut batch_start = 0;
-    while batch_start < episodes {
-        let batch_end = (batch_start + cfg.rollout_batch.max(1)).min(episodes);
-        let anchor = best_tree.as_ref().map(|(t, _)| t.clone());
-        let rollouts = par_map_indexed(batch_end - batch_start, par.workers, |offset| {
-            let episode = batch_start + offset;
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x65677265 ^ episode as u64);
-            let mut proposal = match &anchor {
-                Some(t) if rng.random_range(0.0..1.0) >= 0.3 => mutate_tree(t, base, &mut rng),
-                _ => random_tree(base, &levels, &mut rng),
+    let (eg_scores, _) = run_search(
+        episodes,
+        seed,
+        EGREEDY_TREE_SALT,
+        par,
+        |_, rng, best: Option<&ModelTree>| {
+            let proposal = match best {
+                Some(t) if rng.random_range(0.0..1.0) >= 0.3 => mutate_tree(t, base, rng),
+                _ => random_tree(base, &levels, rng),
             };
-            let score = score_tree(&mut proposal, base, &env, &memo_e);
-            (proposal, score)
-        });
-        for (proposal, score) in rollouts {
-            eg_scores.push(score);
-            let replace = best_tree.as_ref().is_none_or(|(_, s)| score > *s);
-            if replace {
-                best_tree = Some((proposal, score));
-            }
-        }
-        batch_start = batch_end;
-    }
+            scored(proposal, &env, &memo_e)
+        },
+        |tree| tree,
+    );
     let epsilon_greedy = best_so_far(&eg_scores);
 
     Ok(SearchComparison {

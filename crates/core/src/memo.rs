@@ -9,14 +9,11 @@
 //! [`MemoPool::publish_telemetry`] rather than printed ad hoc. The pool
 //! has no size bound: entries live as long as the pool.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cadmc_telemetry as telemetry;
 
-use crate::candidate::Candidate;
 use crate::reward::Evaluation;
 
 /// The locked state: entries plus the lookup counters.
@@ -27,8 +24,10 @@ struct Table {
     misses: usize,
 }
 
-/// Thread-safe evaluation cache keyed by (model structure, cut, quantized
-/// bandwidth).
+/// Thread-safe evaluation cache keyed by a decision's
+/// [`DeltaState::eval_key`]: (decision fingerprint, quantized bandwidth).
+///
+/// [`DeltaState::eval_key`]: crate::delta::DeltaState::eval_key
 #[derive(Debug, Default)]
 pub struct MemoPool {
     table: Mutex<Table>,
@@ -40,16 +39,6 @@ impl MemoPool {
         Self::default()
     }
 
-    /// Cache key for a candidate at a bandwidth (bandwidth quantized to
-    /// 0.01 Mbps so replayed levels hit the same entry).
-    pub fn key(candidate: &Candidate, bandwidth_mbps: f64) -> u64 {
-        let mut h = DefaultHasher::new();
-        candidate.model.structural_hash().hash(&mut h);
-        candidate.edge_layers.hash(&mut h);
-        ((bandwidth_mbps * 100.0).round() as i64).hash(&mut h);
-        h.finish()
-    }
-
     /// Locks the table, recovering from poisoning: a panicking evaluator
     /// can only leave the table in a consistent state (entries are
     /// inserted whole, counters bumped in the same critical section), so
@@ -59,22 +48,10 @@ impl MemoPool {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Returns the cached evaluation or computes and stores it. The lock
-    /// is never held while `compute` runs; two threads racing on the same
-    /// fresh key may both compute, but both store the same value so
-    /// lookups stay consistent.
-    pub fn get_or_insert_with(
-        &self,
-        candidate: &Candidate,
-        bandwidth_mbps: f64,
-        compute: impl FnOnce() -> Evaluation,
-    ) -> Evaluation {
-        self.get_or_insert_key_with(Self::key(candidate, bandwidth_mbps), compute)
-    }
-
-    /// Key-addressed form of [`MemoPool::get_or_insert_with`], for callers
-    /// that derive the key without composing a candidate (the delta-state
-    /// hot path).
+    /// Returns the cached evaluation under `key` or computes and stores
+    /// it, counting one hit or one miss. The lock is never held while
+    /// `compute` runs; two threads racing on the same fresh key may both
+    /// compute, but both store the same value so lookups stay consistent.
     pub fn get_or_insert_key_with(
         &self,
         key: u64,
@@ -99,12 +76,6 @@ impl MemoPool {
     /// [`MemoPool::probe_many`], which already counted the miss.
     pub fn insert_key(&self, key: u64, e: Evaluation) {
         self.lock().map.insert(key, e);
-    }
-
-    /// Cached evaluation for a candidate, if present (no compute, counts
-    /// as a hit or miss).
-    pub fn get(&self, candidate: &Candidate, bandwidth_mbps: f64) -> Option<Evaluation> {
-        self.get_key(Self::key(candidate, bandwidth_mbps))
     }
 
     /// Cached evaluation under a key, if present (counts as a hit or
@@ -171,19 +142,25 @@ impl MemoPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate::Partition;
+    use crate::delta::DeltaState;
     use crate::reward::RewardSpec;
     use cadmc_nn::zoo;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// The memo key of the unmodified all-edge VGG11 at `bw` Mbps.
+    fn vgg_key(bw: f64) -> u64 {
+        DeltaState::new(&zoo::vgg11_cifar(), Partition::AllEdge).eval_key(bw)
+    }
+
     #[test]
     fn second_lookup_hits() {
         let pool = MemoPool::new();
-        let base = zoo::vgg11_cifar();
-        let c = Candidate::base_all_edge(&base);
+        let key = vgg_key(10.0);
         let spec = RewardSpec::default();
         let mut computed = 0;
         for _ in 0..3 {
-            let e = pool.get_or_insert_with(&c, 10.0, || {
+            let e = pool.get_or_insert_key_with(key, || {
                 computed += 1;
                 Evaluation::new(0.9, 50.0, &spec)
             });
@@ -201,19 +178,17 @@ mod tests {
         // and the entry was computed at most a few times (the
         // get/compute/insert window allows benign duplicate compute).
         let pool = std::sync::Arc::new(MemoPool::new());
-        let base = zoo::vgg11_cifar();
-        let c = Candidate::base_all_edge(&base);
+        let key = vgg_key(10.0);
         let spec = RewardSpec::default();
         let computed = std::sync::Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let pool = pool.clone();
-            let c = c.clone();
             let computed = computed.clone();
             handles.push(std::thread::spawn(move || {
                 let mut rewards = Vec::new();
                 for _ in 0..200 {
-                    let e = pool.get_or_insert_with(&c, 10.0, || {
+                    let e = pool.get_or_insert_key_with(key, || {
                         computed.fetch_add(1, Ordering::Relaxed);
                         Evaluation::new(0.9, 50.0, &RewardSpec::default())
                     });
@@ -237,26 +212,22 @@ mod tests {
 
     #[test]
     fn different_bandwidths_are_different_keys() {
-        let base = zoo::vgg11_cifar();
-        let c = Candidate::base_all_edge(&base);
-        assert_ne!(MemoPool::key(&c, 1.0), MemoPool::key(&c, 2.0));
-        assert_eq!(MemoPool::key(&c, 1.0), MemoPool::key(&c, 1.001));
+        assert_ne!(vgg_key(1.0), vgg_key(2.0));
+        assert_eq!(vgg_key(1.0), vgg_key(1.001));
     }
 
     #[test]
     fn counters_sum_to_lookups_across_threads() {
         // hits + misses must equal total lookups even under contention.
         let pool = std::sync::Arc::new(MemoPool::new());
-        let base = zoo::vgg11_cifar();
-        let c = Candidate::base_all_edge(&base);
+        let keys: Vec<u64> = (0..40).map(|i| vgg_key(1.0 + i as f64)).collect();
         let mut handles = Vec::new();
         for t in 0..4 {
             let pool = pool.clone();
-            let c = c.clone();
+            let keys = keys.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
-                    let bw = 1.0 + ((t * 100 + i) % 40) as f64;
-                    pool.get_or_insert_with(&c, bw, || {
+                    pool.get_or_insert_key_with(keys[(t * 100 + i) % 40], || {
                         Evaluation::new(0.9, 50.0, &RewardSpec::default())
                     });
                 }
@@ -275,12 +246,10 @@ mod tests {
     #[test]
     fn publish_telemetry_emits_exactly_the_three_totals() {
         let pool = MemoPool::new();
-        let base = zoo::vgg11_cifar();
-        let c = Candidate::base_all_edge(&base);
         let spec = RewardSpec::default();
-        pool.get_or_insert_with(&c, 1.0, || Evaluation::new(0.9, 50.0, &spec));
-        pool.get_or_insert_with(&c, 1.0, || unreachable!("must hit"));
-        pool.get_or_insert_with(&c, 2.0, || Evaluation::new(0.9, 60.0, &spec));
+        pool.get_or_insert_key_with(vgg_key(1.0), || Evaluation::new(0.9, 50.0, &spec));
+        pool.get_or_insert_key_with(vgg_key(1.0), || unreachable!("must hit"));
+        pool.get_or_insert_key_with(vgg_key(2.0), || Evaluation::new(0.9, 60.0, &spec));
         pool.publish_telemetry(); // telemetry off: no-op
         let ((), report) = cadmc_telemetry::testing::with_collector(|| {
             pool.publish_telemetry();
@@ -336,16 +305,15 @@ mod tests {
     }
 
     #[test]
-    fn key_api_interoperates_with_candidate_api() {
+    fn get_key_and_get_or_insert_key_with_share_entries() {
         let pool = MemoPool::new();
-        let base = zoo::vgg11_cifar();
-        let c = Candidate::base_all_edge(&base);
         let spec = RewardSpec::default();
-        let key = MemoPool::key(&c, 10.0);
+        let key = vgg_key(10.0);
         assert_eq!(pool.get_key(key), None);
-        let e = pool.get_or_insert_with(&c, 10.0, || Evaluation::new(0.9, 50.0, &spec));
+        let e = pool.get_or_insert_key_with(key, || Evaluation::new(0.9, 50.0, &spec));
         assert_eq!(pool.get_key(key), Some(e));
-        let via_key = pool.get_or_insert_key_with(key, || unreachable!("must hit"));
-        assert_eq!(via_key, e);
+        let again = pool.get_or_insert_key_with(key, || unreachable!("must hit"));
+        assert_eq!(again, e);
+        assert_eq!((pool.hits(), pool.misses()), (2, 2));
     }
 }

@@ -10,9 +10,13 @@
 //!
 //! Results are **bit-identical for any worker count**, by construction:
 //!
-//! * every episode draws from its own RNG stream, seeded as
-//!   `cfg.seed ^ salt ^ episode_index` (SplitMix64 seeding decorrelates
-//!   the nearby seeds), so no episode observes another's draws;
+//! * every episode draws from its own RNG stream, [`episode_stream`]
+//!   `(seed, salt, episode)`, so no episode observes another's draws.
+//!   It is the one place an episode stream is seeded. The salts sit
+//!   beside it: [`BRANCH_SALT`] (Alg. 1), [`TREE_SALT`] (Alg. 3),
+//!   [`RANDOM_TREE_SALT`] and [`EGREEDY_TREE_SALT`] (Fig. 7's tree-space
+//!   baselines), and [`BASELINE_SALT`], zero, for the branch-space random
+//!   and ε-greedy baselines;
 //! * the batch size is fixed by [`SearchConfig::rollout_batch`], not by
 //!   the worker count — workers only affect *scheduling*;
 //! * batch results are returned in episode order and all sequential state
@@ -22,6 +26,29 @@
 //! [`SearchConfig::rollout_batch`]: crate::search::SearchConfig::rollout_batch
 
 use cadmc_telemetry as telemetry;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Stream salt of the branch search, Alg. 1 (`"branch"`).
+pub const BRANCH_SALT: u64 = 0x6272_616e_6368;
+/// Stream salt of the tree search, Alg. 3 (`"tree"`).
+pub const TREE_SALT: u64 = 0x7472_6565;
+/// Stream salt of the branch-space random and ε-greedy baselines: none,
+/// so both draw the same streams.
+pub const BASELINE_SALT: u64 = 0;
+/// Stream salt of Fig. 7's tree-space random search (`"rand"`).
+pub const RANDOM_TREE_SALT: u64 = 0x7261_6e64;
+/// Stream salt of Fig. 7's tree-space ε-greedy search (`"egre"`).
+pub const EGREEDY_TREE_SALT: u64 = 0x6567_7265;
+
+/// The RNG stream of one search episode: `seed ^ salt ^ episode`.
+///
+/// The XOR does not mix: for a seed below 128, seeds only permute
+/// episodes 0–127 among themselves, so two such seeds share most of
+/// their streams.
+pub fn episode_stream(seed: u64, salt: u64, episode: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ salt ^ episode as u64)
+}
 
 /// Worker-pool sizing for episode rollouts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -42,8 +42,9 @@ pub struct SearchConfig {
     pub entropy_beta: f32,
     /// Episodes rolled out per policy snapshot: within a batch all
     /// episodes sample from the same frozen controller parameters (each
-    /// on its own `seed ^ episode` RNG stream), then their REINFORCE
-    /// updates are applied sequentially in episode order. This is what
+    /// on its own [`episode_stream`](crate::parallel::episode_stream)),
+    /// then their REINFORCE updates are applied sequentially in episode
+    /// order. This is what
     /// makes rollouts parallelizable without losing determinism — the
     /// batch size (not the worker count) defines the learning dynamics.
     pub rollout_batch: usize,

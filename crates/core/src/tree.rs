@@ -217,7 +217,6 @@ impl ModelTree {
     /// Panics if the path's recorded actions are inapplicable (cannot
     /// happen for paths built by the tree search).
     pub fn compose_path(&self, path: &[usize]) -> Candidate {
-        let mut partition = Partition::AllEdge;
         let mut plan = CompressionPlan::identity(self.base.len());
         let mut cut: Option<usize> = None;
         let mut feature = FeatureAction::IDENTITY;
@@ -234,12 +233,8 @@ impl ModelTree {
                 break;
             }
         }
+        let partition = Partition::from_cut_index(cut);
         if let Some(abs) = cut {
-            partition = if abs == 0 {
-                Partition::AllCloud
-            } else {
-                Partition::AfterLayer(abs - 1)
-            };
             // Compression never applies at or beyond the cut.
             for i in abs..self.base.len() {
                 plan.set(i, None);

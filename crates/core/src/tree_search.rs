@@ -24,7 +24,6 @@ use cadmc_netsim::BandwidthTrace;
 use cadmc_nn::ModelSpec;
 use cadmc_telemetry as telemetry;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::branch::optimal_branch;
 use crate::candidate::{Candidate, Partition};
@@ -33,13 +32,10 @@ use crate::delta::DeltaState;
 use crate::env::EvalEnv;
 use crate::executor::{execute, ExecConfig, Policy};
 use crate::memo::MemoPool;
-use crate::parallel::{par_map, par_map_indexed};
+use crate::parallel::{episode_stream, par_map, par_map_indexed, TREE_SALT};
 use crate::search::{Controllers, SearchConfig};
 use crate::tree::{ModelTree, TreeNode};
 use crate::validate::{self, ValidateError};
-
-/// RNG stream salt for the tree search (`"tree"`).
-const TREE_SALT: u64 = 0x7472_6565;
 
 /// Result of a tree search.
 #[derive(Debug, Clone)]
@@ -135,7 +131,7 @@ pub fn tree_search(
     // Episodes roll out in batches of `cfg.rollout_batch` from frozen
     // controller parameters, fanned across `cfg.parallelism.workers`
     // threads; each episode generates (and backward-estimates) its tree on
-    // its own `seed ^ episode` RNG stream, then the REINFORCE updates are
+    // its own [`episode_stream`], then the REINFORCE updates are
     // applied sequentially in episode order — bit-identical results for
     // any worker count.
     let mut episode_scores = Vec::with_capacity(cfg.episodes);
@@ -151,7 +147,7 @@ pub fn tree_search(
             par_map_indexed(batch_end - batch_start, cfg.parallelism.workers, |offset| {
                 let episode = batch_start + offset;
                 let episode_span = telemetry::span!("tree.episode", episode = episode);
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ TREE_SALT ^ episode as u64);
+                let mut rng = episode_stream(cfg.seed, TREE_SALT, episode);
                 let (mut tree, tapes) = generate_tree(
                     shared, forwards, base_arc, slices, env, levels, n_blocks, cfg, episode,
                     &mut rng, memo,
@@ -271,11 +267,7 @@ fn path_delta<'a>(tree: &'a ModelTree, path: &[usize]) -> DeltaState<'a> {
         }
     }
     let base = tree.base();
-    let partition = match cut {
-        Some(0) => Partition::AllCloud,
-        Some(abs) => Partition::AfterLayer(abs - 1),
-        None => Partition::AllEdge,
-    };
+    let partition = Partition::from_cut_index(cut);
     let mut delta = DeltaState::new(base, partition);
     delta.set_feature(feature);
     let edge_len = partition.edge_len(base.len());
@@ -294,50 +286,39 @@ fn path_delta<'a>(tree: &'a ModelTree, path: &[usize]) -> DeltaState<'a> {
     delta
 }
 
-/// Scores a branch delta at one bandwidth: probe the memo by key,
-/// compose + evaluate only on a miss.
-fn score_delta(
-    delta: &DeltaState<'_>,
-    bw: f64,
-    env: &EvalEnv,
+/// Scores branch deltas, each as its mean reward over its bandwidths.
+/// The whole front is probed against the memo in one batch (one lock
+/// acquisition), and a branch is composed only when one of its
+/// bandwidths misses.
+fn score_branches(
+    branches: &[(DeltaState<'_>, &[f64])],
     base: &ModelSpec,
+    env: &EvalEnv,
     memo: &MemoPool,
-) -> f64 {
-    let key = delta.eval_key(bw);
-    memo.get_key(key)
-        .unwrap_or_else(|| {
-            let candidate = delta.materialize().expect("tree paths compose");
-            let e = env.evaluate(base, &candidate, Mbps(bw));
-            memo.insert_key(key, e);
-            e
+) -> Vec<f64> {
+    let keys: Vec<u64> = branches
+        .iter()
+        .flat_map(|(delta, bws)| bws.iter().map(|&bw| delta.eval_key(bw)))
+        .collect();
+    let mut probed = keys.iter().zip(memo.probe_many(&keys));
+    branches
+        .iter()
+        .map(|(delta, bws)| {
+            let mut candidate: Option<Candidate> = None;
+            let mut sum = 0.0;
+            for (&bw, (&key, hit)) in bws.iter().zip(probed.by_ref()) {
+                let e = hit.unwrap_or_else(|| {
+                    let c = candidate
+                        .get_or_insert_with(|| delta.materialize().expect("tree paths compose"));
+                    let e = env.evaluate(base, c, Mbps(bw));
+                    memo.insert_key(key, e);
+                    e
+                });
+                sum += e.reward;
+            }
+            sum / bws.len() as f64
         })
-        .reward
-}
-
-/// Scores a branch delta as the mean over `levels`: one batched memo
-/// probe for the whole front, composing at most once across all misses.
-fn score_delta_mean(
-    delta: &DeltaState<'_>,
-    levels: &[f64],
-    env: &EvalEnv,
-    base: &ModelSpec,
-    memo: &MemoPool,
-) -> f64 {
-    let keys: Vec<u64> = levels.iter().map(|&bw| delta.eval_key(bw)).collect();
-    let probed = memo.probe_many(&keys);
-    let mut candidate: Option<Candidate> = None;
-    let mut sum = 0.0;
-    for ((&bw, &key), hit) in levels.iter().zip(&keys).zip(probed) {
-        let e = hit.unwrap_or_else(|| {
-            let c =
-                candidate.get_or_insert_with(|| delta.materialize().expect("tree paths compose"));
-            let e = env.evaluate(base, c, Mbps(bw));
-            memo.insert_key(key, e);
-            e
-        });
-        sum += e.reward;
-    }
-    sum / levels.len() as f64
+        .collect()
 }
 
 /// Forward generation of one episode's tree. Returns the tree (leaf
@@ -465,9 +446,13 @@ fn generate_tree(
             // A root-level leaf (the whole tree is one branch) must be
             // judged across all levels, not at a single bandwidth.
             let reward = if parent.is_none() {
-                score_delta_mean(&delta, levels, env, base, memo)
+                score_branches(&[(delta, levels)], base, env, memo)[0]
             } else {
-                score_delta(&delta, bw, env, base, memo)
+                memo.get_or_insert_key_with(delta.eval_key(bw), || {
+                    let candidate = delta.materialize().expect("tree paths compose");
+                    env.evaluate(base, &candidate, Mbps(bw))
+                })
+                .reward
             };
             tree.node_mut(id).reward = reward;
         } else {
@@ -479,6 +464,37 @@ fn generate_tree(
     (tree, tapes)
 }
 
+/// The node deploying `cand`'s decisions for the block `range` at
+/// `level`: a cut inside an earlier block is deferred to this block's
+/// start, compression stops at the cut, and the node owning the cut
+/// carries the candidate's feature action (everywhere else it is
+/// structurally identity).
+fn block_node(cand: &Candidate, level: usize, range: std::ops::Range<usize>) -> TreeNode {
+    let partition_abs = match cand.partition.cut_index() {
+        Some(c) if c <= range.start => Some(range.start),
+        Some(c) if range.contains(&c) => Some(c),
+        _ => None,
+    };
+    let compress_to = partition_abs.unwrap_or(range.end);
+    TreeNode {
+        level,
+        partition_abs,
+        actions: cand
+            .actions
+            .iter()
+            .filter(|a| a.layer_index >= range.start && a.layer_index < compress_to)
+            .copied()
+            .collect(),
+        feature: if partition_abs.is_some() {
+            cand.feature
+        } else {
+            FeatureAction::IDENTITY
+        },
+        children: Vec::new(),
+        reward: 0.0,
+    }
+}
+
 /// Builds a *rigid* tree that always deploys `cand` regardless of
 /// measured bandwidth: every node follows the candidate's decisions for
 /// its block, with a cut inside an earlier block carried at the first
@@ -488,53 +504,13 @@ pub fn rigid_tree(
     env: &EvalEnv,
     levels: &[f64],
     n_blocks: usize,
-    cand: &crate::candidate::Candidate,
+    cand: &Candidate,
     memo: &MemoPool,
 ) -> ModelTree {
     let mut tree = ModelTree::new(Arc::clone(base), n_blocks, levels.to_vec());
-    let cut_abs = match cand.partition {
-        Partition::AllEdge => None,
-        Partition::AllCloud => Some(0),
-        Partition::AfterLayer(i) => Some(i + 1),
-    };
-    let node_for_level = |level: usize| -> TreeNode {
-        let range = tree_range(base, n_blocks, level);
-        let node_cut = match cut_abs {
-            Some(c) if c <= range.start => Some(range.start),
-            Some(c) if range.contains(&c) => Some(c),
-            _ => None,
-        };
-        let compress_to = node_cut.unwrap_or(range.end);
-        let actions: Vec<AppliedAction> = cand
-            .actions
-            .iter()
-            .filter(|a| a.layer_index >= range.start && a.layer_index < compress_to)
-            .copied()
-            .collect();
-        TreeNode {
-            level,
-            partition_abs: node_cut,
-            actions,
-            // The node owning the cut carries the candidate's feature
-            // action; everywhere else it is structurally identity.
-            feature: if node_cut.is_some() {
-                cand.feature
-            } else {
-                FeatureAction::IDENTITY
-            },
-            children: Vec::new(),
-            reward: 0.0,
-        }
-    };
     // Root may carry a block-0 cut directly.
-    let r0 = tree.block_range(0);
-    let root_cut = cut_abs.filter(|&c| c < r0.end);
-    let root_node = TreeNode {
-        partition_abs: root_cut,
-        ..node_for_level(0)
-    };
-    let root = tree.push_node(None, root_node);
-    if root_cut.is_none() {
+    let root = tree.push_node(None, block_node(cand, 0, tree.block_range(0)));
+    if tree.nodes()[root].partition_abs.is_none() {
         // BFS-fill a complete K-ary tree of identical levels.
         let mut frontier = vec![root];
         while let Some(parent) = frontier.pop() {
@@ -543,7 +519,7 @@ pub fn rigid_tree(
                 continue;
             }
             for _ in 0..levels.len() {
-                let node = node_for_level(level);
+                let node = block_node(cand, level, tree.block_range(level));
                 let stop = node.partition_abs.is_some();
                 let id = tree.push_node(Some(parent), node);
                 if !stop {
@@ -556,25 +532,20 @@ pub fn rigid_tree(
     tree
 }
 
-/// Block range helper usable before the tree is fully built.
-fn tree_range(base: &ModelSpec, n_blocks: usize, level: usize) -> std::ops::Range<usize> {
-    base.block_ranges(n_blocks)[level].clone()
-}
-
 /// Builds the explicit boost tree: the root takes the best constant-
 /// bandwidth branch solution's block-0 decisions — including its
 /// partition, if that branch cuts inside block 0 (e.g. an all-cloud
 /// deployment), in which case the whole tree *is* that branch. Otherwise
-/// each fork `k` follows branch `k`'s decisions for the remaining blocks
-/// (a partition that branch `k` placed inside block 0 is deferred to the
-/// start of block 1, since a shared non-partitioned root cannot partition
-/// per-fork).
+/// the root's fork `k` starts a spine that follows branch `k`'s decisions
+/// for the remaining blocks (a partition that branch `k` placed inside
+/// block 0 is deferred to the start of block 1, since a shared
+/// non-partitioned root cannot partition per-fork).
 fn boost_tree(
     base: &Arc<ModelSpec>,
     env: &EvalEnv,
     levels: &[f64],
     n_blocks: usize,
-    branch_candidates: &[crate::candidate::Candidate],
+    branch_candidates: &[Candidate],
     memo: &MemoPool,
 ) -> ModelTree {
     let mut tree = ModelTree::new(Arc::clone(base), n_blocks, levels.to_vec());
@@ -589,35 +560,8 @@ fn boost_tree(
         })
         .map(|(c, _)| c)
         .expect("one branch candidate per level");
-    let r0 = tree.block_range(0);
-    let root_cut = match root_src.partition {
-        Partition::AllEdge => None,
-        Partition::AllCloud => Some(0),
-        Partition::AfterLayer(i) => Some(i + 1),
-    }
-    .filter(|&c| c < r0.end);
-    let root_actions: Vec<AppliedAction> = root_src
-        .actions
-        .iter()
-        .filter(|a| r0.contains(&a.layer_index) && root_cut.is_none_or(|c| a.layer_index < c))
-        .copied()
-        .collect();
-    let root = tree.push_node(
-        None,
-        TreeNode {
-            level: 0,
-            partition_abs: root_cut,
-            actions: root_actions,
-            feature: if root_cut.is_some() {
-                root_src.feature
-            } else {
-                FeatureAction::IDENTITY
-            },
-            children: Vec::new(),
-            reward: 0.0,
-        },
-    );
-    if root_cut.is_some() {
+    let root = tree.push_node(None, block_node(root_src, 0, tree.block_range(0)));
+    if tree.nodes()[root].partition_abs.is_some() {
         // The best branch offloads within block 0: the tree degenerates to
         // that single branch (the paper concedes stable contexts gain
         // little from adaptation).
@@ -625,54 +569,20 @@ fn boost_tree(
         return tree;
     }
 
-    // Fork k: follow branch k for blocks 1..N.
-    for (k, cand) in branch_candidates.iter().enumerate() {
-        let bw = levels[k];
-        let cut_abs = match cand.partition {
-            Partition::AllEdge => None,
-            Partition::AllCloud => Some(0),
-            Partition::AfterLayer(i) => Some(i + 1),
-        };
+    // Fork k of the root: branch k's spine for blocks 1..N. Below level
+    // 1 each spine node is its parent's first child (fork 0), whatever
+    // the bandwidth of that fork; `complete_tree` fills every other fork
+    // with identity nodes.
+    for cand in branch_candidates {
         let mut parent = root;
         for level in 1..n_blocks {
-            let range = tree.block_range(level);
-            // Defer any cut from block 0 to the start of this block.
-            let node_cut = match cut_abs {
-                Some(c) if c <= range.start => Some(range.start),
-                Some(c) if range.contains(&c) => Some(c),
-                _ => None,
-            };
-            let compress_to = node_cut.unwrap_or(range.end);
-            let actions: Vec<AppliedAction> = cand
-                .actions
-                .iter()
-                .filter(|a| a.layer_index >= range.start && a.layer_index < compress_to)
-                .copied()
-                .collect();
-            let id = tree.push_node(
-                Some(parent),
-                TreeNode {
-                    level,
-                    partition_abs: node_cut,
-                    actions,
-                    feature: if node_cut.is_some() {
-                        cand.feature
-                    } else {
-                        FeatureAction::IDENTITY
-                    },
-                    children: Vec::new(),
-                    reward: 0.0,
-                },
-            );
-            if node_cut.is_some() {
+            let node = block_node(cand, level, tree.block_range(level));
+            let stop = node.partition_abs.is_some();
+            parent = tree.push_node(Some(parent), node);
+            if stop {
                 break;
             }
-            parent = id;
-            // Other forks at deeper levels replicate the same branch; the
-            // outer loop only fills fork k's spine, so fill the sibling
-            // forks lazily below.
         }
-        let _ = bw;
     }
     complete_tree(&mut tree, env, memo);
     tree
@@ -706,60 +616,35 @@ fn complete_tree(tree: &mut ModelTree, env: &EvalEnv, memo: &MemoPool) {
         }
         i += 1;
     }
-    // Score every leaf at the bandwidth of the fork that reaches it; a
-    // root-only path (the tree degenerated to one branch) is scored as the
-    // mean over all K levels so rigid trees are not judged at a single
-    // optimistic bandwidth. The whole expansion front is probed against
-    // the memo in one batch (one lock acquisition), and a branch is
-    // composed only when one of its bandwidths misses.
-    let scored: Vec<(usize, f64)> = {
-        let branches = tree.branches();
-        let levels: Vec<f64> = tree.levels().to_vec();
-        let base = tree.base();
-        let mut jobs: Vec<(usize, DeltaState<'_>, Vec<f64>)> = Vec::with_capacity(branches.len());
-        let mut starts: Vec<usize> = Vec::with_capacity(branches.len());
-        let mut keys: Vec<u64> = Vec::new();
-        for path in &branches {
-            let leaf = *path.last().expect("non-empty branch");
-            let delta = path_delta(tree, path);
-            let bws: Vec<f64> = if path.len() >= 2 {
-                let parent = path[path.len() - 2];
-                let fork = tree.nodes()[parent]
+    score_leaves(tree, env, memo);
+}
+
+/// Scores every leaf at the bandwidth of the fork that reaches it; a
+/// root-only path (the tree degenerated to one branch) is scored as the
+/// mean over all K levels so rigid trees are not judged at a single
+/// optimistic bandwidth.
+pub(crate) fn score_leaves(tree: &mut ModelTree, env: &EvalEnv, memo: &MemoPool) {
+    let levels = tree.levels();
+    let mut leaves = Vec::new();
+    let mut branches = Vec::new();
+    for path in tree.branches() {
+        let leaf = *path.last().expect("non-empty branch");
+        let bws: &[f64] = match path.len() {
+            1 => levels,
+            len => {
+                let fork = tree.nodes()[path[len - 2]]
                     .children
                     .iter()
                     .position(|&c| c == leaf)
                     .expect("leaf is its parent's child");
-                vec![levels[fork]]
-            } else {
-                levels.clone()
-            };
-            starts.push(keys.len());
-            keys.extend(bws.iter().map(|&bw| delta.eval_key(bw)));
-            jobs.push((leaf, delta, bws));
-        }
-        let probed = memo.probe_many(&keys);
-        jobs.into_iter()
-            .zip(starts)
-            .map(|((leaf, delta, bws), start)| {
-                let mut candidate: Option<Candidate> = None;
-                let mut sum = 0.0;
-                for (j, &bw) in bws.iter().enumerate() {
-                    let key = keys[start + j];
-                    let e = probed[start + j].unwrap_or_else(|| {
-                        let c = candidate.get_or_insert_with(|| {
-                            delta.materialize().expect("tree paths compose")
-                        });
-                        let e = env.evaluate(base, c, Mbps(bw));
-                        memo.insert_key(key, e);
-                        e
-                    });
-                    sum += e.reward;
-                }
-                (leaf, sum / bws.len() as f64)
-            })
-            .collect()
-    };
-    for (leaf, reward) in scored {
+                std::slice::from_ref(&levels[fork])
+            }
+        };
+        leaves.push(leaf);
+        branches.push((path_delta(tree, &path), bws));
+    }
+    let rewards = score_branches(&branches, tree.base(), env, memo);
+    for (leaf, reward) in leaves.into_iter().zip(rewards) {
         tree.node_mut(leaf).reward = reward;
     }
 }
@@ -868,7 +753,7 @@ mod tests {
             let memo = MemoPool::new();
             let forwards = ForwardCache::new(&controllers.params);
             let rollouts = par_map_indexed(cfg.rollout_batch, workers, |episode| {
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ TREE_SALT ^ episode as u64);
+                let mut rng = episode_stream(cfg.seed, TREE_SALT, episode);
                 generate_tree(
                     &controllers,
                     &forwards,

@@ -22,8 +22,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
+use cadmc_core::delta::DeltaState;
 use cadmc_core::memo::MemoPool;
-use cadmc_core::{Candidate, Evaluation, RewardSpec};
+use cadmc_core::{Evaluation, Partition, RewardSpec};
 use cadmc_nn::zoo;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -33,6 +34,13 @@ type Observation = (u64, f64);
 
 fn light_mode() -> bool {
     cfg!(miri) || std::env::var_os("MEMO_STRESS_LIGHT").is_some()
+}
+
+/// The memo key of universe member `k`: the unmodified all-edge tiny
+/// CNN at `1 + k` Mbps. Distinct bandwidths are distinct keys (quantized
+/// at 0.01 Mbps, so steps of 1.0 never collide).
+fn universe_key(k: usize) -> u64 {
+    DeltaState::new(&zoo::tiny_cnn(), Partition::AllEdge).eval_key(1.0 + k as f64)
 }
 
 /// Drives `workers` threads over a shared pool. Every thread's key
@@ -46,15 +54,14 @@ fn run_schedule(
     key_universe: usize,
 ) -> (Arc<MemoPool>, Vec<Observation>, usize) {
     let pool = Arc::new(MemoPool::new());
-    let base = zoo::tiny_cnn();
-    let candidate = Candidate::base_all_edge(&base);
+    let keys: Arc<Vec<u64>> = Arc::new((0..key_universe).map(universe_key).collect());
     let computes = Arc::new(AtomicUsize::new(0));
     let barrier = Arc::new(Barrier::new(workers));
 
     let mut handles = Vec::new();
     for w in 0..workers {
         let pool = Arc::clone(&pool);
-        let candidate = candidate.clone();
+        let keys = Arc::clone(&keys);
         let computes = Arc::clone(&computes);
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
@@ -65,13 +72,10 @@ fn run_schedule(
             let mut seen = Vec::with_capacity(ops_per_worker);
             for _ in 0..ops_per_worker {
                 let k = rng.random_range(0..key_universe);
-                // Distinct bandwidths are distinct cache keys (quantized
-                // at 0.01 Mbps, so steps of 1.0 never collide).
-                let bw = 1.0 + k as f64;
                 // The evaluation payload is a pure function of the key,
                 // so every thread computing it produces the same value —
                 // any divergence observed later is a pool bug.
-                let e = pool.get_or_insert_with(&candidate, bw, || {
+                let e = pool.get_or_insert_key_with(keys[k], || {
                     computes.fetch_add(1, Ordering::Relaxed);
                     Evaluation::new(
                         0.5 + (k as f64) * 1e-3,
@@ -290,18 +294,13 @@ fn schedules_differ_but_results_do_not() {
     } else {
         (8, 400, 16)
     };
-    let base = zoo::tiny_cnn();
-    let candidate = Candidate::base_all_edge(&base);
     let mut contents = Vec::new();
     for seed in [7u64, 77, 777] {
         let (pool, observations, total) = run_schedule(seed, workers, ops, keys);
         check_invariants(seed, &pool, &observations, total);
         assert_eq!(pool.len(), keys, "ops must cover the whole key universe");
         let rewards: Vec<Option<u64>> = (0..keys)
-            .map(|k| {
-                let key = MemoPool::key(&candidate, 1.0 + k as f64);
-                pool.get_key(key).map(|e| e.reward.to_bits())
-            })
+            .map(|k| pool.get_key(universe_key(k)).map(|e| e.reward.to_bits()))
             .collect();
         assert!(
             rewards.iter().all(Option::is_some),

@@ -1,7 +1,7 @@
 //! Regression tests for the parallel rollout engine's core contract: the
 //! worker count is purely a scheduling knob. The same seed must produce
 //! bit-identical search results at `workers = 1` and `workers = 8` —
-//! per-episode RNG streams (`seed ^ episode`) plus sequential policy
+//! per-episode RNG streams (`parallel::episode_stream`) plus sequential policy
 //! updates in episode order make this hold by construction, and these
 //! tests keep it true. The same holds for a tree plan shared by threads:
 //! whichever thread fills a slot, every walk reads the same value.
@@ -11,12 +11,13 @@ use std::thread;
 
 use cadmc_core::branch::optimal_branch;
 use cadmc_core::executor::{execute, ExecConfig, ExecReport, Mode, Policy, TreePlan};
+use cadmc_core::experiments::search_comparison;
 use cadmc_core::memo::MemoPool;
 use cadmc_core::parallel::Parallelism;
 use cadmc_core::search::{Controllers, SearchConfig};
 use cadmc_core::tree_search::tree_search;
 use cadmc_core::{EvalEnv, NetworkContext};
-use cadmc_latency::Mbps;
+use cadmc_latency::{Mbps, Platform};
 use cadmc_netsim::{FaultKind, FaultSchedule, Scenario};
 use cadmc_nn::zoo;
 
@@ -156,6 +157,30 @@ fn worker_count_beyond_batch_size_is_harmless() {
             .episode_rewards
     };
     assert_eq!(run(1), run(64));
+}
+
+#[test]
+fn tree_space_baselines_are_identical_across_worker_counts() {
+    // Fig. 7 runs the RL tree search beside tree-space random and
+    // ε-greedy searches; the ε-greedy proposals depend on the best tree
+    // at batch start, so a worker-dependent batch would show here.
+    let curves = |workers: usize| {
+        let cmp = search_comparison(
+            &zoo::vgg11_cifar(),
+            Platform::Phone,
+            Scenario::FourGIndoorStatic,
+            24,
+            3,
+            Parallelism::new(workers),
+        )
+        .expect("valid inputs");
+        [cmp.rl, cmp.random, cmp.epsilon_greedy]
+            .map(|curve| curve.iter().map(|r| r.to_bits()).collect::<Vec<u64>>())
+    };
+    let serial = curves(1);
+    assert!(serial.iter().all(|c| c.len() == 24));
+    assert_eq!(serial, curves(2));
+    assert_eq!(serial, curves(8));
 }
 
 /// Latencies and accuracies as bit patterns, outcomes as they are.

@@ -21,17 +21,6 @@ pub enum DagOp {
     Concat,
 }
 
-impl DagOp {
-    /// Short display name.
-    pub fn name(&self) -> String {
-        match self {
-            DagOp::Layer(l) => l.encode(),
-            DagOp::Add => "Add".to_string(),
-            DagOp::Concat => "Concat".to_string(),
-        }
-    }
-}
-
 /// One node of the dataflow DAG.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DagNode {
@@ -50,17 +39,12 @@ pub struct DagNode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelDag {
     nodes: Vec<DagNode>,
-    /// Indices of nodes whose output feeds the final result.
-    outputs: Vec<usize>,
 }
 
 impl ModelDag {
     /// Expands `spec` into its primitive dataflow DAG.
     pub fn from_spec(spec: &ModelSpec) -> Self {
-        let mut dag = ModelDag {
-            nodes: Vec::new(),
-            outputs: Vec::new(),
-        };
+        let mut dag = ModelDag { nodes: Vec::new() };
         // `frontier` is the node producing the current activation
         // (None = the network input).
         let mut frontier: Option<usize> = None;
@@ -68,9 +52,6 @@ impl ModelDag {
         for layer in spec.layers() {
             frontier = Some(dag.expand_layer(layer, frontier, shape));
             shape = layer.output_shape(shape).expect("validated shapes");
-        }
-        if let Some(f) = frontier {
-            dag.outputs = vec![f];
         }
         dag
     }
@@ -88,11 +69,6 @@ impl ModelDag {
     /// Whether the DAG is empty.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Output node indices.
-    pub fn outputs(&self) -> &[usize] {
-        &self.outputs
     }
 
     /// Total MACCs (equals the spec's total).
