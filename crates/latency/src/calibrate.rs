@@ -130,11 +130,7 @@ pub fn measure_transfer(
 
 /// Sweeps conv-layer sizes for one kernel size on one platform and returns
 /// the simulated measurement set — one Fig. 5 panel's data.
-pub fn conv_sweep(
-    profile: &DeviceProfile,
-    kernel: usize,
-    seed: u64,
-) -> Vec<Measurement> {
+pub fn conv_sweep(profile: &DeviceProfile, kernel: usize, seed: u64) -> Vec<Measurement> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::new();
     for &channels in &[16usize, 32, 64, 128, 256] {
@@ -154,7 +150,12 @@ pub fn fc_sweep(profile: &DeviceProfile, seed: u64) -> Vec<Measurement> {
     for &inf in &[256usize, 512, 1024, 2048, 4096] {
         for &outf in &[128usize, 512, 1024] {
             let layer = LayerSpec::fc(outf);
-            out.push(measure_layer(profile, &layer, Shape::features(inf), &mut rng));
+            out.push(measure_layer(
+                profile,
+                &layer,
+                Shape::features(inf),
+                &mut rng,
+            ));
         }
     }
     out

@@ -67,7 +67,6 @@ pub struct DeviceProfile {
     pub fc_coeff: f64,
 }
 
-
 impl DeviceProfile {
     /// The Xiaomi MI 6X profile (Table 1 calibration).
     pub fn phone() -> Self {
@@ -135,9 +134,7 @@ impl DeviceProfile {
 
     /// The ms/MACC coefficient this profile applies to `layer`.
     pub fn coeff_for(&self, layer: &LayerSpec) -> f64 {
-        layer
-            .cost_class()
-            .map_or(0.0, |c| self.class_coeffs()[c])
+        layer.cost_class().map_or(0.0, |c| self.class_coeffs()[c])
     }
 
     /// Latency (ms) of a layer range described by its grouped cost totals.
@@ -246,7 +243,10 @@ mod tests {
         let tx2 = DeviceProfile::tx2().layer_latency_ms(&tiny_conv, shape);
         let phone = DeviceProfile::phone().layer_latency_ms(&tiny_conv, shape);
         assert!(tx2 > phone, "GPU dispatch should exceed CPU overhead");
-        assert!((3.0..3.1).contains(&phone), "phone cost ~= overhead: {phone}");
+        assert!(
+            (3.0..3.1).contains(&phone),
+            "phone cost ~= overhead: {phone}"
+        );
     }
 
     #[test]
@@ -276,6 +276,9 @@ mod tests {
         // The paper's Table 4 puts fully-on-phone VGG11 runs at ≈ 80 ms
         // (its weak-network surgery rows, which degenerate to all-edge).
         let lat = DeviceProfile::phone().model_latency_ms(&zoo::vgg11_cifar());
-        assert!((65.0..95.0).contains(&lat), "VGG11 phone latency {lat:.1} ms");
+        assert!(
+            (65.0..95.0).contains(&lat),
+            "VGG11 phone latency {lat:.1} ms"
+        );
     }
 }

@@ -103,8 +103,7 @@ impl EnergyProfile {
         bytes: u64,
         bw: Mbps,
     ) -> f64 {
-        self.compute_energy_mj(device, model, 0, cut)
-            + self.transfer_energy_mj(transfer, bytes, bw)
+        self.compute_energy_mj(device, model, 0, cut) + self.transfer_energy_mj(transfer, bytes, bw)
     }
 }
 
@@ -129,10 +128,20 @@ mod tests {
         let transfer = TransferModel::default();
         let vgg = zoo::vgg11_cifar();
         let cell = EnergyProfile::phone(Radio::Cellular).deployment_energy_mj(
-            &device, &transfer, &vgg, 2, 64 * 1024, Mbps(5.0),
+            &device,
+            &transfer,
+            &vgg,
+            2,
+            64 * 1024,
+            Mbps(5.0),
         );
         let wifi = EnergyProfile::phone(Radio::Wifi).deployment_energy_mj(
-            &device, &transfer, &vgg, 2, 64 * 1024, Mbps(5.0),
+            &device,
+            &transfer,
+            &vgg,
+            2,
+            64 * 1024,
+            Mbps(5.0),
         );
         assert!(cell > wifi);
     }
@@ -155,13 +164,15 @@ mod tests {
         let device = DeviceProfile::phone();
         let transfer = TransferModel::default();
         let vgg = zoo::vgg11_cifar();
-        let all_edge =
-            e.deployment_energy_mj(&device, &transfer, &vgg, vgg.len(), 0, Mbps(10.0));
+        let all_edge = e.deployment_energy_mj(&device, &transfer, &vgg, vgg.len(), 0, Mbps(10.0));
         let all_cloud =
             e.deployment_energy_mj(&device, &transfer, &vgg, 0, vgg.input_bytes(), Mbps(10.0));
         // At decent bandwidth, offloading everything costs far less device
         // energy than computing everything locally.
-        assert!(all_cloud < all_edge, "cloud {all_cloud:.1} vs edge {all_edge:.1}");
+        assert!(
+            all_cloud < all_edge,
+            "cloud {all_cloud:.1} vs edge {all_edge:.1}"
+        );
     }
 
     #[test]
@@ -170,8 +181,8 @@ mod tests {
         let device = DeviceProfile::tx2();
         let vgg = zoo::vgg11_cifar();
         let total = e.compute_energy_mj(&device, &vgg, 0, vgg.len());
-        let split =
-            e.compute_energy_mj(&device, &vgg, 0, 7) + e.compute_energy_mj(&device, &vgg, 7, vgg.len());
+        let split = e.compute_energy_mj(&device, &vgg, 0, 7)
+            + e.compute_energy_mj(&device, &vgg, 7, vgg.len());
         assert!((total - split).abs() < 1e-9);
     }
 }

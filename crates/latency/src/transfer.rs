@@ -68,7 +68,10 @@ impl TransferModel {
     /// Panics if either parameter is negative.
     pub fn new(half_rtt_ms: f64, pipeline_factor: f64) -> Self {
         assert!(half_rtt_ms >= 0.0, "half RTT must be non-negative");
-        assert!(pipeline_factor >= 0.0, "pipeline factor must be non-negative");
+        assert!(
+            pipeline_factor >= 0.0,
+            "pipeline factor must be non-negative"
+        );
         Self {
             half_rtt_ms,
             pipeline_factor,

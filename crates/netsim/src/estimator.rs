@@ -34,7 +34,10 @@ impl BandwidthEstimator {
     /// Panics if `alpha` is outside `(0, 1]` or the interval is negative.
     pub fn new(alpha: f64, probe_interval_ms: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        assert!(probe_interval_ms >= 0.0, "probe interval must be non-negative");
+        assert!(
+            probe_interval_ms >= 0.0,
+            "probe interval must be non-negative"
+        );
         Self {
             alpha,
             probe_interval_ms,
@@ -172,7 +175,10 @@ mod tests {
     #[test]
     fn fresh_estimator_is_stale_until_first_observation() {
         let mut e = BandwidthEstimator::field();
-        assert!(e.is_stale(0.0, 1_000.0), "no history means nothing trustworthy");
+        assert!(
+            e.is_stale(0.0, 1_000.0),
+            "no history means nothing trustworthy"
+        );
         assert_eq!(e.age_ms(0.0), f64::INFINITY);
         e.observe(0.0, 8.0);
         assert!(!e.is_stale(0.0, 1_000.0));
@@ -183,7 +189,10 @@ mod tests {
     fn age_exceeding_freeze_window_is_flagged_stale() {
         let mut e = BandwidthEstimator::field();
         e.observe(0.0, 8.0);
-        assert!(!e.is_stale(1_000.0, 1_000.0), "age == window is still fresh");
+        assert!(
+            !e.is_stale(1_000.0, 1_000.0),
+            "age == window is still fresh"
+        );
         assert!(e.is_stale(1_000.1, 1_000.0), "age beyond window is stale");
     }
 

@@ -246,9 +246,11 @@ impl FaultSchedule {
             for (slot, kind) in FaultKind::ALL.into_iter().enumerate() {
                 let (rate, mean_secs, magnitude) = match kind {
                     FaultKind::Outage => (cfg.outage_rate, cfg.outage_secs, 0.0),
-                    FaultKind::Collapse => {
-                        (cfg.collapse_rate, cfg.collapse_secs, cfg.collapse_floor_mbps)
-                    }
+                    FaultKind::Collapse => (
+                        cfg.collapse_rate,
+                        cfg.collapse_secs,
+                        cfg.collapse_floor_mbps,
+                    ),
                     FaultKind::RttSpike => (cfg.rtt_rate, cfg.rtt_secs, cfg.rtt_spike_ms),
                     FaultKind::EstimatorFreeze => (cfg.freeze_rate, cfg.freeze_secs, 0.0),
                 };
@@ -428,7 +430,15 @@ mod tests {
 
     #[test]
     fn presets_resolve_and_unknown_is_none() {
-        for name in ["none", "outage", "canned-outage", "collapse", "rtt-spike", "stale-estimate", "harsh"] {
+        for name in [
+            "none",
+            "outage",
+            "canned-outage",
+            "collapse",
+            "rtt-spike",
+            "stale-estimate",
+            "harsh",
+        ] {
             assert!(FaultSchedule::from_preset(name).is_some(), "{name}");
         }
         assert!(FaultSchedule::from_preset("solar-flare").is_none());

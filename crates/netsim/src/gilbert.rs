@@ -55,10 +55,12 @@ impl GilbertElliott {
     /// Panics if parameters are out of range or `n == 0`.
     pub fn trace(&self, n: usize, dt_ms: f64, seed: u64) -> BandwidthTrace {
         assert!(n > 0, "need at least one sample");
-        assert!(self.good_mbps > 0.0 && self.bad_mbps > 0.0, "levels must be positive");
         assert!(
-            (0.0..=1.0).contains(&self.p_good_to_bad)
-                && (0.0..=1.0).contains(&self.p_bad_to_good),
+            self.good_mbps > 0.0 && self.bad_mbps > 0.0,
+            "levels must be positive"
+        );
+        assert!(
+            (0.0..=1.0).contains(&self.p_good_to_bad) && (0.0..=1.0).contains(&self.p_bad_to_good),
             "transition probabilities must be in [0,1]"
         );
         assert!((0.0..1.0).contains(&self.jitter), "jitter must be in [0,1)");
@@ -90,8 +92,8 @@ mod tests {
         let trace = ge.trace(50_000, 100.0, 1);
         // Count samples near the good level.
         let cutoff = (ge.good_mbps + ge.bad_mbps) / 2.0;
-        let good_frac = trace.samples().iter().filter(|&&v| v > cutoff).count() as f64
-            / trace.len() as f64;
+        let good_frac =
+            trace.samples().iter().filter(|&&v| v > cutoff).count() as f64 / trace.len() as f64;
         let expected = ge.steady_state_good_fraction();
         assert!(
             (good_frac - expected).abs() < 0.05,

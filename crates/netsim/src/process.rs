@@ -47,7 +47,11 @@ impl BandwidthProcess {
     pub fn new(cfg: ProcessConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let high_regime = rng.random_range(0.0..1.0) < 0.5;
-        let value = if high_regime { cfg.mean_high } else { cfg.mean_low };
+        let value = if high_regime {
+            cfg.mean_high
+        } else {
+            cfg.mean_low
+        };
         Self {
             cfg,
             rng,
@@ -84,8 +88,8 @@ impl BandwidthProcess {
             let s: f64 = (0..6).map(|_| self.rng.random_range(-0.5..0.5)).sum();
             s * (12.0f64 / 6.0).sqrt()
         };
-        self.value += self.cfg.reversion * (mu - self.value) * dt
-            + self.cfg.sigma * dt.sqrt() * noise;
+        self.value +=
+            self.cfg.reversion * (mu - self.value) * dt + self.cfg.sigma * dt.sqrt() * noise;
         if self.dropout_left > 0.0 {
             self.value = self.value.min(0.15 * mu);
         }

@@ -145,12 +145,13 @@ impl Scenario {
     /// Synthesizes this scenario's reference trace (60 s at 10 Hz),
     /// deterministic for a given `seed`.
     pub fn trace(self, seed: u64) -> BandwidthTrace {
-        let _span = cadmc_telemetry::span!(
-            "netsim.trace",
-            scenario = self.name(),
-            seed = seed,
-        );
-        BandwidthTrace::synthesize(self.process_config(), 60_000.0, 100.0, seed ^ self.seed_salt())
+        let _span = cadmc_telemetry::span!("netsim.trace", scenario = self.name(), seed = seed,);
+        BandwidthTrace::synthesize(
+            self.process_config(),
+            60_000.0,
+            100.0,
+            seed ^ self.seed_salt(),
+        )
     }
 
     /// Stable position of this scenario in [`Scenario::ALL`].
@@ -209,7 +210,11 @@ mod tests {
     fn static_context_has_tight_quartiles() {
         let t = Scenario::FourGIndoorStatic.trace(3);
         let (poor, good) = t.quartile_levels();
-        assert!(good - poor < 4.0, "static quartile spread {:.2}", good - poor);
+        assert!(
+            good - poor < 4.0,
+            "static quartile spread {:.2}",
+            good - poor
+        );
         let t2 = Scenario::FourGOutdoorQuick.trace(3);
         let (p2, g2) = t2.quartile_levels();
         assert!(g2 - p2 > good - poor, "quick should spread more");
@@ -226,7 +231,10 @@ mod tests {
     fn all_traces_are_positive() {
         for s in Scenario::ALL {
             let t = s.trace(5);
-            assert!(t.samples().iter().all(|&v| v > 0.0), "{s} has non-positive samples");
+            assert!(
+                t.samples().iter().all(|&v| v > 0.0),
+                "{s} has non-positive samples"
+            );
         }
     }
 }

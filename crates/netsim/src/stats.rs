@@ -88,7 +88,9 @@ mod tests {
 
     #[test]
     fn alternating_trace_swings_fully_within_window() {
-        let samples: Vec<f64> = (0..100).map(|i| if i % 2 == 0 { 1.0 } else { 9.0 }).collect();
+        let samples: Vec<f64> = (0..100)
+            .map(|i| if i % 2 == 0 { 1.0 } else { 9.0 })
+            .collect();
         let t = BandwidthTrace::new(100.0, samples);
         let st = trace_stats(&t, 1000.0);
         assert_eq!(st.max_window_swing, 8.0);
