@@ -10,6 +10,7 @@
 //! for REINFORCE and knowledge distillation, and im2col / pooling ops for
 //! the small-CNN runtime.
 
+use crate::lstm::LstmSeq;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
 
@@ -95,35 +96,14 @@ enum Op {
     AddBroadcastRow(VarId, VarId),
     HCat(VarId, VarId),
     SliceCols(VarId, usize),
-    /// Fused `hcat(x, h) * w + b` (one LSTM gate pre-activation) — one
-    /// node instead of three, reading `x` and `h` in place of their
-    /// concatenation. Bit-identical to the HCat → MatMul →
-    /// AddBroadcastRow chain it replaces in both directions.
-    ConcatMatMulBias {
-        x: VarId,
-        h: VarId,
-        w: VarId,
-        b: VarId,
-    },
-    /// Fused LSTM cell state `σ(gates_f) ∘ c_prev + σ(gates_i) ∘
-    /// tanh(gates_g)` — one node instead of nine. `act` caches the
-    /// activated i, f and g blocks, stacked (`3·rows × hidden`), for the
-    /// backward pass. Gradient contributions scatter into disjoint
-    /// column ranges of `gates`, so collapsing the per-gate nodes cannot
-    /// change any sum.
-    LstmCellState {
-        gates: VarId,
-        c_prev: VarId,
-        act: Matrix,
-    },
-    /// Fused LSTM output `σ(gates_o) ∘ tanh(c)` — one node instead of
-    /// four. `act` caches `σ(gates_o)` stacked on `tanh(c)`
-    /// (`2·rows × hidden`) for the backward pass.
-    LstmOutGate {
-        gates: VarId,
-        c: VarId,
-        act: Matrix,
-    },
+    /// One LSTM direction over a sequence (see [`Graph::lstm`]). Its
+    /// value is empty; the steps' hidden states are the
+    /// [`Op::LstmHidden`] nodes right after it.
+    Lstm(LstmSeq),
+    /// Hidden state of one step of the [`Op::Lstm`] node it names. Its
+    /// gradient is held, not propagated, until the sequence node reads
+    /// every step's at once.
+    LstmHidden(VarId),
     MeanAll(VarId),
     SumAll(VarId),
     SoftmaxCrossEntropy {
@@ -403,96 +383,25 @@ impl Graph {
         self.push(v, Op::SliceCols(a, start))
     }
 
-    /// Fused `hcat(x, h) * w + b`, recording a single tape node — the
-    /// LSTM gate pre-activation. Forward values and backward gradients
-    /// are bit-identical to [`hcat`] → [`matmul`] → [`add_broadcast_row`].
-    ///
-    /// [`hcat`]: Graph::hcat
-    /// [`matmul`]: Graph::matmul
-    /// [`add_broadcast_row`]: Graph::add_broadcast_row
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` and `h` differ in rows or `w` does not have
-    /// `x.cols + h.cols` rows.
-    pub fn concat_matmul_bias(&mut self, x: VarId, h: VarId, w: VarId, b: VarId) -> VarId {
-        let (xv, hv, wv) = (self.value(x), self.value(h), self.value(w));
-        assert_eq!(xv.rows(), hv.rows(), "hcat row mismatch");
-        assert_eq!(
-            xv.cols() + hv.cols(),
-            wv.rows(),
-            "matmul shape mismatch: {}x{} * {}x{}",
-            xv.rows(),
-            xv.cols() + hv.cols(),
-            wv.rows(),
-            wv.cols()
-        );
-        // `[x | h] * w` one row block of `w` at a time: each element's
-        // ascending-k sum runs over x's columns, then h's.
-        let mut v = Matrix::zeros(xv.rows(), wv.cols());
-        xv.add_product_into(wv, 0, v.data_mut());
-        hv.add_product_into(wv, xv.cols(), v.data_mut());
-        v.add_row_broadcast_assign(self.value(b));
-        self.push(v, Op::ConcatMatMulBias { x, h, w, b })
-    }
-
-    /// Fused LSTM cell state `σ(f̂) ∘ c_prev + σ(î) ∘ tanh(ĝ)` where
-    /// `î, f̂, ĝ` are the first, second and fourth `hidden`-wide column
-    /// blocks of `gates` (the standard `[i f o g]` packing). One tape
-    /// node, bit-identical to the slice/activation/hadamard/add chain.
+    /// Records one LSTM direction over the `1 × input` rows `xs` as one
+    /// tape node, with weight `w` (`(input + hidden) × 4·hidden`, gate
+    /// blocks `[i f o g]`) and bias `b`, from the zero state. Returns each
+    /// step's hidden state. Forward values and gradients are bit-identical
+    /// to the hcat → matmul → add_broadcast_row → slice_cols → sigmoid /
+    /// tanh → hadamard → add chain per step (DESIGN §12). `w` and `b`
+    /// must be leaves no other node reads (`LstmCell::run` binds them
+    /// fresh): that proof needs their gradient slots to start at `+0.0`.
     ///
     /// # Panics
     ///
-    /// Panics if `hidden` is zero, `gates` is not `4 * hidden` wide or
-    /// `c_prev` is not `rows × hidden`.
-    pub fn lstm_cell_state(&mut self, gates: VarId, c_prev: VarId, hidden: usize) -> VarId {
-        let (gv, cp) = (self.value(gates), self.value(c_prev));
-        let rows = gate_rows(gv, hidden);
-        assert_eq!(cp.shape(), (rows, hidden), "LSTM cell state shape mismatch");
-        let mut act = Vec::with_capacity(3 * rows * hidden);
-        for (start, f) in [
-            (0, sigmoid as fn(f32) -> f32),
-            (hidden, sigmoid),
-            (3 * hidden, f32::tanh),
-        ] {
-            for row in gv.data().chunks_exact(4 * hidden) {
-                act.extend(row[start..start + hidden].iter().map(|&x| f(x)));
-            }
-        }
-        // Each element is the same left-associated `(f∘c_prev) + (i∘g)`
-        // expression the hadamard → hadamard → add chain computes, so the
-        // bits match.
-        let n = rows * hidden;
-        let (i, rest) = act.split_at(n);
-        let (f, g) = rest.split_at(n);
-        let v = (0..n).map(|e| f[e] * cp.data()[e] + i[e] * g[e]).collect();
-        let v = Matrix::from_vec(rows, hidden, v);
-        let act = Matrix::from_vec(3 * rows, hidden, act);
-        self.push(v, Op::LstmCellState { gates, c_prev, act })
-    }
-
-    /// Fused LSTM output `σ(ô) ∘ tanh(c)` where `ô` is the third
-    /// `hidden`-wide column block of `gates`. One tape node,
-    /// bit-identical to the slice/sigmoid/tanh/hadamard chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hidden` is zero, `gates` is not `4 * hidden` wide or
-    /// `c` is not `rows × hidden`.
-    pub fn lstm_out_gate(&mut self, gates: VarId, c: VarId, hidden: usize) -> VarId {
-        let (gv, cv) = (self.value(gates), self.value(c));
-        let rows = gate_rows(gv, hidden);
-        assert_eq!(cv.shape(), (rows, hidden), "LSTM cell state shape mismatch");
-        let mut act = Vec::with_capacity(2 * rows * hidden);
-        for row in gv.data().chunks_exact(4 * hidden) {
-            act.extend(row[2 * hidden..3 * hidden].iter().map(|&x| sigmoid(x)));
-        }
-        act.extend(cv.data().iter().map(|&x| x.tanh()));
-        let (o, tanh_c) = act.split_at(rows * hidden);
-        let v = o.iter().zip(tanh_c).map(|(&o, &t)| o * t).collect();
-        let v = Matrix::from_vec(rows, hidden, v);
-        let act = Matrix::from_vec(2 * rows, hidden, act);
-        self.push(v, Op::LstmOutGate { gates, c, act })
+    /// Panics if `hidden` is zero or a shape does not fit.
+    pub(crate) fn lstm(&mut self, xs: &[VarId], w: VarId, b: VarId, hidden: usize) -> Vec<VarId> {
+        let values: Vec<&Matrix> = xs.iter().map(|&x| self.value(x)).collect();
+        let (seq, hs) = LstmSeq::record((xs, w, b), &values, self.value(w), self.value(b), hidden);
+        let id = self.push(Matrix::zeros(0, 0), Op::Lstm(seq));
+        hs.into_iter()
+            .map(|h| self.push(h, Op::LstmHidden(id)))
+            .collect()
     }
 
     /// Mean over all elements, producing a `1x1` value.
@@ -733,6 +642,12 @@ impl Graph {
                     }
                 }
                 Op::Input => inputs.push((VarId(idx), g)),
+                Op::LstmHidden(seq) => {
+                    // Held for the sequence node, which reads it with its
+                    // other steps'; an empty matrix marks that node live.
+                    pass.slots.grads[idx] = Some(g);
+                    pass.slots.grads[seq.0].get_or_insert_with(|| Matrix::zeros(0, 0));
+                }
                 _ => {
                     pass.propagate(idx, &g);
                     pass.slots.recycle(g);
@@ -765,19 +680,8 @@ pub struct Workspace {
 pub struct Transposes(Vec<((usize, usize, usize), Matrix)>);
 
 /// The logistic function, as every sigmoid in the tape computes it.
-fn sigmoid(x: f32) -> f32 {
+pub(crate) fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
-}
-
-/// Rows of a packed `[i f o g]` gate matrix, checking its width.
-fn gate_rows(gates: &Matrix, hidden: usize) -> usize {
-    assert!(hidden > 0, "LSTM hidden width must be positive");
-    assert_eq!(
-        gates.cols(),
-        4 * hidden,
-        "LSTM gates must be 4 * hidden wide"
-    );
-    gates.rows()
 }
 
 /// Per-node gradient slots of one backward pass, with the storage of
@@ -799,7 +703,10 @@ impl<'a> Slots<'a> {
     }
 
     fn recycle(&mut self, m: Matrix) {
-        self.spare.push(m.into_data());
+        let data = m.into_data();
+        if data.capacity() > 0 {
+            self.spare.push(data);
+        }
     }
 
     /// Accumulates the `rows × cols` gradient whose element `(r, c)` is
@@ -931,6 +838,50 @@ impl Backward<'_> {
         g.add_product_into(block, 0, &mut self.row);
     }
 
+    /// The backward of the LSTM direction at node `idx`, in one pass over
+    /// its steps: the held gradients of its hidden-state nodes give the
+    /// gate gradients (staged in `self.row`), which then accumulate into
+    /// the bias, the weight and any input that takes a gradient, step by
+    /// step in descending order. Steps after the last one whose hidden
+    /// state has a gradient are not reached, as in the unfused chain.
+    fn lstm(&mut self, idx: usize, seq: &LstmSeq) {
+        let views = idx + 1..idx + 1 + seq.steps();
+        let held = &self.slots.grads[views.clone()];
+        let Some(live) = held.iter().rposition(Option::is_some).map(|t| t + 1) else {
+            return;
+        };
+        let n = seq.gate_width();
+        let w = self.slots.value(seq.w);
+        let extra = w.rows();
+        seq.gate_grads(
+            live,
+            |t| held[t].as_ref().map(Matrix::data),
+            &mut self.row,
+            extra,
+        );
+        let (dg, rest) = self.row.split_at_mut(live * n);
+        if let Some(acc) = self.slots.zeroed(seq.b, 1, n) {
+            seq.add_bias_grad(dg, acc.data_mut());
+        }
+        if let Some(acc) = self.slots.zeroed(seq.w, seq.in_width(), n) {
+            seq.add_weight_grad(dg, acc.data_mut());
+        }
+        let at = rest.len() - extra;
+        let xg = &mut rest[at..];
+        for (t, &x) in seq.xs[..live].iter().enumerate().rev() {
+            if self.slots.needs(x) {
+                let wx = self.slots.value(x).cols();
+                seq.input_grad(w, &dg[t * n..(t + 1) * n], &mut xg[..wx]);
+                self.slots.add_cols(x, &xg[..wx], (1, wx), 0, wx);
+            }
+        }
+        for v in views {
+            if let Some(m) = self.slots.grads[v].take() {
+                self.slots.recycle(m);
+            }
+        }
+    }
+
     /// Feeds node `idx`'s gradient `g` to the node's inputs.
     fn propagate(&mut self, idx: usize, g: &Matrix) {
         let node = &self.slots.nodes[idx];
@@ -1011,88 +962,8 @@ impl Backward<'_> {
                     }
                 });
             }
-            Op::ConcatMatMulBias { x, h, w, b } => {
-                // The AddBroadcastRow, MatMul and HCat arms of the chain
-                // this node fuses, in place. The input gradient `g · w^T`
-                // is computed only for the columns a non-constant input
-                // consumes (the embedded layer features are constants),
-                // against `w`'s transpose so each step reads contiguous
-                // rows.
-                if let Some(acc) = self.slots.zeroed(*b, 1, cols) {
-                    g.add_sum_rows_into(acc);
-                }
-                let (xv, hv) = (self.slots.value(*x), self.slots.value(*h));
-                let (wx, wh) = (xv.cols(), hv.cols());
-                if let Some(acc) = self.slots.zeroed(*w, wx + wh, cols) {
-                    // Row i of the weight gradient reads column i of
-                    // `[x | h]`: rows of `x` first, then of `h`.
-                    let (ax, ah) = acc.data_mut().split_at_mut(wx * cols);
-                    xv.add_matmul_at_into(g, ax, &mut self.row);
-                    hv.add_matmul_at_into(g, ah, &mut self.row);
-                }
-                let lo = if self.slots.needs(*x) { 0 } else { wx };
-                let hi = if self.slots.needs(*h) { wx + wh } else { wx };
-                if lo < hi {
-                    self.product_bt(g, *w, lo, hi);
-                    let block = (rows, hi - lo);
-                    if lo == 0 {
-                        self.slots.add_cols(*x, &self.row, block, 0, wx);
-                    }
-                    if hi > wx {
-                        self.slots.add_cols(*h, &self.row, block, wx - lo, wh);
-                    }
-                }
-            }
-            Op::LstmCellState { gates, c_prev, act } => {
-                // The slice-scatter into `gates`: each of the i, f and g
-                // blocks receives one `0.0 + expr` term (left-associated
-                // products, as the decomposed chain forms them) and the o
-                // block receives `0.0`.
-                let hidden = act.cols();
-                let (id, rest) = act.data().split_at(rows * hidden);
-                let (fd, gg) = rest.split_at(rows * hidden);
-                let cp = self.slots.value(*c_prev).data();
-                let (grows, gcols) = self.slots.value(*gates).shape();
-                if let Some(acc) = self.slots.zeroed(*gates, grows, gcols) {
-                    for (r, dst) in acc.data_mut().chunks_exact_mut(4 * hidden).enumerate() {
-                        let (di, rest) = dst.split_at_mut(hidden);
-                        let (df, rest) = rest.split_at_mut(hidden);
-                        let (d_o, dg) = rest.split_at_mut(hidden);
-                        for c in 0..hidden {
-                            let e = r * hidden + c;
-                            let (gv, iv, fv, gt) = (gd[e], id[e], fd[e], gg[e]);
-                            di[c] += 0.0 + gv * gt * iv * (1.0 - iv);
-                            df[c] += 0.0 + gv * cp[e] * fv * (1.0 - fv);
-                            d_o[c] += 0.0;
-                            dg[c] += 0.0 + gv * iv * (1.0 - gt * gt);
-                        }
-                    }
-                }
-                self.slots.add_from(*c_prev, rows, cols, |e| gd[e] * fd[e]);
-            }
-            Op::LstmOutGate { gates, c, act } => {
-                // The o block of `gates` receives `0.0 + expr`, the other
-                // blocks `0.0`.
-                let hidden = act.cols();
-                let (od, td) = act.data().split_at(rows * hidden);
-                let (grows, gcols) = self.slots.value(*gates).shape();
-                if let Some(acc) = self.slots.zeroed(*gates, grows, gcols) {
-                    for (r, dst) in acc.data_mut().chunks_exact_mut(4 * hidden).enumerate() {
-                        let (d_if, rest) = dst.split_at_mut(2 * hidden);
-                        let (d_o, dg) = rest.split_at_mut(hidden);
-                        for v in d_if.iter_mut().chain(dg) {
-                            *v += 0.0;
-                        }
-                        for (col, d) in d_o.iter_mut().enumerate() {
-                            let e = r * hidden + col;
-                            let ov = od[e];
-                            *d += 0.0 + gd[e] * td[e] * ov * (1.0 - ov);
-                        }
-                    }
-                }
-                self.slots
-                    .add_from(*c, rows, cols, |e| gd[e] * od[e] * (1.0 - td[e] * td[e]));
-            }
+            Op::Lstm(seq) => self.lstm(idx, seq),
+            Op::LstmHidden(_) => unreachable!("held for its sequence node"),
             Op::MeanAll(a) => {
                 let (r, c) = self.slots.value(*a).shape();
                 let per = gd[0] / (r * c) as f32;
@@ -1337,71 +1208,6 @@ fn max_pool_forward(input: &Matrix, geom: ConvGeom) -> (Matrix, Vec<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fused_lstm_ops_match_decomposed_chain_bitwise() {
-        // Build a full two-step LSTM cell chain twice — once with the
-        // fused ops, once with the primitive chain they replace — and
-        // require bit-identical forward values and parameter gradients.
-        let mut params = ParamSet::new();
-        let (input, hidden) = (3, 4);
-        let w_p = params.insert("w", Matrix::seeded_xavier(input + hidden, 4 * hidden, 3));
-        let b_p = params.insert("b", Matrix::seeded_xavier(1, 4 * hidden, 4));
-        let xs = [
-            Matrix::seeded_xavier(1, input, 5),
-            Matrix::seeded_xavier(1, input, 6),
-        ];
-
-        let run = |fused: bool| {
-            let mut g = Graph::new();
-            let w = g.param(&params, w_p);
-            let b = g.param(&params, b_p);
-            let mut h = g.constant(Matrix::zeros(1, hidden));
-            let mut c = g.constant(Matrix::zeros(1, hidden));
-            for x_val in &xs {
-                let x = g.constant(x_val.clone());
-                if fused {
-                    let gates = g.concat_matmul_bias(x, h, w, b);
-                    c = g.lstm_cell_state(gates, c, hidden);
-                    h = g.lstm_out_gate(gates, c, hidden);
-                } else {
-                    let z = g.hcat(x, h);
-                    let gates_lin = g.matmul(z, w);
-                    let gates = g.add_broadcast_row(gates_lin, b);
-                    let i_lin = g.slice_cols(gates, 0, hidden);
-                    let f_lin = g.slice_cols(gates, hidden, hidden);
-                    let o_lin = g.slice_cols(gates, 2 * hidden, hidden);
-                    let g_lin = g.slice_cols(gates, 3 * hidden, hidden);
-                    let i = g.sigmoid(i_lin);
-                    let f = g.sigmoid(f_lin);
-                    let o = g.sigmoid(o_lin);
-                    let gg = g.tanh(g_lin);
-                    let fc = g.hadamard(f, c);
-                    let ig = g.hadamard(i, gg);
-                    c = g.add(fc, ig);
-                    let c_tanh = g.tanh(c);
-                    h = g.hadamard(o, c_tanh);
-                }
-            }
-            let hc = g.hcat(h, c);
-            let loss = g.sum_all(hc);
-            let value = g.value(h).clone();
-            (value, g.backward(loss))
-        };
-
-        let (v_fused, g_fused) = run(true);
-        let (v_plain, g_plain) = run(false);
-        for (a, b) in v_fused.data().iter().zip(v_plain.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for p in [w_p, b_p] {
-            let gf = g_fused.get(p).expect("gradient flows");
-            let gp = g_plain.get(p).expect("gradient flows");
-            for (a, b) in gf.data().iter().zip(gp.data()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
 
     #[test]
     fn add_and_backward() {

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::graph::{Graph, VarId};
+use crate::graph::{sigmoid, Graph, VarId};
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
 
@@ -63,70 +63,17 @@ impl LstmCell {
         self.input_size
     }
 
-    /// Zero-initialized `(h, c)` state as constants in `graph`.
-    pub fn zero_state(&self, graph: &mut Graph) -> (VarId, VarId) {
-        let h = graph.constant(Matrix::zeros(1, self.hidden));
-        let c = graph.constant(Matrix::zeros(1, self.hidden));
-        (h, c)
-    }
-
-    /// One LSTM step: consumes `x` (1×input) and state `(h, c)`, returning
-    /// the next `(h, c)`.
+    /// Runs the cell over a sequence of `1 × input_size` rows, returning
+    /// the hidden state after each step. The whole direction is one tape
+    /// node (see [`Graph::lstm`]), so its backward runs in one pass.
     ///
     /// # Panics
     ///
-    /// Panics if `x` is not `1 x input_size`.
-    pub fn step(
-        &self,
-        graph: &mut Graph,
-        params: &ParamSet,
-        x: VarId,
-        state: (VarId, VarId),
-    ) -> (VarId, VarId) {
-        let w = graph.param(params, self.w);
-        let b = graph.param(params, self.b);
-        self.step_with(graph, (w, b), x, state)
-    }
-
-    /// [`step`] with the weight/bias graph nodes supplied by the caller,
-    /// so a sequence run binds each parameter once instead of cloning it
-    /// into the tape at every timestep. Gradients are unchanged: the
-    /// backward pass accumulates per-use contributions in the same
-    /// (reverse-step) order whether they flow through one shared node or
-    /// one node per step.
-    ///
-    /// [`step`]: LstmCell::step
-    fn step_with(
-        &self,
-        graph: &mut Graph,
-        (w, b): (VarId, VarId),
-        x: VarId,
-        state: (VarId, VarId),
-    ) -> (VarId, VarId) {
-        assert_eq!(
-            graph.value(x).shape(),
-            (1, self.input_size),
-            "LSTM input shape mismatch"
-        );
-        let (h_prev, c_prev) = state;
-        let gates = graph.concat_matmul_bias(x, h_prev, w, b);
-        let c = graph.lstm_cell_state(gates, c_prev, self.hidden);
-        let h = graph.lstm_out_gate(gates, c, self.hidden);
-        (h, c)
-    }
-
-    /// Runs the cell over a sequence, returning the hidden state after each
-    /// step.
+    /// Panics if an input is not `1 x input_size`.
     pub fn run(&self, graph: &mut Graph, params: &ParamSet, inputs: &[VarId]) -> Vec<VarId> {
         let w = graph.param(params, self.w);
         let b = graph.param(params, self.b);
-        let mut state = self.zero_state(graph);
-        let mut hs = Vec::with_capacity(inputs.len());
-        for &x in inputs {
-            state = self.step_with(graph, (w, b), x, state);
-            hs.push(state.0);
-        }
-        hs
+        graph.lstm(inputs, w, b, self.hidden)
     }
 }
 
@@ -187,21 +134,323 @@ impl BiLstm {
     }
 }
 
+/// One recorded LSTM direction: the tape node [`Graph::lstm`] pushes, and
+/// everything its backward pass reads.
+///
+/// Step `t` keeps one row of `input + 7·hidden` floats: the cell's input
+/// `[x_t | h_{t−1}]`, then `c_{t−1}`, the activated gates `[i f o g]` and
+/// `tanh(c_t)`. Step 0 reads the zero state. Each kernel runs at a
+/// compile-time width for the two widths the controllers use (8 and 16)
+/// and at the run-time width otherwise, with the same operations in the
+/// same order, so the width never changes a bit.
+#[derive(Debug)]
+pub(crate) struct LstmSeq {
+    pub(crate) xs: Vec<VarId>,
+    pub(crate) w: VarId,
+    pub(crate) b: VarId,
+    input: usize,
+    hidden: usize,
+    rows: Vec<f32>,
+    /// The recurrent rows of `w`, transposed (`4·hidden × hidden`): the
+    /// backward's `δgates · w_hᵀ` then reads contiguous rows.
+    wht: Vec<f32>,
+}
+
+/// The width a kernel instance runs at: `H`, or the run-time `hidden`
+/// for the generic instance `H = 0`.
+fn width<const H: usize>(hidden: usize) -> usize {
+    if H == 0 {
+        hidden
+    } else {
+        H
+    }
+}
+
+/// Runs `$f::<H>` at the compile-time width matching `$hidden`.
+macro_rules! at_width {
+    ($hidden:expr, $f:ident($($arg:expr),*)) => {
+        match $hidden {
+            8 => $f::<8>($($arg),*),
+            16 => $f::<16>($($arg),*),
+            _ => $f::<0>($($arg),*),
+        }
+    };
+}
+
+impl LstmSeq {
+    /// Runs the direction over the `1 × input` rows `xs` with weight `w`
+    /// (`(input + hidden) × 4·hidden`, gate blocks `[i f o g]`) and bias
+    /// `b`, returning the node and each step's hidden state.
+    pub(crate) fn record(
+        ids: (&[VarId], VarId, VarId),
+        xs: &[&Matrix],
+        w: &Matrix,
+        b: &Matrix,
+        hidden: usize,
+    ) -> (Self, Vec<Matrix>) {
+        assert!(hidden > 0, "LSTM hidden width must be positive");
+        let input = w.rows().checked_sub(hidden).expect("LSTM weight too short");
+        assert_eq!(w.shape(), (input + hidden, 4 * hidden), "LSTM weight shape");
+        assert_eq!(b.shape(), (1, 4 * hidden), "LSTM bias shape");
+        for x in xs {
+            assert_eq!(x.shape(), (1, input), "LSTM input shape mismatch");
+        }
+        let mut seq = Self {
+            xs: ids.0.to_vec(),
+            w: ids.1,
+            b: ids.2,
+            input,
+            hidden,
+            rows: vec![0.0; xs.len() * (input + 7 * hidden)],
+            wht: w.transpose_rows(input, input + hidden).into_data(),
+        };
+        let hs = at_width!(hidden, forward(&mut seq, xs, w.data(), b.data()));
+        (seq, hs)
+    }
+
+    /// Number of steps.
+    pub(crate) fn steps(&self) -> usize {
+        self.xs.len()
+    }
+
+    /// Width of the packed gate row, `4·hidden`.
+    pub(crate) fn gate_width(&self) -> usize {
+        4 * self.hidden
+    }
+
+    /// Width of the cell input `[x | h]`: the weight's row count.
+    pub(crate) fn in_width(&self) -> usize {
+        self.input + self.hidden
+    }
+
+    fn stride(&self) -> usize {
+        self.input + 7 * self.hidden
+    }
+
+    /// Writes the gate gradients of steps `0..live` into `dg` (row `t`
+    /// at `t · 4·hidden`), where `ext(t)` is the gradient the tape's
+    /// consumers gave `h_t` and `live − 1` is the last step that has one.
+    /// `dg` is sized to hold `extra` more floats after the rows.
+    pub(crate) fn gate_grads<'g>(
+        &self,
+        live: usize,
+        ext: impl Fn(usize) -> Option<&'g [f32]>,
+        dg: &mut Vec<f32>,
+        extra: usize,
+    ) {
+        dg.clear();
+        dg.resize(live * self.gate_width() + 2 * self.hidden + extra, 0.0);
+        at_width!(self.hidden, gate_grads(self, live, &ext, dg));
+    }
+
+    /// Adds the bias gradient of the gate rows `dg` into `acc`: per
+    /// element, `acc += δg_t` over the steps in descending order.
+    pub(crate) fn add_bias_grad(&self, dg: &[f32], acc: &mut [f32]) {
+        for row in dg.chunks_exact(self.gate_width()).rev() {
+            for (a, &d) in acc.iter_mut().zip(row) {
+                *a += d;
+            }
+        }
+    }
+
+    /// Adds the weight gradient of the gate rows `dg` into `acc`: per
+    /// element, `acc += z·δg_t` over the steps in descending order, where
+    /// `z` is the step's input `[x_t | h_{t−1}]`; exact-zero `z` skipped.
+    pub(crate) fn add_weight_grad(&self, dg: &[f32], acc: &mut [f32]) {
+        let (n, stride) = (self.gate_width(), self.stride());
+        for (k, dst) in acc.chunks_exact_mut(n).enumerate() {
+            let terms = dg
+                .chunks_exact(n)
+                .enumerate()
+                .rev()
+                .map(|(t, dgt)| (self.rows[t * stride + k], dgt));
+            if self.hidden.is_multiple_of(8) {
+                add_products::<32>(dst, terms);
+            } else {
+                add_products::<0>(dst, terms);
+            }
+        }
+    }
+
+    /// `out = δg · w[..input]ᵀ`, the gradient of step input `x_t` for the
+    /// gate row `δg`: ascending `k` from `+0.0`, exact zeros skipped.
+    pub(crate) fn input_grad(&self, w: &Matrix, dg: &[f32], out: &mut [f32]) {
+        for (o, wrow) in out.iter_mut().zip(w.data().chunks_exact(dg.len())) {
+            let mut s = 0.0;
+            for (&a, &v) in dg.iter().zip(wrow) {
+                if a == 0.0 {
+                    continue;
+                }
+                s += a * v;
+            }
+            *o = s;
+        }
+    }
+}
+
+/// `acc[j] += a·row[j]` for each `(a, row)` of `terms` in order, skipping
+/// an exact-zero `a`: the loop of the tape's matmul, which sums each
+/// element in ascending `k` and skips exact zeros. At a compile-time
+/// block width `B` the sums run in a local `B`-column block, which the
+/// compiler keeps in registers across the terms; `B = 0` runs in place.
+/// The operations and their order per element are the same either way.
+fn add_products<'r, const B: usize>(
+    acc: &mut [f32],
+    terms: impl Iterator<Item = (f32, &'r [f32])> + Clone,
+) {
+    if B == 0 {
+        for (a, row) in terms {
+            if a == 0.0 {
+                continue;
+            }
+            for (d, &v) in acc.iter_mut().zip(row) {
+                *d += a * v;
+            }
+        }
+        return;
+    }
+    assert_eq!(acc.len() % B, 0, "block width must divide the row");
+    for (blk, dst) in acc.chunks_exact_mut(B).enumerate() {
+        let mut local = [0.0f32; B];
+        local.copy_from_slice(dst);
+        for (a, row) in terms.clone() {
+            if a == 0.0 {
+                continue;
+            }
+            for (d, &v) in local.iter_mut().zip(&row[blk * B..(blk + 1) * B]) {
+                *d += a * v;
+            }
+        }
+        dst.copy_from_slice(&local);
+    }
+}
+
+/// The forward pass: per step, gates `= [x | h] · w + b` (ascending `k`
+/// from `+0.0`, exact-zero inputs skipped, then the bias), `σ` on
+/// `i f o`, `tanh` on `g`, `c = (f·c_prev) + (i·g)`, `h = o·tanh(c)`.
+fn forward<const H: usize>(seq: &mut LstmSeq, xs: &[&Matrix], w: &[f32], b: &[f32]) -> Vec<Matrix> {
+    let hd = width::<H>(seq.hidden);
+    let (input, stride, n) = (seq.input, seq.stride(), 4 * hd);
+    let mut hs = Vec::with_capacity(xs.len());
+    for (t, x) in xs.iter().enumerate() {
+        let (row, next) = seq.rows[t * stride..].split_at_mut(stride);
+        row[..input].copy_from_slice(x.data());
+        let (z, rest) = row.split_at_mut(input + hd);
+        let (c_prev, rest) = rest.split_at_mut(hd);
+        let (act, tc) = rest.split_at_mut(n);
+        let terms = z.iter().copied().zip(w.chunks_exact(n));
+        if H == 0 {
+            add_products::<0>(act, terms);
+        } else {
+            add_products::<32>(act, terms);
+        }
+        for (d, &v) in act.iter_mut().zip(b) {
+            *d += v;
+        }
+        let (ifo, g) = act.split_at_mut(3 * hd);
+        for v in ifo.iter_mut() {
+            *v = sigmoid(*v);
+        }
+        for v in g.iter_mut() {
+            *v = v.tanh();
+        }
+        let (i, rest) = act.split_at(hd);
+        let (f, rest) = rest.split_at(hd);
+        let (o, g) = rest.split_at(hd);
+        let (c_prev, tc) = (&c_prev[..hd], &mut tc[..hd]);
+        for e in 0..hd {
+            tc[e] = f[e] * c_prev[e] + i[e] * g[e];
+        }
+        if !next.is_empty() {
+            next[input + hd..input + 2 * hd].copy_from_slice(tc);
+        }
+        let mut h = Matrix::zeros(1, hd);
+        for ((hv, t), &ov) in h.data_mut().iter_mut().zip(tc.iter_mut()).zip(o) {
+            *t = t.tanh();
+            *hv = ov * *t;
+        }
+        if !next.is_empty() {
+            next[input..input + hd].copy_from_slice(h.data());
+        }
+        hs.push(h);
+    }
+    hs
+}
+
+/// The backward through the cells, steps `live − 1` down to 0. With
+/// `rec = δg_{t+1} · w_hᵀ` and `carry = δc_{t+1} · f_{t+1}`:
+/// `δh_t = ext + rec` (either alone where the other is absent),
+/// `δc_t = carry + δh·o·(1 − tanh²c)` (the second term alone at the last
+/// live step), and each gate gradient is `0.0 + expr` with the
+/// left-associated products of the unfused chain.
+fn gate_grads<'g, const H: usize>(
+    seq: &LstmSeq,
+    live: usize,
+    ext: &impl Fn(usize) -> Option<&'g [f32]>,
+    dg: &mut [f32],
+) {
+    let hd = width::<H>(seq.hidden);
+    let (input, stride, n) = (seq.input, seq.stride(), 4 * hd);
+    let (dgs, state) = dg.split_at_mut(live * n);
+    let (carry, rest) = state.split_at_mut(hd);
+    let dh = &mut rest[..hd];
+    for t in (0..live).rev() {
+        let has_next = t + 1 < live;
+        // `dh` holds `rec` here; turn it into δh_t.
+        match ext(t) {
+            Some(x) if has_next => {
+                for (d, &x) in dh.iter_mut().zip(x) {
+                    let rec = *d;
+                    *d = x + rec;
+                }
+            }
+            Some(x) => dh.copy_from_slice(x),
+            None => {}
+        }
+        let row = &seq.rows[t * stride + input + hd..];
+        let (c_prev, i, f) = (&row[..hd], &row[hd..2 * hd], &row[2 * hd..3 * hd]);
+        let (o, g, tc) = (
+            &row[3 * hd..4 * hd],
+            &row[4 * hd..5 * hd],
+            &row[5 * hd..6 * hd],
+        );
+        let dgt = &mut dgs[t * n..(t + 1) * n];
+        let (di, rest) = dgt.split_at_mut(hd);
+        let (df, rest) = rest.split_at_mut(hd);
+        let (d_o, dgg) = rest.split_at_mut(hd);
+        for e in 0..hd {
+            let out = dh[e] * o[e] * (1.0 - tc[e] * tc[e]);
+            let dc = if has_next { carry[e] + out } else { out };
+            di[e] = 0.0 + dc * g[e] * i[e] * (1.0 - i[e]);
+            df[e] = 0.0 + dc * c_prev[e] * f[e] * (1.0 - f[e]);
+            d_o[e] = 0.0 + dh[e] * tc[e] * o[e] * (1.0 - o[e]);
+            dgg[e] = 0.0 + dc * i[e] * (1.0 - g[e] * g[e]);
+            carry[e] = dc * f[e];
+        }
+        if t > 0 {
+            dh.fill(0.0);
+            let terms = dgt.iter().copied().zip(seq.wht.chunks_exact(hd));
+            add_products::<H>(dh, terms);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optim::Adam;
 
     #[test]
-    fn lstm_step_shapes() {
+    fn lstm_run_shapes() {
         let mut params = ParamSet::new();
         let cell = LstmCell::new(&mut params, "cell", 3, 5, 0);
         let mut g = Graph::new();
-        let x = g.constant(Matrix::zeros(1, 3));
-        let state = cell.zero_state(&mut g);
-        let (h, c) = cell.step(&mut g, &params, x, state);
-        assert_eq!(g.value(h).shape(), (1, 5));
-        assert_eq!(g.value(c).shape(), (1, 5));
+        let xs: Vec<VarId> = (0..2).map(|_| g.constant(Matrix::zeros(1, 3))).collect();
+        let hs = cell.run(&mut g, &params, &xs);
+        assert_eq!(hs.len(), 2);
+        for h in hs {
+            assert_eq!(g.value(h).shape(), (1, 5));
+        }
     }
 
     #[test]

@@ -507,24 +507,6 @@ impl Matrix {
         out
     }
 
-    /// Adds a 1×cols row vector to every row in place. Produces the same
-    /// bits as [`add_row_broadcast`] without the intermediate copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 x self.cols`.
-    ///
-    /// [`add_row_broadcast`]: Matrix::add_row_broadcast
-    pub fn add_row_broadcast_assign(&mut self, bias: &Matrix) {
-        assert_eq!(bias.rows, 1, "bias must be a row vector");
-        assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                self.data[r * self.cols + c] += bias.data[c];
-            }
-        }
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()

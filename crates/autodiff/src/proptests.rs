@@ -129,87 +129,145 @@ fn signed_zero_or(rng: &mut StdRng, zero_chance: f64) -> f32 {
     }
 }
 
-/// Runs one LSTM cell over `xs` and returns the `(w, b)` gradients of
-/// `Σ_t sum(h_t ∘ up_t) + sum(c_T ∘ up_c)`, through the fused ops or the
-/// primitive chain they replace.
-fn lstm_weight_grads(
-    params: &ParamSet,
-    (w_p, b_p): (ParamId, ParamId),
-    xs: &[Matrix],
-    ups: &[Matrix],
+/// One LSTM direction over `xs` through the primitive per-step chain
+/// hcat → matmul → add_broadcast_row → slice_cols → sigmoid/tanh →
+/// hadamard → add, from a zero state; returns each step's hidden state.
+fn primitive_lstm(
+    g: &mut Graph,
+    (w, b): (VarId, VarId),
+    xs: &[VarId],
     hidden: usize,
-    fused: bool,
-) -> (Matrix, Matrix) {
-    let mut g = Graph::new();
-    let w = g.param(params, w_p);
-    let b = g.param(params, b_p);
+) -> Vec<VarId> {
     let mut h = g.constant(Matrix::zeros(1, hidden));
     let mut c = g.constant(Matrix::zeros(1, hidden));
-    let mut loss: Option<VarId> = None;
-    for (x_val, up) in xs.iter().zip(ups) {
-        let x = g.constant(x_val.clone());
-        if fused {
-            let gates = g.concat_matmul_bias(x, h, w, b);
-            c = g.lstm_cell_state(gates, c, hidden);
-            h = g.lstm_out_gate(gates, c, hidden);
-        } else {
-            let z = g.hcat(x, h);
-            let lin = g.matmul(z, w);
-            let gates = g.add_broadcast_row(lin, b);
-            let i_lin = g.slice_cols(gates, 0, hidden);
-            let f_lin = g.slice_cols(gates, hidden, hidden);
-            let o_lin = g.slice_cols(gates, 2 * hidden, hidden);
-            let g_lin = g.slice_cols(gates, 3 * hidden, hidden);
-            let i = g.sigmoid(i_lin);
-            let f = g.sigmoid(f_lin);
-            let o = g.sigmoid(o_lin);
-            let gg = g.tanh(g_lin);
-            let fc = g.hadamard(f, c);
-            let ig = g.hadamard(i, gg);
-            c = g.add(fc, ig);
-            let c_tanh = g.tanh(c);
-            h = g.hadamard(o, c_tanh);
+    let mut hs = Vec::new();
+    for &x in xs {
+        let z = g.hcat(x, h);
+        let lin = g.matmul(z, w);
+        let gates = g.add_broadcast_row(lin, b);
+        let i_lin = g.slice_cols(gates, 0, hidden);
+        let f_lin = g.slice_cols(gates, hidden, hidden);
+        let o_lin = g.slice_cols(gates, 2 * hidden, hidden);
+        let g_lin = g.slice_cols(gates, 3 * hidden, hidden);
+        let i = g.sigmoid(i_lin);
+        let f = g.sigmoid(f_lin);
+        let o = g.sigmoid(o_lin);
+        let gg = g.tanh(g_lin);
+        let fc = g.hadamard(f, c);
+        let ig = g.hadamard(i, gg);
+        c = g.add(fc, ig);
+        let c_tanh = g.tanh(c);
+        h = g.hadamard(o, c_tanh);
+        hs.push(h);
+    }
+    hs
+}
+
+/// Everything a run of one LSTM case yields: the loss terms' hidden
+/// states, the input leaves' gradients and the parameters' gradients.
+type LstmRun = (Vec<Matrix>, Vec<Matrix>, Vec<Option<Matrix>>);
+
+/// Runs a bidirectional (or, with `bi` false, a forward-only) LSTM over
+/// input leaves holding `xs` and differentiates `Σ_t sum(h_t ∘ up_t)` over
+/// the steps with an upstream row, through the sequence node or the
+/// primitive chain.
+fn lstm_case(
+    params: &ParamSet,
+    bi: bool,
+    xs: &[Matrix],
+    ups: &[Option<Matrix>],
+    hidden: usize,
+    sequence: bool,
+) -> LstmRun {
+    let dirs: &[&str] = if bi {
+        &["bi.fwd", "bi.bwd"]
+    } else {
+        &["bi.fwd"]
+    };
+    let mut g = Graph::new();
+    let leaves: Vec<VarId> = xs.iter().map(|x| g.input(x.clone())).collect();
+    let mut per_dir = Vec::new();
+    for (d, dir) in dirs.iter().enumerate() {
+        let w = g.param(params, params.id(&format!("{dir}.w")).expect("registered"));
+        let b = g.param(params, params.id(&format!("{dir}.b")).expect("registered"));
+        let mut seq: Vec<VarId> = leaves.clone();
+        if d == 1 {
+            seq.reverse();
         }
+        let mut hs = if sequence {
+            g.lstm(&seq, w, b, hidden)
+        } else {
+            primitive_lstm(&mut g, (w, b), &seq, hidden)
+        };
+        if d == 1 {
+            hs.reverse();
+        }
+        per_dir.push(hs);
+    }
+    let outs: Vec<VarId> = (0..xs.len())
+        .map(|t| match &per_dir[..] {
+            [f, b] => g.hcat(f[t], b[t]),
+            [f] => f[t],
+            _ => unreachable!("one or two directions"),
+        })
+        .collect();
+    let mut loss: Option<VarId> = None;
+    let mut values = Vec::new();
+    for (&h, up) in outs.iter().zip(ups) {
+        values.push(g.value(h).clone());
+        let Some(up) = up else { continue };
         let u = g.constant(up.clone());
         let hu = g.hadamard(h, u);
         let term = g.sum_all(hu);
-        loss = Some(match loss {
-            Some(l) => g.add(l, term),
-            None => term,
-        });
+        loss = Some(loss.map_or(term, |l| g.add(l, term)));
     }
-    let u = g.constant(ups[xs.len()].clone());
-    let cu = g.hadamard(c, u);
-    let term = g.sum_all(cu);
-    let loss = loss.map_or(term, |l| g.add(l, term));
-    let grads = g.backward(loss);
-    let get = |p| grads.get(p).expect("gradient flows").clone();
-    (get(w_p), get(b_p))
+    let loss = loss.expect("at least one loss term");
+    let mut grads = crate::Gradients::default();
+    let reached = g.backward_into(
+        [(loss, Matrix::from_vec(1, 1, vec![1.0]))],
+        &mut crate::Workspace::default(),
+        &mut crate::Transposes::default(),
+        &mut grads,
+    );
+    let inputs = reached.into_iter().map(|(_, m)| m).collect();
+    let param_grads = params.ids().map(|p| grads.get(p).cloned()).collect();
+    (values, inputs, param_grads)
+}
+
+fn assert_same_bits(a: &Matrix, b: &Matrix) {
+    assert_eq!(a.shape(), b.shape());
+    for (x, y) in a.data().iter().zip(b.data()) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The fused LSTM backward gives the bits of the primitive chain it
-    /// replaces: sequences of 1–12 steps at the controllers' two hidden
-    /// widths, input rows with a one-hot block and exact zeros, and
-    /// upstream gradients holding `+0.0` and `-0.0`.
+    /// The LSTM sequence node gives the bits of the primitive chain: the
+    /// hidden states, the input leaves' gradients and the weight and bias
+    /// gradients, over 1–40 steps at the two specialized widths (8, 16)
+    /// and the generic one (5), one or two directions, input rows with a
+    /// one-hot block and `±0.0` entries, upstream rows holding `±0.0`, and
+    /// steps without an upstream row (so trailing steps get no gradient).
     #[test]
-    fn fused_lstm_backward_matches_decomposed_chain_bitwise(
-        steps in 1usize..=12,
-        wide in proptest::bool::ANY,
+    fn lstm_sequence_matches_decomposed_chain_bitwise(
+        steps in 1usize..=40,
+        width in 0usize..3,
+        bi in proptest::bool::ANY,
         seed in 0u64..u64::MAX,
     ) {
-        let hidden = if wide { 16 } else { 8 };
+        let hidden = [5, 8, 16][width];
         let input = ONE_HOT + NUMERIC;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut params = ParamSet::new();
-        let w_p = params.insert("w", Matrix::seeded_xavier(input + hidden, 4 * hidden, seed));
-        let mut bias = Matrix::seeded_xavier(1, 4 * hidden, seed ^ 1);
-        for v in &mut bias.data_mut()[hidden..2 * hidden] {
-            *v += 1.0;
+        let _ = crate::BiLstm::new(&mut params, "bi", input, hidden, seed);
+        let biases: Vec<ParamId> = params.ids().filter(|&id| params.name(id).ends_with(".b")).collect();
+        for id in biases {
+            for v in params.value_mut(id).data_mut() {
+                *v += rng.random_range(-0.5f32..0.5);
+            }
         }
-        let b_p = params.insert("b", bias);
         let xs: Vec<Matrix> = (0..steps)
             .map(|_| {
                 let mut row = vec![0.0f32; input];
@@ -220,18 +278,29 @@ proptest! {
                 Matrix::from_vec(1, input, row)
             })
             .collect();
-        let ups: Vec<Matrix> = (0..=steps)
+        let out = if bi { 2 * hidden } else { hidden };
+        let mut ups: Vec<Option<Matrix>> = (0..steps)
             .map(|_| {
-                let row = (0..hidden).map(|_| signed_zero_or(&mut rng, 0.25)).collect();
-                Matrix::from_vec(1, hidden, row)
+                rng.random_bool(0.7).then(|| {
+                    let row = (0..out).map(|_| signed_zero_or(&mut rng, 0.25)).collect();
+                    Matrix::from_vec(1, out, row)
+                })
             })
             .collect();
-        let fused = lstm_weight_grads(&params, (w_p, b_p), &xs, &ups, hidden, true);
-        let plain = lstm_weight_grads(&params, (w_p, b_p), &xs, &ups, hidden, false);
-        for (f, p) in [(&fused.0, &plain.0), (&fused.1, &plain.1)] {
-            prop_assert_eq!(f.shape(), p.shape());
-            for (a, b) in f.data().iter().zip(p.data()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+        if ups.iter().all(Option::is_none) {
+            let t = rng.random_range(0..steps);
+            ups[t] = Some(Matrix::full(1, out, -0.0));
+        }
+        let fused = lstm_case(&params, bi, &xs, &ups, hidden, true);
+        let plain = lstm_case(&params, bi, &xs, &ups, hidden, false);
+        for (a, b) in fused.0.iter().zip(&plain.0).chain(fused.1.iter().zip(&plain.1)) {
+            assert_same_bits(a, b);
+        }
+        prop_assert_eq!(fused.1.len(), plain.1.len());
+        for (a, b) in fused.2.iter().zip(&plain.2) {
+            prop_assert_eq!(a.is_some(), b.is_some());
+            if let (Some(a), Some(b)) = (a, b) {
+                assert_same_bits(a, b);
             }
         }
     }

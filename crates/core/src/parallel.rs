@@ -91,8 +91,8 @@ impl Default for Parallelism {
     }
 }
 
-/// Maps `f` over `0..n`, fanning contiguous index chunks across up to
-/// `workers` scoped threads. The output is always in index order, and `f`
+/// Maps `f` over `0..n`, fanning contiguous index chunks across the
+/// calling thread and up to `workers − 1` scoped threads. The output is always in index order, and `f`
 /// must not depend on cross-index execution order (give each index its
 /// own RNG stream). With `workers <= 1` (or `n <= 1`) this is a plain
 /// serial map with no thread overhead.
@@ -116,14 +116,17 @@ where
     let chunk = n.div_ceil(workers);
     let mut out = Vec::with_capacity(n);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
+        let run = &run;
+        // Chunk 0 runs on the calling thread, which would otherwise only
+        // wait: one spawn fewer per fan-out.
+        let handles: Vec<_> = (1..workers)
             .map(|w| {
-                let run = &run;
                 let start = (w * chunk).min(n);
                 let end = ((w + 1) * chunk).min(n);
                 s.spawn(move || (start..end).map(run).collect::<Vec<U>>())
             })
             .collect();
+        out.extend((0..chunk.min(n)).map(run));
         for h in handles {
             out.extend(h.join().expect("rollout worker panicked"));
         }

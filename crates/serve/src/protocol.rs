@@ -232,6 +232,30 @@ mod tests {
     }
 
     #[test]
+    fn a_one_mebibyte_string_field_parses_in_linear_time() {
+        // Multi-byte chars and escapes between long plain runs; the
+        // quadratic parser took ~0.36 s on 128 KiB in release.
+        let unit = format!("{}é\\n\\\"", "x".repeat(1000));
+        let tenant = unit.repeat((1 << 20) / unit.len());
+        let line = format!(
+            r#"{{"Submit":{{"tenant":"{tenant}","model":"tiny","ir":"","min_accuracy":0.0,"device":"phone","scenario":"4G indoor static","requests":1,"seed":1,"faults":""}}}}"#
+        );
+        assert!(line.len() > 1000 * 1000 && line.len() <= 1 << 20);
+        let start = std::time::Instant::now();
+        let req = parse_request(&line).expect("parses");
+        let elapsed = start.elapsed();
+        match req {
+            Request::Submit { tenant: t, .. } => {
+                let units = t.chars().filter(|&c| c == 'é').count();
+                assert_eq!(units, (1 << 20) / unit.len());
+                assert!(t.ends_with("é\n\""), "escapes decoded");
+            }
+            other => panic!("expected Submit, got {other:?}"),
+        }
+        assert!(elapsed.as_secs_f64() < 2.0, "parse took {elapsed:?}");
+    }
+
+    #[test]
     fn response_roundtrips() {
         let resp = Response::Rejected {
             reason: "shed:rate".to_string(),

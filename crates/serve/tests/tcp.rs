@@ -152,6 +152,43 @@ fn an_over_long_request_line_is_refused_and_the_next_connection_served() {
 }
 
 #[test]
+fn a_request_with_a_one_mebibyte_field_is_answered_promptly() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let addr = listener.local_addr().expect("addr");
+    let server = Arc::new(Server::new(ServerConfig::default()));
+    let server_thread = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || tcp::serve(&server, listener))
+    };
+
+    // An unknown device name just under `MAX_LINE`: it must parse, in
+    // linear time, and be refused as a bad request.
+    let device = "é".repeat((tcp::MAX_LINE - 512) / 2);
+    let line = format!(
+        r#"{{"Submit":{{"tenant":"t0","model":"tiny","ir":"","min_accuracy":0.0,"device":"{device}","scenario":"4G indoor static","requests":1,"seed":1,"faults":""}}}}"#
+    );
+    assert!(line.len() < tcp::MAX_LINE);
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let start = std::time::Instant::now();
+    match send_line(&mut conn, &line) {
+        Response::Rejected { reason, .. } => assert_eq!(reason, "rejected:bad-request"),
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed.as_secs_f64() < 5.0, "answered after {elapsed:?}");
+    // The same connection keeps serving.
+    assert_eq!(send_line(&mut conn, "\"Ping\""), Response::Pong);
+    assert!(matches!(
+        send_line(&mut conn, "\"Drain\""),
+        Response::Draining { .. }
+    ));
+    server_thread
+        .join()
+        .expect("server thread")
+        .expect("listener io");
+}
+
+#[test]
 fn an_over_long_metrics_head_is_dropped_and_the_next_scrape_served() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
     let addr = listener.local_addr().expect("addr");

@@ -192,21 +192,29 @@ pub struct Cell {
     pub transfer: WindowHist,
 }
 
-/// One fixed-width time slice of cells.
+/// One fixed-width time slice of cells, by tenant, then outcome.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct Slice {
-    cells: BTreeMap<(String, String), Cell>,
+    cells: BTreeMap<String, BTreeMap<String, Cell>>,
 }
 
 impl Slice {
+    /// The `(tenant, outcome)` cell, created on first use. Looking up an
+    /// existing cell by `&str` allocates no key.
     fn cell(&mut self, tenant: &str, outcome: &str, cfg: &WindowConfig) -> &mut Cell {
-        self.cells
-            .entry((tenant.to_string(), outcome.to_string()))
-            .or_insert_with(|| Cell {
+        if !self.cells.contains_key(tenant) {
+            self.cells.insert(tenant.to_string(), BTreeMap::new());
+        }
+        let outcomes = self.cells.get_mut(tenant).expect("inserted above");
+        if !outcomes.contains_key(outcome) {
+            let cell = Cell {
                 count: 0,
                 latency: WindowHist::new(cfg.latency_bounds_ms.len()),
                 transfer: WindowHist::new(cfg.transfer_bounds.len()),
-            })
+            };
+            outcomes.insert(outcome.to_string(), cell);
+        }
+        outcomes.get_mut(outcome).expect("inserted above")
     }
 }
 
@@ -251,11 +259,10 @@ impl WindowAggregator {
     pub fn observe_count(&mut self, t_ms: f64, tenant: &str, outcome: &str, n: u64) {
         self.advance(t_ms);
         let idx = self.cfg.slice_of(t_ms);
-        let cfg = self.cfg.clone();
         self.slices
             .entry(idx)
             .or_default()
-            .cell(tenant, outcome, &cfg)
+            .cell(tenant, outcome, &self.cfg)
             .count += n;
     }
 
@@ -263,14 +270,13 @@ impl WindowAggregator {
     pub fn observe_latency(&mut self, t_ms: f64, tenant: &str, outcome: &str, latency_ms: f64) {
         self.advance(t_ms);
         let idx = self.cfg.slice_of(t_ms);
-        let cfg = self.cfg.clone();
         let cell = self
             .slices
             .entry(idx)
             .or_default()
-            .cell(tenant, outcome, &cfg);
+            .cell(tenant, outcome, &self.cfg);
         cell.count += 1;
-        cell.latency.record(&cfg.latency_bounds_ms, latency_ms);
+        cell.latency.record(&self.cfg.latency_bounds_ms, latency_ms);
     }
 
     /// Records one transfer sample (bytes) without counting an event
@@ -278,13 +284,12 @@ impl WindowAggregator {
     pub fn observe_transfer(&mut self, t_ms: f64, tenant: &str, outcome: &str, bytes: f64) {
         self.advance(t_ms);
         let idx = self.cfg.slice_of(t_ms);
-        let cfg = self.cfg.clone();
         self.slices
             .entry(idx)
             .or_default()
-            .cell(tenant, outcome, &cfg)
+            .cell(tenant, outcome, &self.cfg)
             .transfer
-            .record(&cfg.transfer_bounds, bytes);
+            .record(&self.cfg.transfer_bounds, bytes);
     }
 
     /// Snapshot of everything inside the current window, keys sorted.
@@ -297,8 +302,13 @@ impl WindowAggregator {
             if *idx < oldest_live {
                 continue;
             }
-            for (key, cell) in &slice.cells {
-                let d = keys.entry(key.clone()).or_insert_with(|| Cell {
+            let cells = slice
+                .cells
+                .iter()
+                .flat_map(|(t, outcomes)| outcomes.iter().map(move |(o, c)| (t, o, c)));
+            for (tenant, outcome, cell) in cells {
+                let key = (tenant.clone(), outcome.clone());
+                let d = keys.entry(key).or_insert_with(|| Cell {
                     count: 0,
                     latency: WindowHist::new(self.cfg.latency_bounds_ms.len()),
                     transfer: WindowHist::new(self.cfg.transfer_bounds.len()),
